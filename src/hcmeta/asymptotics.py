@@ -70,9 +70,6 @@ class AsymptoticExponent:
             return 0
         return -1 if va < vb else 1
 
-    def strictly_less(self, other: "AsymptoticExponent", alpha: Fraction) -> bool:
-        return self.compare(other, alpha) < 0
-
     def as_tuple(self) -> tuple[Fraction, Fraction]:
         return (self.p, self.q)
 

@@ -139,6 +139,19 @@ class ConfigurationSpace:
         nu, nv = self.counts(mask)
         return AsymptoticExponent.from_powers(nu, nv)
 
+    def weight_keys(self, alpha: Fraction) -> list[int]:
+        """Exact integer keys of the weight orders, one per state.
+
+        With alpha = a/b the weight of x has order lambda^(p + q*alpha), where
+        p = |x_U| + |x_V| and q = |x_V|; the key b*(p + q*alpha) = b*p + a*q
+        orders states (and detects equal orders) exactly as p + q*alpha does.
+        """
+        alpha = Fraction(alpha)
+        a, b = alpha.numerator, alpha.denominator
+        um, vm = self.u_mask, self.v_mask
+        return [b * (m & um).bit_count() + (a + b) * (m & vm).bit_count()
+                for m in self.configs]
+
     def serialize_config(self, mask: int) -> dict:
         return {"mask": format(mask, "x"),
                 "occupied": [s for s in range(self.graph.n_sites) if mask >> s & 1]}

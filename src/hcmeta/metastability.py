@@ -23,7 +23,9 @@ from .isoperimetry import (
     set_cost,
     torus_delta,
 )
-from .potential import psi_symbolic
+# psi_symbolic is unused here but stays in this module's namespace for code
+# that looks it up (or wraps it) as hcmeta.metastability.psi_symbolic.
+from .potential import BottleneckTree, psi_symbolic  # noqa: F401
 
 __all__ = [
     "CriticalAnalysis",
@@ -187,23 +189,15 @@ def profile_function(g: BipartiteGraph, alpha: Fraction,
 
 def dominance_sets(space: ConfigurationSpace, a: int, alpha: Fraction
                    ) -> tuple[set[int], set[int]]:
-    """(J(a), J_minus(a)) by exact height comparison in Q[alpha].
+    """(J(a), J_minus(a)) by exact comparison of integer weight keys.
 
     J(a) holds states whose stationary order is at least a's (ties included);
     J_minus(a) requires strictly larger order.
     """
-    alpha = Fraction(alpha)
-    ref = space.weight_exponent(space.configs[a]).value(alpha)
-    j, j_minus = set(), set()
-    for i, mask in enumerate(space.configs):
-        if i == a:
-            continue
-        v = space.weight_exponent(mask).value(alpha)
-        if v >= ref:
-            j.add(i)
-            if v > ref:
-                j_minus.add(i)
-    return j, j_minus
+    keys = space.weight_keys(alpha)
+    ref = keys[a]
+    j = {i for i, k in enumerate(keys) if k >= ref and i != a}
+    return j, {i for i in j if keys[i] > ref}
 
 
 # ----------------------------------------------------------------------------
@@ -881,16 +875,20 @@ def no_trap_certificate(space: ConfigurationSpace, alpha: Fraction) -> NoTrapRep
     exponent order for every x outside {u, v}.
 
     Exponents compared are of the Z- and gamma-free products w_x / w_bneck.
-    Order ties (alpha genericity failures) give an inconclusive status.
+    Order ties (alpha genericity failures) give an inconclusive status.  All
+    bottlenecks come from one :class:`BottleneckTree` pass.
     """
     alpha = Fraction(alpha)
     u, v = space.u_state, space.v_state
     j_u, _ = dominance_sets(space, u, alpha)
     if not j_u:
         raise ValueError("J(u) is empty: u already has maximal order")
-    psi_u = psi_symbolic(space, {u}, j_u, alpha)
-    q_u = space.weight_exponent(space.configs[u]) / psi_u.bottleneck_weight
-    q_u_val = q_u.value(alpha)
+    tree = BottleneckTree(space, alpha)
+    lu = tree.connecting_level(frozenset({u}), frozenset(j_u))
+    escape = tree.escape_levels()
+    keys, level_keys, level_pq = tree.keys, tree.level_keys, tree.level_pq
+    q_u = space.weight_exponent(space.configs[u]) / tree.bottleneck_weight(lu)
+    q_u_key = keys[u] - level_keys[lu]
     traps, ties = [], []
     checked = 0
     inconclusive = False
@@ -898,21 +896,23 @@ def no_trap_certificate(space: ConfigurationSpace, alpha: Fraction) -> NoTrapRep
         if x in (u, v):
             continue
         checked += 1
-        _, j_minus = dominance_sets(space, x, alpha)
-        if not j_minus:
+        lx = escape[x]
+        if lx < 0:
             traps.append(x)             # a second stable state: infinite scale
             continue
-        psi_x = psi_symbolic(space, {x}, j_minus, alpha)
-        q_x = space.weight_exponent(space.configs[x]) / psi_x.bottleneck_weight
-        # Compare values p + q*alpha: the bottleneck VALUE is unambiguous
-        # even when its (p, q) label is tied.  Strict inequality certifies;
-        # equal values with unambiguous equal labels expose a genuine trap;
-        # equal values with mixed labels are an alpha-genericity failure.
-        q_x_val = q_x.value(alpha)
-        if q_x_val > q_u_val:
+        # Compare values p + q*alpha (as integer keys): the bottleneck VALUE
+        # is unambiguous even when its (p, q) label is tied.  Strict
+        # inequality certifies; equal values with unambiguous equal labels
+        # expose a genuine trap; equal values with mixed labels are an
+        # alpha-genericity failure.
+        q_x_key = keys[x] - level_keys[lx]
+        if q_x_key > q_u_key:
             traps.append(x)
-        elif q_x_val == q_u_val:
-            if psi_x.is_tie or psi_u.is_tie or q_x.as_tuple() != q_u.as_tuple():
+        elif q_x_key == q_u_key:
+            q_x = (space.weight_exponent(space.configs[x])
+                   / tree.bottleneck_weight(lx))
+            if (len(level_pq[lx]) > 1 or len(level_pq[lu]) > 1
+                    or q_x.as_tuple() != q_u.as_tuple()):
                 ties.append(x)
                 inconclusive = True
             else:

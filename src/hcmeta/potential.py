@@ -8,7 +8,9 @@ keeps full relative accuracy even when conductances span lambda^Delta ranges;
 larger networks fall back to the LU route.
 
 Critical (bottleneck) resistance is computed numerically by incremental
-union-find over edges and symbolically in the exact lambda-exponent order.
+union-find over edges, and symbolically on a bottleneck tree: the edges sorted
+once by exact integer exponent keys, which answers every Psi(x, J^-(x)) of a
+space in a single union-find pass.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ __all__ = [
     "expected_hitting_time",
     "critical_resistance",
     "psi_symbolic",
+    "BottleneckTree",
     "nash_williams_bounds",
     "voltage_bound_check",
     "VoltageBoundReport",
@@ -61,7 +64,6 @@ class ElectricNetwork:
         self.edge_i = rows[keep]
         self.edge_j = cols[keep]
         self.edge_c = c[keep]
-        self._c_scale = 1.0
 
     def __len__(self) -> int:
         return len(self.space)
@@ -94,7 +96,6 @@ class ElectricNetwork:
         if not hit.any():
             raise ValueError(f"no edge between {i} and {j}")
         out.edge_c[hit] *= factor
-        out._c_scale = 1.0
         return out
 
 
@@ -181,12 +182,10 @@ def _star_mesh_resistance(net: ElectricNetwork, A: frozenset, B: frozenset) -> f
         if a != b:
             C[a, b] += c / scale
             C[b, a] += c / scale
-    active = np.ones(m, dtype=bool)
     for s in range(m - 1, 1, -1):
         row = C[s]
         cs = row.sum()
         if cs <= 0.0:
-            active[s] = False
             C[s, :] = 0.0
             C[:, s] = 0.0
             continue
@@ -195,7 +194,6 @@ def _star_mesh_resistance(net: ElectricNetwork, A: frozenset, B: frozenset) -> f
         np.fill_diagonal(C, 0.0)
         C[s, :] = 0.0
         C[:, s] = 0.0
-        active[s] = False
     c01 = C[0, 1]
     if c01 <= 0.0:
         raise ValueError("A and B are disconnected")
@@ -431,86 +429,152 @@ class PsiSymbolic:
         return base / self.bottleneck_weight
 
 
-def psi_symbolic(space: ConfigurationSpace, A, B, alpha: Fraction,
-                 kernel: TransitionKernel | None = None) -> PsiSymbolic:
+class BottleneckTree:
+    """Edges of the configuration graph in the exact lambda-exponent order.
+
+    An edge joins x and x minus one particle; its level is the weight order of
+    its heavier endpoint (bigger w = smaller resistance), read from the exact
+    integer keys of :meth:`ConfigurationSpace.weight_keys`.  Levels run from
+    the highest key down: level k has key ``level_keys[k]``, sorted distinct
+    (p, q) labels ``level_pq[k]`` (more than one label is an alpha-genericity
+    tie) and edges ``edge_i[e], edge_j[e]`` for ``level_start[k] <= e <
+    level_start[k+1]``.  Building costs one O(E log E) sort; each query is a
+    single union-find pass over the levels.
+    """
+
+    def __init__(self, space: ConfigurationSpace, alpha: Fraction):
+        self.space = space
+        self.keys = space.weight_keys(alpha)
+        labels: dict[int, set[tuple[int, int]]] = {}
+        for key, mask in zip(self.keys, space.configs):
+            if mask:                    # the empty state heads no edge
+                nu, nv = space.counts(mask)
+                labels.setdefault(key, set()).add((nu + nv, nv))
+        self.level_keys = sorted(labels, reverse=True)
+        self.level_pq = [sorted((Fraction(p), Fraction(q)) for p, q in labels[k])
+                         for k in self.level_keys]
+        level_of = {k: lvl for lvl, k in enumerate(self.level_keys)}
+        state_level = np.array([level_of.get(k, -1) for k in self.keys],
+                               dtype=np.int64)
+        # Removal edges, recorded once from the occupied side i: w_i > w_j,
+        # so the edge's level is i's.  Configs are sorted, so searchsorted
+        # finds j = i minus the particle.
+        masks = np.array(space.configs, dtype=np.int64)
+        heads, tails = [], []
+        for site in range(space.graph.n_sites):
+            occ = np.flatnonzero((masks >> site) & 1)
+            heads.append(occ)
+            tails.append(np.searchsorted(masks, masks[occ] ^ (1 << site)))
+        ei, ej = np.concatenate(heads), np.concatenate(tails)
+        lvl = state_level[ei]
+        order = np.argsort(lvl, kind="stable")
+        self.edge_i, self.edge_j = ei[order].tolist(), ej[order].tolist()
+        self.level_start = np.searchsorted(
+            lvl[order], np.arange(len(self.level_keys) + 1)).tolist()
+
+    def bottleneck_weight(self, level: int) -> AsymptoticExponent:
+        """Level's weight exponent: its smallest (p, q) label."""
+        return AsymptoticExponent(*self.level_pq[level][0])
+
+    def connecting_level(self, A: frozenset, B: frozenset) -> int:
+        """First level at which edges at or above it join A to B."""
+        n = len(self.keys)
+        uf = _UnionFind(n + 2)
+        src, dst = n, n + 1
+        for a in A:
+            uf.union(a, src)
+        for b in B:
+            uf.union(b, dst)
+        if uf.find(src) == uf.find(dst):
+            raise ValueError("A and B intersect")
+        ei, ej, start = self.edge_i, self.edge_j, self.level_start
+        for level in range(len(self.level_keys)):
+            for e in range(start[level], start[level + 1]):
+                uf.union(ei[e], ej[e])
+            if uf.find(src) == uf.find(dst):
+                return level
+        raise ValueError("A and B are disconnected")
+
+    def escape_levels(self) -> list[int]:
+        """For every state x, the level of Psi(x, J^-(x)), where J^-(x) holds
+        the states of strictly larger key; -1 when J^-(x) is empty.
+
+        One Kruskal pass: each component keeps its largest key and the states
+        holding it, which still wait for a larger one.  A merge at level k
+        settles the waiting states of the side with the smaller maximum; on
+        equal maxima both sides keep waiting.  The configuration graph is
+        connected (every state reaches the empty one), so the states left
+        waiting are those of the largest key.
+        """
+        n = len(self.keys)
+        uf = _UnionFind(n)
+        top = list(self.keys)
+        waiting: list[list[int] | None] = [[x] for x in range(n)]
+        escape = [-1] * n
+        ei, ej, start = self.edge_i, self.edge_j, self.level_start
+        for level in range(len(self.level_keys)):
+            for e in range(start[level], start[level + 1]):
+                r, s = uf.find(ei[e]), uf.find(ej[e])
+                if r == s:
+                    continue
+                if top[r] > top[s]:
+                    r, s = s, r
+                if top[r] < top[s]:
+                    for x in waiting[r]:
+                        escape[x] = level
+                else:
+                    if len(waiting[r]) > len(waiting[s]):
+                        r, s = s, r
+                    waiting[s].extend(waiting[r])
+                waiting[r] = None
+                uf.parent[r] = s
+        return escape
+
+    def witness_path(self, A: frozenset, B: frozenset, level: int) -> list[int]:
+        """Shortest path from A to B using only edges whose heavier endpoint
+        has key at least ``level_keys[level]`` (BFS from A in site order)."""
+        space, keys = self.space, self.keys
+        floor = self.level_keys[level]
+        prev = {a: -1 for a in A}
+        frontier = list(A)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                mx = space.configs[x]
+                for site in range(space.graph.n_sites):
+                    bit = 1 << site
+                    if mx & bit:
+                        my = mx ^ bit
+                    elif not (mx & space.neighbor_masks[site]):
+                        my = mx | bit
+                    else:
+                        continue
+                    y = space.index[my]
+                    if max(keys[x], keys[y]) < floor:
+                        continue
+                    if y not in prev:
+                        prev[y] = x
+                        if y in B:
+                            path = [y]
+                            while prev[path[-1]] != -1:
+                                path.append(prev[path[-1]])
+                            return list(reversed(path))
+                        nxt.append(y)
+            frontier = nxt
+        raise AssertionError("exponent path reconstruction failed")
+
+
+def psi_symbolic(space: ConfigurationSpace, A, B, alpha: Fraction) -> PsiSymbolic:
     """Bottleneck search in the exact exponent order as lambda -> infinity."""
     A = frozenset(int(a) for a in A)
     B = frozenset(int(b) for b in B)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
-    n = len(space)
-    edges: list[tuple[Fraction, Fraction, Fraction, int, int]] = []
-    # Edge key: exponent of the larger endpoint weight (bigger w = smaller r).
-    for i in range(n):
-        mi = space.configs[i]
-        el = space.weight_exponent(mi)
-        for site in range(space.graph.n_sites):
-            bit = 1 << site
-            if mi & bit:
-                mj = mi ^ bit
-                j = space.index[mj]
-                # Removal edge recorded once from the occupied side: i has the
-                # extra particle, so w_i > w_j and the key is ord(w_i).
-                edges.append((el.value(alpha), el.p, el.q, i, j))
-    edges.sort(key=lambda e: (-e[0], e[1]))
-    uf = _UnionFind(n + 2)
-    src, dst = n, n + 1
-    for a in A:
-        uf.union(a, src)
-    for b in B:
-        uf.union(b, dst)
-    if uf.find(src) == uf.find(dst):
-        raise ValueError("A and B intersect")
-    k = 0
-    while k < len(edges):
-        v0 = edges[k][0]
-        grp = []
-        while k < len(edges) and edges[k][0] == v0:
-            grp.append(edges[k])
-            k += 1
-        for _, _, _, i, j in grp:
-            uf.union(i, j)
-        if uf.find(src) == uf.find(dst):
-            pqs = sorted({(p, q) for _, p, q, _, _ in grp})
-            expo = AsymptoticExponent(*pqs[0])
-            path = _exponent_path(space, A, B, v0, alpha)
-            return PsiSymbolic(expo, path, tie_pq=list(pqs))
-    raise ValueError("A and B are disconnected")
-
-
-def _exponent_path(space: ConfigurationSpace, A, B, min_weight_value: Fraction,
-                   alpha: Fraction) -> list[int]:
-    """Path from A to B using only edges whose max endpoint weight has
-    exponent value >= min_weight_value."""
-    n = len(space)
-    vals = [space.weight_exponent(m).value(alpha) for m in space.configs]
-    prev = {a: -1 for a in A}
-    frontier = list(A)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            mx = space.configs[x]
-            for site in range(space.graph.n_sites):
-                bit = 1 << site
-                if mx & bit:
-                    my = mx ^ bit
-                elif not (mx & space.neighbor_masks[site]):
-                    my = mx | bit
-                else:
-                    continue
-                y = space.index[my]
-                if max(vals[x], vals[y]) < min_weight_value:
-                    continue
-                if y not in prev:
-                    prev[y] = x
-                    if y in B:
-                        path = [y]
-                        while prev[path[-1]] != -1:
-                            path.append(prev[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(y)
-        frontier = nxt
-    raise AssertionError("exponent path reconstruction failed")
+    tree = BottleneckTree(space, alpha)
+    level = tree.connecting_level(A, B)
+    return PsiSymbolic(tree.bottleneck_weight(level),
+                       tree.witness_path(A, B, level),
+                       tie_pq=list(tree.level_pq[level]))
 
 
 # ----------------------------------------------------------------------------

@@ -301,6 +301,12 @@ def test_no_trap_cycle_at_half_and_path_inconclusive():
     assert no_trap_certificate(spc, HALF).status == "inconclusive"
 
 
+def test_no_trap_torus_at_half():
+    spc = enumerate_space(build_family("torus:4x4"))
+    rep = no_trap_certificate(spc, HALF)
+    assert rep.status == "certified" and rep.checked == len(spc) - 2
+
+
 def test_standard_path_cycle():
     g = build_family("cycle:6")
     spc = enumerate_space(g)
