@@ -9,6 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .asymptotics import AsymptoticExponent
 from .graph import BipartiteGraph
@@ -65,24 +68,33 @@ class ModelParams:
 class ConfigurationSpace:
     """Complete enumeration of the valid configurations of a bipartite graph.
 
-    The list is in canonical ascending-bitmask order; ``index[mask]`` maps a
-    configuration back to its ordinal.  ``u_state`` packs all of U, ``v_state``
-    all of V; ``empty_index`` is the ordinal of the empty configuration.
+    ``masks`` is the sorted ``int64`` array of configuration bitmasks (the
+    canonical order); ``configs`` is the same as a list of ints and
+    ``index[mask]`` maps a configuration back to its ordinal.  ``u_state``
+    packs all of U, ``v_state`` all of V; ``empty_index`` is the ordinal of
+    the empty configuration.
     """
 
-    def __init__(self, graph: BipartiteGraph, configs: list[int]):
+    def __init__(self, graph: BipartiteGraph, masks):
         self.graph = graph
-        self.configs = configs
-        self.index = {m: i for i, m in enumerate(configs)}
+        self.masks = np.asarray(masks, dtype=np.int64)
         self.u_mask = sum(1 << a for a in graph.u_sites)
         self.v_mask = sum(1 << a for a in graph.v_sites)
-        self.u_state = self.index[self.u_mask]
-        self.v_state = self.index[self.v_mask]
-        self.empty_index = self.index[0]
+        self.u_state = self.require(self.u_mask)
+        self.v_state = self.require(self.v_mask)
+        self.empty_index = self.require(0)
         self.neighbor_masks = [graph.neighbor_mask(a) for a in range(graph.n_sites)]
 
+    @cached_property
+    def configs(self) -> list[int]:
+        return self.masks.tolist()
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.configs)}
+
     def __len__(self) -> int:
-        return len(self.configs)
+        return len(self.masks)
 
     def counts(self, mask: int) -> tuple[int, int]:
         """(|x_U|, |x_V|) of a configuration bitmask."""
@@ -100,9 +112,29 @@ class ConfigurationSpace:
 
     def require(self, mask: int) -> int:
         """Index of a configuration, validating independence."""
-        if mask not in self.index:
+        n = len(self.masks)
+        i = int(np.searchsorted(self.masks, mask)) if 0 <= mask < 1 << 63 else n
+        if i == n or self.masks[i] != mask:
             raise ValueError(f"configuration {mask:#x} is not a valid independent set")
-        return self.index[mask]
+        return i
+
+    def removals(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per site, ``(occ, emp)``: the states with the site occupied and,
+        entry for entry, the states left when it is emptied.  Read in
+        reverse, the same pairs are every addition of a particle there."""
+        out = []
+        for site in range(self.graph.n_sites):
+            occ = np.flatnonzero((self.masks >> site) & 1)
+            out.append((occ, np.searchsorted(self.masks,
+                                             self.masks[occ] ^ (1 << site))))
+        return out
+
+    def occupancy(self, sites) -> np.ndarray:
+        """Number of occupied sites among ``sites``, per state (int64)."""
+        out = np.zeros(len(self.masks), dtype=np.int64)
+        for site in sites:
+            out += (self.masks >> site) & 1
+        return out
 
     # -- stationary weights ---------------------------------------------------
 
@@ -117,18 +149,14 @@ class ConfigurationSpace:
             return math.exp(lw)
         return math.inf if lw > 0 else 0.0
 
-    def log_weights(self, params: ModelParams) -> "np.ndarray":
-        import numpy as np
+    def log_weights(self, params: ModelParams) -> np.ndarray:
         lu = math.log(params.lam)
         lv = math.log(params.lam_bar)
-        return np.array([
-            (m & self.u_mask).bit_count() * lu + (m & self.v_mask).bit_count() * lv
-            for m in self.configs
-        ])
+        return (self.occupancy(self.graph.u_sites) * lu
+                + self.occupancy(self.graph.v_sites) * lv)
 
-    def stationary(self, params: ModelParams) -> "np.ndarray":
+    def stationary(self, params: ModelParams) -> np.ndarray:
         """Normalized pi over the space (log-sum-exp normalisation)."""
-        import numpy as np
         lw = self.log_weights(params)
         mx = lw.max()
         w = np.exp(lw - mx)
@@ -157,43 +185,33 @@ class ConfigurationSpace:
                 "occupied": [s for s in range(self.graph.n_sites) if mask >> s & 1]}
 
 
-def _enumerate_masks(graph: BipartiteGraph, cap: int, store: bool):
-    """DFS over sites in ascending id order, skipping neighbors of occupied
-    sites; the collected masks are sorted into canonical ascending order."""
-    n = graph.n_sites
-    nbr = [graph.neighbor_mask(a) for a in range(n)]
-    out: list[int] = []
-    count = 0
-    # Iterative DFS; stack holds (next_site, mask, blocked).
-    stack = [(0, 0, 0)]
-    while stack:
-        site, mask, blocked = stack.pop()
-        while site < n and (blocked >> site) & 1:
-            site += 1
-        if site == n:
-            count += 1
-            if count > cap:
-                return count, None
-            if store:
-                out.append(mask)
-            continue
-        # Explore include branch after exclude branch: push include first.
-        stack.append((site + 1, mask | (1 << site), blocked | nbr[site]))
-        stack.append((site + 1, mask, blocked))
-    return count, out if store else None
-
-
 def enumerate_space(graph: BipartiteGraph, cap: int = DEFAULT_CAP) -> ConfigurationSpace:
-    """Enumerate all independent sets; refuses (naming the count) past ``cap``."""
+    """Enumerate all independent sets; refuses (naming the count) past ``cap``.
+
+    The mask array grows one site at a time: every configuration over sites
+    below ``s`` whose lower-index neighbours of ``s`` are empty also appears
+    with ``s`` occupied.  The new masks all exceed the old ones and keep
+    their order, so the array stays sorted without a sort.
+    """
     if not graph.v_sites:
         raise ValueError("degenerate graph with empty V part (u would equal v)")
-    count, _ = _enumerate_masks(graph, cap, store=False)
-    if count > cap:
-        raise CapExceeded(
-            f"configuration count exceeds cap={cap}: at least {count} states")
-    _, configs = _enumerate_masks(graph, cap, store=True)
-    configs.sort()
-    return ConfigurationSpace(graph, configs)
+
+    def refuse():
+        return CapExceeded(
+            f"configuration count exceeds cap={cap}: at least {cap + 1} states")
+
+    # Every subset of U and every subset of V is independent.
+    if 2 ** len(graph.u_sites) + 2 ** len(graph.v_sites) - 1 > cap:
+        raise refuse()
+    if graph.n_sites > 62:
+        raise ValueError(f"{graph.n_sites} sites do not fit int64 masks")
+    masks = np.zeros(1, dtype=np.int64)
+    for site in range(graph.n_sites):
+        lower = graph.neighbor_mask(site) & ((1 << site) - 1)
+        masks = np.concatenate([masks, masks[(masks & lower) == 0] | (1 << site)])
+        if len(masks) > cap:
+            raise refuse()
+    return ConfigurationSpace(graph, masks)
 
 
 def count_independent_sets(graph: BipartiteGraph) -> int:

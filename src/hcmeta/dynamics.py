@@ -17,6 +17,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,89 +62,99 @@ class _Uniforms:
 
 
 class TransitionKernel:
-    """Sparse row structure of the Gibbs-sampler kernel.
+    """CSR arrays of the Gibbs-sampler kernel.
 
     Off-diagonal entries: lambda_i/gamma for adding a particle at an empty,
     unblocked site i (lambda_bar on V), 1/gamma for removing one; the
-    self-loop probability absorbs the rest of the row.
+    self-loop probability absorbs the rest of the row.  Row ``i`` holds its
+    entries ``indptr[i]:indptr[i+1]`` in ascending site order: targets
+    ``indices``, probabilities ``probs`` and their running sums ``cum``;
+    ``p_move[i]`` is the row's total move probability.
     """
 
     def __init__(self, space: ConfigurationSpace, params: ModelParams):
         self.space = space
         self.params = params
-        g = space.graph
-        n_sites = g.n_sites
-        u_mask = space.u_mask
         lam, lam_bar, gamma = params.lam, params.lam_bar, params.gamma
         p_add_u = lam / gamma
         p_add_v = lam_bar / gamma
         p_rem = 1.0 / gamma
-        nbr = space.neighbor_masks
-        index = space.index
+        n = len(space)
+        u_sites = set(space.graph.u_sites)
 
-        self.row_targets: list[list[int]] = []
-        self.row_probs: list[list[float]] = []
-        self.row_cum: list[list[float]] = []
-        self.p_move: list[float] = []
-        for mask in space.configs:
-            targets: list[int] = []
-            probs: list[float] = []
-            for site in range(n_sites):
-                bit = 1 << site
-                if mask & bit:
-                    targets.append(index[mask ^ bit])
-                    probs.append(p_rem)
-                elif not (mask & nbr[site]):
-                    targets.append(index[mask | bit])
-                    probs.append(p_add_u if bit & u_mask else p_add_v)
-            cum = []
-            acc = 0.0
-            for p in probs:
-                acc += p
-                cum.append(acc)
-            self.row_targets.append(targets)
-            self.row_probs.append(probs)
-            self.row_cum.append(cum)
-            self.p_move.append(acc)
+        # A state moves at a site in at most one way: a removal, or the
+        # addition that a removal reverses.
+        moves = []
+        counts = np.zeros(n, dtype=np.int64)
+        for site, (occ, emp) in enumerate(space.removals()):
+            counts[occ] += 1
+            counts[emp] += 1
+            moves.append((occ, emp, p_rem))
+            moves.append((emp, occ, p_add_u if site in u_sites else p_add_v))
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.indices = np.empty(self.indptr[-1], dtype=np.int64)
+        self.probs = np.empty(self.indptr[-1])
+        self.cum = np.empty(self.indptr[-1])
+        # Filled site by site in ascending order, so each row's running sum
+        # adds its probabilities left to right, as a per-row loop would.
+        fill = self.indptr[:-1].copy()
+        self.p_move = np.zeros(n)
+        for states, targets, p in moves:
+            at = fill[states]
+            self.indices[at] = targets
+            self.probs[at] = p
+            self.cum[at] = self.p_move[states] = self.p_move[states] + p
+            fill[states] = at + 1
+
+    @cached_property
+    def _lists(self):
+        """Python-list views (indptr, indices, cum, p_move) for the walkers."""
+        return (self.indptr.tolist(), self.indices.tolist(), self.cum.tolist(),
+                self.p_move.tolist())
 
     def __len__(self) -> int:
         return len(self.space)
 
+    def row(self, i: int) -> tuple[list[int], list[float]]:
+        """(targets, probabilities) of row ``i``'s off-diagonal entries."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi].tolist(), self.probs[lo:hi].tolist()
+
     def self_loop(self, i: int) -> float:
-        return 1.0 - self.p_move[i]
+        return 1.0 - float(self.p_move[i])
 
     def prob(self, i: int, j: int) -> float:
         if i == j:
             return self.self_loop(i)
-        for t, p in zip(self.row_targets[i], self.row_probs[i]):
+        for t, p in zip(*self.row(i)):
             if t == j:
                 return p
         return 0.0
 
     def offdiag_coo(self):
-        """(rows, cols, probs) arrays of the off-diagonal entries."""
-        rows, cols, vals = [], [], []
-        for i, (ts, ps) in enumerate(zip(self.row_targets, self.row_probs)):
-            rows.extend([i] * len(ts))
-            cols.extend(ts)
-            vals.extend(ps)
-        return (np.asarray(rows, dtype=np.int64),
-                np.asarray(cols, dtype=np.int64),
-                np.asarray(vals, dtype=np.float64))
+        """(rows, cols, probs) arrays of the off-diagonal entries, in CSR
+        order; ``cols`` and ``probs`` are the kernel's own arrays."""
+        rows = np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.indptr))
+        return rows, self.indices, self.probs
 
     def check_invariants(self) -> dict[str, float]:
         """Max row-sum deviation and max relative detailed-balance defect."""
-        row_dev = max(abs(self.p_move[i] + self.self_loop(i) - 1.0)
-                      for i in range(len(self)))
+        row_dev = float(np.max(np.abs(self.p_move + (1.0 - self.p_move) - 1.0)))
         pi = self.space.stationary(self.params)
-        db = 0.0
-        for i, (ts, ps) in enumerate(zip(self.row_targets, self.row_probs)):
-            for j, p in zip(ts, ps):
-                if i < j:
-                    back = self.prob(j, i)
-                    f, b = pi[i] * p, pi[j] * back
-                    if f or b:
-                        db = max(db, abs(f - b) / max(f, b))
+        n = len(self)
+        rows, cols, probs = self.offdiag_coo()
+        # Pair each entry i -> j with j -> i through the sorted keys i*n + j.
+        keys = rows * n + cols
+        order = np.argsort(keys)
+        at = np.minimum(np.searchsorted(keys, cols * n + rows, sorter=order),
+                        len(keys) - 1)
+        back = np.where(keys[order[at]] == cols * n + rows, probs[order[at]], 0.0)
+        up = rows < cols
+        f, b = pi[rows[up]] * probs[up], pi[cols[up]] * back[up]
+        big = np.maximum(f, b)
+        live = big > 0
+        db = float(np.max(np.abs(f - b)[live] / big[live], initial=0.0))
         return {"row_sum_dev": row_dev, "detailed_balance_rel": db}
 
 
@@ -188,9 +199,7 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
     if state in target_set:
         return HittingSample(0, 0.0, state, events)
 
-    row_cum = kernel.row_cum
-    row_targets = kernel.row_targets
-    p_move = kernel.p_move
+    indptr, indices, cum, p_move = kernel._lists
     while True:
         pm = p_move[state]
         if pm <= 0.0:
@@ -204,11 +213,11 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
         if steps > step_cap:
             t_hat = steps / gamma
             return HittingSample(steps, t_hat, state, events, timed_out=True)
-        cum = row_cum[state]
-        k = bisect_left(cum, uni.next() * pm)
-        if k == len(cum):
+        hi = indptr[state + 1]
+        k = bisect_left(cum, uni.next() * pm, indptr[state], hi)
+        if k == hi:
             k -= 1
-        nxt = row_targets[state][k]
+        nxt = indices[k]
         if watch is not None and (state, nxt) in watch:
             events.append((state, nxt))
         state = nxt
@@ -306,7 +315,7 @@ def occupation_counts(kernel: TransitionKernel, start: int, n_steps: int,
     counts = np.zeros(len(kernel), dtype=np.int64)
     state = int(start)
     remaining = n_steps
-    row_cum, row_targets, p_move = kernel.row_cum, kernel.row_targets, kernel.p_move
+    indptr, indices, cum, p_move = kernel._lists
     while remaining > 0:
         pm = p_move[state]
         u = uni.next()
@@ -316,11 +325,11 @@ def occupation_counts(kernel: TransitionKernel, start: int, n_steps: int,
         remaining -= stay
         if remaining == 0:
             break
-        cum = row_cum[state]
-        k = bisect_left(cum, uni.next() * pm)
-        if k == len(cum):
+        hi = indptr[state + 1]
+        k = bisect_left(cum, uni.next() * pm, indptr[state], hi)
+        if k == hi:
             k -= 1
-        state = row_targets[state][k]
+        state = indices[k]
     return counts
 
 

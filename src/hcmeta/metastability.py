@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymptotics import AsymptoticExponent
-from .configspace import CapExceeded, ConfigurationSpace, ModelParams
+from .configspace import (CapExceeded, ConfigurationSpace, ModelParams,
+                          enumerate_space)
 from .graph import BipartiteGraph, GraphValidationError
 from .isoperimetry import (
     IsoperimetricProfile,
@@ -364,7 +365,7 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
                      budgets: SearchBudgets | None = None,
                      kappa: int | None = None,
                      profile: IsoperimetricProfile | None = None,
-                     no_trap_sites_cap: int = 12) -> HypothesisReport:
+                     no_trap_state_cap: int = 100_000) -> HypothesisReport:
     """Statuses for the structural hypotheses behind the crossover laws.
 
     stability: |U| < (1+alpha)|V| so the packed V-configuration dominates.
@@ -378,7 +379,8 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
     every optimal (s*-1)-set, and from every optimal (s*+kappa)-set on to
     the resettling size without dipping below s*.
     no_trap: certificate that no intermediate state has the escape scale of
-    the packed-U state (evaluated when the space is small enough).
+    the packed-U state (evaluated when the space has at most
+    ``no_trap_state_cap`` states).
 
     stability, uniqueness and profile_values are decided exactly from the
     profile.  The numbering and progression statuses go through the family
@@ -472,17 +474,17 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
             st["progressions"] = HypothesisStatus(
                 "verified" if ok else ("exhausted-budget" if exhausted else "refuted"))
 
-    if g.n_sites <= no_trap_sites_cap:
-        from .configspace import enumerate_space
-        rep = no_trap_certificate(enumerate_space(g), alpha)
+    try:
+        space = enumerate_space(g, cap=no_trap_state_cap)
+    except CapExceeded as exc:
+        st["no_trap"] = HypothesisStatus("exhausted-budget", str(exc))
+    else:
+        rep = no_trap_certificate(space, alpha)
         status = {"certified": "verified", "refuted": "refuted",
                   "inconclusive": "exhausted-budget"}[rep.status]
         evidence = ("absence of traps is not satisfied"
                     if rep.status == "refuted" else rep.status)
         st["no_trap"] = HypothesisStatus(status, evidence)
-    else:
-        st["no_trap"] = HypothesisStatus("exhausted-budget",
-                                         "space too large to enumerate")
     return HypothesisReport(analysis, kappa, st)
 
 

@@ -7,10 +7,10 @@ cancellation-free star-mesh (Kron) elimination below a size threshold, which
 keeps full relative accuracy even when conductances span lambda^Delta ranges;
 larger networks fall back to the LU route.
 
-Critical (bottleneck) resistance is computed numerically by incremental
-union-find over edges, and symbolically on a bottleneck tree: the edges sorted
-once by exact integer exponent keys, which answers every Psi(x, J^-(x)) of a
-space in a single union-find pass.
+Critical (bottleneck) resistance is computed numerically by threshold
+connectivity over the conductances, and symbolically on a bottleneck tree: the
+edges sorted once by exact integer exponent keys, which answers every
+Psi(x, J^-(x)) of a space in a single union-find pass.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .asymptotics import AsymptoticExponent
 from .configspace import ConfigurationSpace, ModelParams
@@ -59,11 +60,10 @@ class ElectricNetwork:
         self.kernel = kernel if kernel is not None else build_kernel(space, params)
         self.pi = space.stationary(params)
         rows, cols, probs = self.kernel.offdiag_coo()
-        c = self.pi[rows] * probs
-        keep = rows < cols                     # one record per undirected edge
-        self.edge_i = rows[keep]
-        self.edge_j = cols[keep]
-        self.edge_c = c[keep]
+        up = np.flatnonzero(rows < cols)       # one record per undirected edge
+        self.edge_i = rows[up]
+        self.edge_j = cols[up]
+        self.edge_c = self.pi[self.edge_i] * probs[up]
 
     def __len__(self) -> int:
         return len(self.space)
@@ -233,9 +233,7 @@ def escape_probability(net: ElectricNetwork, a: int, B) -> tuple[float, float]:
     r = effective_resistance(net, {a}, B)
     formula = 1.0 / (net.pi[a] * r)
     wf = voltage(net, B, {a})
-    k = net.kernel
-    dec = sum(p * wf.values[t]
-              for t, p in zip(k.row_targets[a], k.row_probs[a]))
+    dec = sum(p * wf.values[t] for t, p in zip(*net.kernel.row(a)))
     return formula, dec
 
 
@@ -254,30 +252,42 @@ def green_function(net: ElectricNetwork, a: int, B) -> np.ndarray:
     return r * net.pi * w.values
 
 
+def _sub_kernel(kernel: TransitionKernel, B: frozenset):
+    """The kernel restricted to the states outside B, as a CSC matrix.
+
+    Returns (matrix, keep, pos): ``keep`` lists the kept states in ascending
+    order and ``pos[x]`` is x's row in the matrix (-1 on B).  The diagonal
+    holds the self-loop ``1 - p_move``, the rest the moves between kept states.
+    """
+    n = len(kernel)
+    in_b = np.zeros(n, dtype=bool)
+    in_b[list(B)] = True
+    keep = np.flatnonzero(~in_b)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[keep] = np.arange(len(keep))
+    rows, cols, probs = kernel.offdiag_coo()
+    live = ~in_b[rows] & ~in_b[cols]
+    diag = np.arange(len(keep))
+    kk = sp.coo_matrix(
+        (np.concatenate([1.0 - kernel.p_move[keep], probs[live]]),
+         (np.concatenate([diag, pos[rows[live]]]),
+          np.concatenate([diag, pos[cols[live]]]))),
+        shape=(len(keep), len(keep))).tocsc()
+    return kk, keep, pos
+
+
 def green_by_visits(net: ElectricNetwork, a: int, B) -> np.ndarray:
     """Independent route: expected visit counts from the first-step system."""
     a = int(a)
     B = frozenset(int(b) for b in B)
-    n = len(net)
-    keep = np.array([i for i in range(n) if i not in B], dtype=np.int64)
-    pos = {int(x): k for k, x in enumerate(keep)}
-    k = net.kernel
-    rows, cols, vals = [], [], []
-    for i in keep:
-        rows.append(pos[int(i)])
-        cols.append(pos[int(i)])
-        vals.append(k.self_loop(int(i)))
-        for t, p in zip(k.row_targets[int(i)], k.row_probs[int(i)]):
-            if t not in B:
-                rows.append(pos[int(i)])
-                cols.append(pos[t])
-                vals.append(p)
-    kk = sp.coo_matrix((vals, (rows, cols)), shape=(len(keep), len(keep))).tocsc()
+    if a in B:
+        raise ValueError("a must not belong to B")
+    kk, keep, pos = _sub_kernel(net.kernel, B)
     m = (sp.identity(len(keep), format="csc") - kk.T).tocsc()
     rhs = np.zeros(len(keep))
     rhs[pos[a]] = 1.0
     g = spla.splu(m).solve(rhs)
-    out = np.zeros(n)
+    out = np.zeros(len(net))
     out[keep] = g
     return out
 
@@ -302,18 +312,7 @@ def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
     w = voltage(net, {a}, B)
     green_route = r * float(net.pi @ w.values)
 
-    n = len(net)
-    keep = np.array([i for i in range(n) if i not in B], dtype=np.int64)
-    pos = {int(x): k for k, x in enumerate(keep)}
-    k = net.kernel
-    rows, cols, vals = [], [], []
-    for i in keep:
-        ii = int(i)
-        rows.append(pos[ii]); cols.append(pos[ii]); vals.append(k.self_loop(ii))
-        for t, p in zip(k.row_targets[ii], k.row_probs[ii]):
-            if t not in B:
-                rows.append(pos[ii]); cols.append(pos[t]); vals.append(p)
-    kk = sp.coo_matrix((vals, (rows, cols)), shape=(len(keep), len(keep))).tocsc()
+    kk, keep, pos = _sub_kernel(net.kernel, B)
     m = (sp.identity(len(keep), format="csc") - kk).tocsc()
     e = spla.splu(m).solve(np.ones(len(keep)))
     first_step = float(e[pos[a]])
@@ -350,7 +349,15 @@ class PsiResult:
 
 
 def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
-    """Psi(A,B) = min over paths of max edge resistance (numeric)."""
+    """Psi(A,B) = min over paths of max edge resistance (numeric).
+
+    The bottleneck conductance c* is the largest c at which the edges with
+    conductance >= c join A to B, found by bisection over the distinct
+    conductances with one connectivity labelling per step.  The bottleneck
+    edge is the edge at which Kruskal over the edges by descending
+    conductance, ties in edge order, first joins A to B: a union-find over
+    the components above c*, run on c*'s tie group only.
+    """
     A = frozenset(int(a) for a in A)
     B = frozenset(int(b) for b in B)
     if not A or not B:
@@ -358,52 +365,90 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     if A & B:
         return PsiResult(0.0, [next(iter(A & B))], (-1, -1))
     n = len(net)
-    order = np.argsort(-net.edge_c, kind="stable")
+    ei, ej = net.edge_i, net.edge_j
+    levels, rank = np.unique(net.edge_c, return_inverse=True)
+    rank = len(levels) - 1 - rank                   # 0: the largest conductance
+    a_list, b_list = list(A), list(B)
+
+    def labels_above(k: int) -> np.ndarray:
+        """Component labels of the edges of the k + 1 largest conductances."""
+        sel = np.flatnonzero(rank <= k)
+        adj = sp.csr_matrix((np.ones(len(sel), dtype=np.int8), (ei[sel], ej[sel])),
+                            shape=(n, n))
+        # weak components of the i < j edges: no symmetric copy needed
+        return csgraph.connected_components(adj, connection="weak")[1]
+
+    def joined(lab: np.ndarray) -> bool:
+        return bool(np.intersect1d(lab[a_list], lab[b_list]).size)
+
+    # Not joined at lo; joined at hi, where hi = len(levels) stands for
+    # "not yet seen joined".
+    lo, hi = -1, len(levels)
+    below = np.arange(n)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lab = labels_above(mid)
+        if joined(lab):
+            hi = mid
+        else:
+            lo, below = mid, lab
+    if hi == len(levels):
+        raise ValueError("A and B are disconnected")
+    # Kruskal over c*'s tie group, on the components above c*
+    lab = below.tolist()
     uf = _UnionFind(n + 2)
     src, dst = n, n + 1
     for a in A:
-        uf.union(a, src)
+        uf.union(lab[a], src)
     for b in B:
-        uf.union(b, dst)
-    bottleneck = None
-    for idx in order:
-        i, j = int(net.edge_i[idx]), int(net.edge_j[idx])
-        uf.union(i, j)
+        uf.union(lab[b], dst)
+    for e in np.flatnonzero(rank == hi).tolist():
+        uf.union(lab[int(ei[e])], lab[int(ej[e])])
         if uf.find(src) == uf.find(dst):
-            bottleneck = idx
             break
-    if bottleneck is None:
-        raise ValueError("A and B are disconnected")
-    c_star = float(net.edge_c[bottleneck])
+    c_star = float(net.edge_c[e])
     path = _bottleneck_path(net, A, B, c_star)
-    return PsiResult(1.0 / c_star, path,
-                     (int(net.edge_i[bottleneck]), int(net.edge_j[bottleneck])))
+    return PsiResult(1.0 / c_star, path, (int(ei[e]), int(ej[e])))
 
 
 def _bottleneck_path(net: ElectricNetwork, A: frozenset, B: frozenset,
                      c_min: float) -> list[int]:
-    """A shortest path from A to B using only edges with c >= c_min."""
+    """A shortest path from A to B using only edges with c >= c_min.
+
+    Breadth-first from A in set order, one level per step, each state's
+    neighbours in edge order; a state's predecessor is the first state of
+    the previous level to reach it, and the first state of B reached ends
+    the path.
+    """
     n = len(net)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, c in zip(net.edge_i, net.edge_j, net.edge_c):
-        if c >= c_min * (1.0 - 1e-15):
-            adj[int(i)].append(int(j))
-            adj[int(j)].append(int(i))
-    prev = {a: -1 for a in A}
-    frontier = list(A)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    if y in B:
-                        path = [y]
-                        while path[-1] != -1 and prev[path[-1]] != -1:
-                            path.append(prev[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(y)
-        frontier = nxt
+    sel = np.flatnonzero(net.edge_c >= c_min * (1.0 - 1e-15))
+    tail = np.concatenate([net.edge_i[sel], net.edge_j[sel]])
+    head = np.concatenate([net.edge_j[sel], net.edge_i[sel]])
+    head = head[np.lexsort((np.concatenate([sel, sel]), tail))]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    in_b = np.zeros(n, dtype=bool)
+    in_b[list(B)] = True
+    prev = np.full(n, -2, dtype=np.int64)           # -2: not reached yet
+    level = np.fromiter(A, dtype=np.int64, count=len(A))
+    prev[level] = -1
+    while len(level):
+        # the neighbour slots of the level's states, state by state
+        lo, counts = indptr[level], indptr[level + 1] - indptr[level]
+        starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        nbr = head[starts + np.arange(len(starts))]
+        src = np.repeat(level, counts)
+        fresh = prev[nbr] == -2
+        nbr, src = nbr[fresh], src[fresh]
+        first = np.sort(np.unique(nbr, return_index=True)[1])
+        level = nbr[first]
+        prev[level] = src[first]
+        hits = np.flatnonzero(in_b[level])
+        if len(hits):
+            path = [int(level[hits[0]])]
+            while prev[path[-1]] != -1:
+                path.append(int(prev[path[-1]]))
+            return path[::-1]
     raise AssertionError("bottleneck path reconstruction failed")
 
 
@@ -457,14 +502,8 @@ class BottleneckTree:
         state_level = np.array([level_of.get(k, -1) for k in self.keys],
                                dtype=np.int64)
         # Removal edges, recorded once from the occupied side i: w_i > w_j,
-        # so the edge's level is i's.  Configs are sorted, so searchsorted
-        # finds j = i minus the particle.
-        masks = np.array(space.configs, dtype=np.int64)
-        heads, tails = [], []
-        for site in range(space.graph.n_sites):
-            occ = np.flatnonzero((masks >> site) & 1)
-            heads.append(occ)
-            tails.append(np.searchsorted(masks, masks[occ] ^ (1 << site)))
+        # so the edge's level is i's.
+        heads, tails = zip(*space.removals())
         ei, ej = np.concatenate(heads), np.concatenate(tails)
         lvl = state_level[ei]
         order = np.argsort(lvl, kind="stable")

@@ -1,0 +1,203 @@
+"""The array builds of the space, kernel, network and critical resistance
+against per-state reference loops kept here: every output must be equal,
+float for float."""
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
+from hcmeta.dynamics import build_kernel
+from hcmeta.graph import BipartiteGraph, build_family
+from hcmeta.potential import build_network, critical_resistance
+
+SPECS = ["cycle:8", "ladder:6", "torus:4x4", "hypercube:3", "complete:2x3",
+         "random:4x4:0.4:3"]
+
+
+def relabel(g: BipartiteGraph, seed: int) -> BipartiteGraph:
+    """An isomorphic copy with the sites shuffled within U and within V."""
+    rng = random.Random(seed)
+    u, v = list(g.u_sites), list(g.v_sites)
+    rng.shuffle(u)
+    rng.shuffle(v)
+    new = {old: k for k, old in enumerate(u)}
+    new.update({old: len(u) + k for k, old in enumerate(v)})
+    return BipartiteGraph.from_parts(
+        len(u), len(v), [(new[a], new[b]) for a, b in g.edges])
+
+
+def ref_configs(g: BipartiteGraph) -> list[int]:
+    """Depth-first enumeration over sites in ascending order, then sorted."""
+    n = g.n_sites
+    nbr = [g.neighbor_mask(a) for a in range(n)]
+    out = []
+    stack = [(0, 0, 0)]
+    while stack:
+        site, mask, blocked = stack.pop()
+        while site < n and (blocked >> site) & 1:
+            site += 1
+        if site == n:
+            out.append(mask)
+            continue
+        stack.append((site + 1, mask | (1 << site), blocked | nbr[site]))
+        stack.append((site + 1, mask, blocked))
+    return sorted(out)
+
+
+def ref_kernel(space, params):
+    """Per state, per site: (targets, probs, cum) rows and p_move."""
+    g = space.graph
+    index = {m: i for i, m in enumerate(space.configs)}
+    p_add_u = params.lam / params.gamma
+    p_add_v = params.lam_bar / params.gamma
+    p_rem = 1.0 / params.gamma
+    rows = []
+    for mask in space.configs:
+        targets, probs, cum = [], [], []
+        acc = 0.0
+        for site in range(g.n_sites):
+            bit = 1 << site
+            if mask & bit:
+                targets.append(index[mask ^ bit])
+                probs.append(p_rem)
+            elif not mask & g.neighbor_mask(site):
+                targets.append(index[mask | bit])
+                probs.append(p_add_u if bit & space.u_mask else p_add_v)
+            else:
+                continue
+            acc += probs[-1]
+            cum.append(acc)
+        rows.append((targets, probs, cum, acc))
+    return rows
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[rx] = ry
+
+
+def ref_critical(net, A, B):
+    """Kruskal over the edges by descending conductance (ties in edge order)
+    until A meets B, then a breadth-first witness path on the edges at or
+    above the bottleneck, neighbours in edge order."""
+    n = len(net)
+    uf = _UnionFind(n + 2)
+    for a in A:
+        uf.union(a, n)
+    for b in B:
+        uf.union(b, n + 1)
+    for idx in np.argsort(-net.edge_c, kind="stable"):
+        uf.union(int(net.edge_i[idx]), int(net.edge_j[idx]))
+        if uf.find(n) == uf.find(n + 1):
+            break
+    c_star = float(net.edge_c[idx])
+    adj = [[] for _ in range(n)]
+    for i, j, c in zip(net.edge_i, net.edge_j, net.edge_c):
+        if c >= c_star * (1.0 - 1e-15):
+            adj[int(i)].append(int(j))
+            adj[int(j)].append(int(i))
+    prev = {a: -1 for a in A}
+    frontier = list(A)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y in prev:
+                    continue
+                prev[y] = x
+                if y in B:
+                    path = [y]
+                    while prev[path[-1]] != -1:
+                        path.append(prev[path[-1]])
+                    return (1.0 / c_star, path[::-1],
+                            (int(net.edge_i[idx]), int(net.edge_j[idx])))
+                nxt.append(y)
+        frontier = nxt
+    raise AssertionError("no path")
+
+
+CASES = [(spec, build_family(spec)) for spec in SPECS] + [
+    (spec + "~7", relabel(build_family(spec), 7)) for spec in SPECS]
+
+
+@pytest.mark.parametrize("label,g", CASES, ids=[label for label, _ in CASES])
+def test_array_build_matches_loops(label, g):
+    space = enumerate_space(g)
+    assert space.configs == ref_configs(g)
+    assert space.masks.dtype == np.int64
+    params = ModelParams.for_graph(g, 50.0, Fraction(1, 2))
+    kernel = build_kernel(space, params)
+    ref = ref_kernel(space, params)
+    assert kernel.indptr.tolist() == np.cumsum(
+        [0] + [len(r[0]) for r in ref]).tolist()
+    assert kernel.indices.tolist() == [t for r in ref for t in r[0]]
+    assert kernel.probs.tolist() == [p for r in ref for p in r[1]]
+    assert kernel.cum.tolist() == [c for r in ref for c in r[2]]
+    assert kernel.p_move.tolist() == [r[3] for r in ref]
+    assert kernel.row(space.u_state) == tuple(ref[space.u_state][:2])
+
+    net = build_network(space, params, kernel)
+    lw = np.array([(m & space.u_mask).bit_count() * np.log(params.lam)
+                   + (m & space.v_mask).bit_count() * np.log(params.lam_bar)
+                   for m in space.configs])
+    w = np.exp(lw - lw.max())
+    assert net.pi.tolist() == (w / w.sum()).tolist()
+    ei = [i for i, r in enumerate(ref) for t in r[0] if i < t]
+    ej = [t for i, r in enumerate(ref) for t in r[0] if i < t]
+    ec = [net.pi[i] * p for i, r in enumerate(ref) for t, p in zip(r[0], r[1])
+          if i < t]
+    assert net.edge_i.tolist() == ei
+    assert net.edge_j.tolist() == ej
+    assert net.edge_c.tolist() == ec
+
+    rng = random.Random(label)
+    u, v = space.u_state, space.v_state
+    pairs = [({u}, {v}), ({v}, {u}), ({space.empty_index}, {u, v})]
+    for _ in range(8):
+        x, y, z, w = rng.sample(range(len(space)), 4)
+        pairs += [({x}, {y}), ({x, z}, {y}), ({x, z, w}, {y})]
+    for A, B in pairs:
+        got = critical_resistance(net, A, B)
+        # critical_resistance re-collects A and B the same way; the set's
+        # iteration order decides where the witness path starts
+        A, B = frozenset(int(a) for a in A), frozenset(int(b) for b in B)
+        assert (got.value, got.witness_path, got.bottleneck_edge) == \
+            ref_critical(net, A, B)
+
+
+def test_detailed_balance_defect_matches_entrywise_scan():
+    g = relabel(build_family("ladder:4"), 3)
+    space = enumerate_space(g)
+    params = ModelParams.for_graph(g, 1e3, Fraction(1, 2))
+    kernel = build_kernel(space, params)
+    pi = space.stationary(params)
+    db = 0.0
+    for i in range(len(space)):
+        for j, p in zip(*kernel.row(i)):
+            if i < j:
+                f, b = pi[i] * p, pi[j] * kernel.prob(j, i)
+                db = max(db, abs(f - b) / max(f, b))
+    assert kernel.check_invariants()["detailed_balance_rel"] == db
+
+
+def test_cap_refusal_names_cap_plus_one():
+    g = build_family("ladder:8")            # 1,155 states; 2^8 + 2^8 - 1 = 511
+    for cap in (600, 1154):
+        with pytest.raises(CapExceeded, match=f"at least {cap + 1} states"):
+            enumerate_space(g, cap=cap)
+    with pytest.raises(CapExceeded, match="at least 101 states"):
+        enumerate_space(g, cap=100)         # refused before enumerating
+    assert len(enumerate_space(g, cap=1155)) == 1155

@@ -106,6 +106,9 @@ def test_check_hypotheses_torus():
     assert rep.statuses["numbering"].status == "closed-form"
     assert rep.analysis.s_star == 3 and rep.kappa == 1
     assert rep.analysis.t_star == 18 - 3 - 5
+    # 2,406,862 states: refused by the state cap, which names the count
+    assert rep.statuses["no_trap"].status == "exhausted-budget"
+    assert "at least 100001 states" in rep.statuses["no_trap"].evidence
 
 
 def test_check_hypotheses_cycle_and_path():
@@ -305,6 +308,8 @@ def test_no_trap_torus_at_half():
     spc = enumerate_space(build_family("torus:4x4"))
     rep = no_trap_certificate(spc, HALF)
     assert rep.status == "certified" and rep.checked == len(spc) - 2
+    hyp = check_hypotheses(build_family("torus:4x4"), HALF)
+    assert hyp.statuses["no_trap"].status == "verified"
 
 
 def test_standard_path_cycle():

@@ -128,7 +128,7 @@ def test_escape_probability_identities():
     assert d == pytest.approx(hand, rel=1e-12)
     # B = all configuration-graph neighbors of a: the escape equals the total
     # move probability (the lazy kernel's self-loop counts as a return).
-    nbrs = set(kern.row_targets[empty])
+    nbrs = set(kern.row(empty)[0])
     f2, d2 = escape_probability(net, empty, nbrs)
     p_move = 1.0 - kern.self_loop(empty)
     assert f2 == pytest.approx(p_move, rel=1e-12)
@@ -146,8 +146,8 @@ def test_escape_monte_carlo_cross_check():
     rng = np.random.default_rng(77)
     n = 4000
     hits = 0
-    cum = np.cumsum([kern.self_loop(u)] + kern.row_probs[u])
-    targets = [u] + kern.row_targets[u]
+    cum = np.cumsum([kern.self_loop(u)] + kern.row(u)[1])
+    targets = [u] + kern.row(u)[0]
     for i in range(n):
         first = targets[int(np.searchsorted(cum, rng.random()))]
         if first == u:
@@ -372,6 +372,6 @@ def test_voltage_bound_tight_near_ground():
     spc, par, net = _net("cycle:6", 1e3)
     u, v = spc.u_state, spc.v_state
     kern = build_kernel(spc, par)
-    x = kern.row_targets[v][0]          # a configuration one flip from v
+    x = kern.row(v)[0][0]          # a configuration one flip from v
     rep = voltage_bound_check(net, {u}, {v}, x)
     assert rep.all_ok and rep.w < 1e-2
