@@ -10,14 +10,20 @@ Gamma(steps, 1/gamma) draw, the sum of `steps` iid Exp(gamma) holding times.
 
 RNG: numpy's Philox counter-based 64-bit generator; stream i of a batch uses
 key ``base_seed + i``, so results are reproducible regardless of parallelism.
+Each transition reads two uniforms in order from its stream, u = 1 - U on
+(0, 1]: one for the geometric hold, one for the move.  The stream is drawn
+lazily in chunks that never cross a multiple of ``1 << 14`` values, and the
+``embed_clock`` Gamma draw starts at the next such boundary after the last
+uniform read, so samples do not depend on how the stream is chunked.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_STEP_CAP = 10_000_000_000
+_BLOCK = 1 << 14                # uniforms per block of a sampler stream
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -44,21 +51,31 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class _Uniforms:
-    """Buffered (0,1] uniforms from one generator."""
+    """(0,1] uniforms ``1 - U`` from the Philox stream of ``seed``.
 
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 14):
-        self.rng = rng
-        self.block = block
-        self.buf: list[float] = []
-        self.pos = 0
+    ``chunk()`` draws max(512, values drawn so far), at most ``_BLOCK``:
+    512, 512, 1024, ..., 8192, then whole blocks.  Every chunk is even, none
+    crosses a multiple of ``_BLOCK``, and at most max(512, 2 * read) are drawn.
+    """
 
-    def next(self) -> float:
-        if self.pos == len(self.buf):
-            self.buf = (1.0 - self.rng.random(self.block)).tolist()
-            self.pos = 0
-        u = self.buf[self.pos]
-        self.pos += 1
-        return u
+    def __init__(self, seed: int):
+        self.rng = make_rng(seed)
+        self.drawn = 0
+
+    def chunk(self) -> list[float]:
+        n = min(max(self.drawn, 512), _BLOCK)
+        self.drawn += n
+        return (1.0 - self.rng.random(n)).tolist()
+
+    def __iter__(self):
+        while True:
+            yield from self.chunk()
+
+    def block_end(self) -> np.random.Generator:
+        """The generator, advanced to the next multiple of ``_BLOCK`` values
+        (Philox makes 4 values per counter step)."""
+        self.rng.bit_generator.advance(-self.drawn % _BLOCK // 4)
+        return self.rng
 
 
 class TransitionKernel:
@@ -107,11 +124,14 @@ class TransitionKernel:
             self.cum[at] = self.p_move[states] = self.p_move[states] + p
             fill[states] = at + 1
 
-    @cached_property
-    def _lists(self):
-        """Python-list views (indptr, indices, cum, p_move) for the walkers."""
-        return (self.indptr.tolist(), self.indices.tolist(), self.cum.tolist(),
-                self.p_move.tolist())
+    @functools.cached_property
+    def _rows(self):
+        """Walker views: per state (p_move, log1p(-p_move) or -inf where no
+        step holds, first entry, last entry), and ``indices``, ``cum``."""
+        rows = [(p, math.log1p(-p) if p < 1.0 else -math.inf, lo, hi - 1)
+                for p, lo, hi in zip(self.p_move.tolist(), self.indptr[:-1].tolist(),
+                                     self.indptr[1:].tolist())]
+        return rows, self.indices.tolist(), self.cum.tolist()
 
     def __len__(self) -> int:
         return len(self.space)
@@ -188,8 +208,7 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
     target_set = set(int(t) for t in targets)
     if not target_set:
         raise ValueError("targets must be non-empty")
-    rng = make_rng(seed)
-    uni = _Uniforms(rng)
+    uni = _Uniforms(seed)
     gamma = kernel.params.gamma
     watch = set((int(a), int(b)) for a, b in gate_watch) if gate_watch else None
 
@@ -199,32 +218,27 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
     if state in target_set:
         return HittingSample(0, 0.0, state, events)
 
-    indptr, indices, cum, p_move = kernel._lists
+    rows, indices, cum = kernel._rows
+    buf, pos = [], 0
     while True:
-        pm = p_move[state]
+        pm, log_stay, lo, last = rows[state]
         if pm <= 0.0:
             raise RuntimeError(f"absorbing state {state} outside targets")
-        u = uni.next()
-        if pm < 1.0:
-            holds = int(math.log(u) / math.log1p(-pm))
-        else:
-            holds = 0
-        steps += holds + 1
+        if pos == len(buf):             # chunks are even: both uniforms fit
+            buf, pos = uni.chunk(), 0
+        # int(-0.0) == 0 where log_stay is -inf
+        steps += int(math.log(buf[pos]) / log_stay) + 1
         if steps > step_cap:
-            t_hat = steps / gamma
-            return HittingSample(steps, t_hat, state, events, timed_out=True)
-        hi = indptr[state + 1]
-        k = bisect_left(cum, uni.next() * pm, indptr[state], hi)
-        if k == hi:
-            k -= 1
-        nxt = indices[k]
+            return HittingSample(steps, steps / gamma, state, events, timed_out=True)
+        nxt = indices[bisect_left(cum, buf[pos + 1] * pm, lo, last)]
+        pos += 2
         if watch is not None and (state, nxt) in watch:
             events.append((state, nxt))
         state = nxt
         if state in target_set:
             break
     if embed_clock:
-        t_hat = float(rng.gamma(shape=steps, scale=1.0 / gamma))
+        t_hat = float(uni.block_end().gamma(shape=steps, scale=1.0 / gamma))
     else:
         t_hat = steps / gamma
     return HittingSample(steps, t_hat, state, events)
@@ -240,20 +254,16 @@ class CrossoverSummary:
     scaled_sorted: list[float]          # t_hat / mean(t_hat), ascending
 
 
-_WORKER_ARGS = {}
+_WORKER_RUN = None
 
 
-def _worker_init(kernel, start, targets, step_cap, gate_watch, embed_clock, base_seed):
-    _WORKER_ARGS.update(kernel=kernel, start=start, targets=targets,
-                        step_cap=step_cap, gate_watch=gate_watch,
-                        embed_clock=embed_clock, base_seed=base_seed)
+def _worker_init(run) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = run
 
 
-def _worker_run(i: int) -> HittingSample:
-    a = _WORKER_ARGS
-    return simulate_hit(a["kernel"], a["start"], a["targets"],
-                        seed=a["base_seed"] + i, step_cap=a["step_cap"],
-                        gate_watch=a["gate_watch"], embed_clock=a["embed_clock"])
+def _worker_run(seed: int) -> HittingSample:
+    return _WORKER_RUN(seed)
 
 
 def sample_crossover(kernel: TransitionKernel, start: int, targets,
@@ -269,22 +279,22 @@ def sample_crossover(kernel: TransitionKernel, start: int, targets,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    run = functools.partial(simulate_hit, kernel, start, targets, step_cap=step_cap,
+                            gate_watch=gate_watch, embed_clock=embed_clock)
+    seeds = range(base_seed, base_seed + n_samples)
+    pool = contextlib.nullcontext()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=threads, initializer=_worker_init,
-                initargs=(kernel, start, targets, step_cap, gate_watch,
-                          embed_clock, base_seed)) as ex:
-            samples = list(ex.map(_worker_run, range(n_samples), chunksize=16))
-    else:
+        pool = ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
+                                   initargs=(run,))
+    with pool as ex:
+        results = (ex.map(_worker_run, seeds, chunksize=16) if threads > 1
+                   else map(run, seeds))
         samples = []
-        for i in range(n_samples):
-            samples.append(simulate_hit(kernel, start, targets,
-                                        seed=base_seed + i, step_cap=step_cap,
-                                        gate_watch=gate_watch,
-                                        embed_clock=embed_clock))
-            if progress_every and (i + 1) % progress_every == 0:
-                print(f"[sample_crossover] {i + 1}/{n_samples} samples",
+        for s in results:               # in index order on both paths
+            samples.append(s)
+            if progress_every and len(samples) % progress_every == 0:
+                print(f"[sample_crossover] {len(samples)}/{n_samples} samples",
                       file=sys.stderr)
     done = [s for s in samples if not s.timed_out]
     t = np.array([s.t_hat for s in done]) if done else np.zeros(0)
@@ -310,26 +320,23 @@ def continuous_mean(mean_steps: float, params: ModelParams) -> float:
 def occupation_counts(kernel: TransitionKernel, start: int, n_steps: int,
                       seed: int) -> np.ndarray:
     """Discrete-time occupation counts over a trajectory of n_steps steps."""
-    rng = make_rng(seed)
-    uni = _Uniforms(rng)
+    uni = _Uniforms(seed)
     counts = np.zeros(len(kernel), dtype=np.int64)
     state = int(start)
     remaining = n_steps
-    indptr, indices, cum, p_move = kernel._lists
+    rows, indices, cum = kernel._rows
+    buf, pos = [], 0
     while remaining > 0:
-        pm = p_move[state]
-        u = uni.next()
-        holds = int(math.log(u) / math.log1p(-pm)) if pm < 1.0 else 0
-        stay = min(holds + 1, remaining)
+        pm, log_stay, lo, last = rows[state]
+        if pos == len(buf):
+            buf, pos = uni.chunk(), 0
+        stay = min(int(math.log(buf[pos]) / log_stay) + 1, remaining)
         counts[state] += stay
         remaining -= stay
         if remaining == 0:
             break
-        hi = indptr[state + 1]
-        k = bisect_left(cum, uni.next() * pm, indptr[state], hi)
-        if k == hi:
-            k -= 1
-        state = indices[k]
+        state = indices[bisect_left(cum, buf[pos + 1] * pm, lo, last)]
+        pos += 2
     return counts
 
 
@@ -367,18 +374,13 @@ def coupled_simulate(space: ConfigurationSpace, params_low: ModelParams,
     nbr = space.neighbor_masks
 
     # Event table: births per site at the dominating rate, then deaths.
-    rates = []
-    for site in range(n):
-        rates.append(lam1 if (1 << site) & u_mask else lb2)
-    rates.extend([1.0] * n)
-    cum = np.cumsum(rates)
-    total = float(cum[-1])
-    cum_list = cum.tolist()
+    rates = [lam1 if (1 << site) & u_mask else lb2 for site in range(n)] + [1.0] * n
+    cum_list = np.cumsum(rates).tolist()
+    total = cum_list[-1]
     thin_u = lam2 / lam1
     thin_v = lb1 / lb2
 
-    rng = make_rng(seed)
-    uni = _Uniforms(rng)
+    draw = functools.partial(next, iter(_Uniforms(seed)))
     a, b = int(x_low), int(x_high)
     traj_a, traj_b = [a], [b]
     violations: list[int] = []
@@ -390,18 +392,16 @@ def coupled_simulate(space: ConfigurationSpace, params_low: ModelParams,
         return mask | bit
 
     for tick in range(1, horizon + 1):
-        ev = bisect_left(cum_list, uni.next() * total)
-        if ev >= 2 * n:
-            ev = 2 * n - 1
+        ev = bisect_left(cum_list, draw() * total, 0, 2 * n - 1)
         if ev < n:
             site = ev
             if (1 << site) & u_mask:
                 a = try_birth(a, site)
-                if thin_u >= 1.0 or uni.next() < thin_u:
+                if thin_u >= 1.0 or draw() < thin_u:
                     b = try_birth(b, site)
             else:
                 b = try_birth(b, site)
-                if thin_v >= 1.0 or uni.next() < thin_v:
+                if thin_v >= 1.0 or draw() < thin_v:
                     a = try_birth(a, site)
         else:
             bit = 1 << (ev - n)

@@ -363,7 +363,7 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     if not A or not B:
         raise ValueError("A and B must be non-empty")
     if A & B:
-        return PsiResult(0.0, [next(iter(A & B))], (-1, -1))
+        return PsiResult(0.0, [min(A & B)], (-1, -1))
     n = len(net)
     ei, ej = net.edge_i, net.edge_j
     levels, rank = np.unique(net.edge_c, return_inverse=True)
@@ -415,7 +415,7 @@ def _bottleneck_path(net: ElectricNetwork, A: frozenset, B: frozenset,
                      c_min: float) -> list[int]:
     """A shortest path from A to B using only edges with c >= c_min.
 
-    Breadth-first from A in set order, one level per step, each state's
+    Breadth-first from A in ascending order, one level per step, each state's
     neighbours in edge order; a state's predecessor is the first state of
     the previous level to reach it, and the first state of B reached ends
     the path.
@@ -430,7 +430,7 @@ def _bottleneck_path(net: ElectricNetwork, A: frozenset, B: frozenset,
     in_b = np.zeros(n, dtype=bool)
     in_b[list(B)] = True
     prev = np.full(n, -2, dtype=np.int64)           # -2: not reached yet
-    level = np.fromiter(A, dtype=np.int64, count=len(A))
+    level = np.array(sorted(A), dtype=np.int64)
     prev[level] = -1
     while len(level):
         # the neighbour slots of the level's states, state by state
@@ -571,11 +571,12 @@ class BottleneckTree:
 
     def witness_path(self, A: frozenset, B: frozenset, level: int) -> list[int]:
         """Shortest path from A to B using only edges whose heavier endpoint
-        has key at least ``level_keys[level]`` (BFS from A in site order)."""
+        has key at least ``level_keys[level]`` (BFS from A in ascending
+        order, each state's neighbours in site order)."""
         space, keys = self.space, self.keys
         floor = self.level_keys[level]
-        prev = {a: -1 for a in A}
-        frontier = list(A)
+        frontier = sorted(A)
+        prev = {a: -1 for a in frontier}
         while frontier:
             nxt = []
             for x in frontier:

@@ -91,6 +91,17 @@ def test_timeout_is_distinct():
     assert summ.timeouts == 10
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_progress_lines_in_index_order(capsys, threads):
+    g = build_family("cycle:6")
+    spc = enumerate_space(g)
+    kern = build_kernel(spc, ModelParams.for_graph(g, 10.0, alpha=HALF))
+    sample_crossover(kern, spc.u_state, [spc.v_state], 10, base_seed=1,
+                     threads=threads, progress_every=4)
+    assert capsys.readouterr().err.splitlines() == [
+        "[sample_crossover] 4/10 samples", "[sample_crossover] 8/10 samples"]
+
+
 def test_embedded_clock_gamma_shape():
     g = build_family("path:6")
     spc = enumerate_space(g)

@@ -10,7 +10,7 @@ import pytest
 from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.dynamics import build_kernel
 from hcmeta.graph import BipartiteGraph, build_family
-from hcmeta.potential import build_network, critical_resistance
+from hcmeta.potential import build_network, critical_resistance, psi_symbolic
 
 SPECS = ["cycle:8", "ladder:6", "torus:4x4", "hypercube:3", "complete:2x3",
          "random:4x4:0.4:3"]
@@ -92,7 +92,8 @@ class _UnionFind:
 def ref_critical(net, A, B):
     """Kruskal over the edges by descending conductance (ties in edge order)
     until A meets B, then a breadth-first witness path on the edges at or
-    above the bottleneck, neighbours in edge order."""
+    above the bottleneck, from A in ascending order, neighbours in edge
+    order."""
     n = len(net)
     uf = _UnionFind(n + 2)
     for a in A:
@@ -109,8 +110,8 @@ def ref_critical(net, A, B):
         if c >= c_star * (1.0 - 1e-15):
             adj[int(i)].append(int(j))
             adj[int(j)].append(int(i))
-    prev = {a: -1 for a in A}
-    frontier = list(A)
+    frontier = sorted(A)
+    prev = {a: -1 for a in frontier}
     while frontier:
         nxt = []
         for x in frontier:
@@ -171,12 +172,25 @@ def test_array_build_matches_loops(label, g):
         pairs += [({x}, {y}), ({x, z}, {y}), ({x, z, w}, {y})]
     for A, B in pairs:
         got = critical_resistance(net, A, B)
-        # critical_resistance re-collects A and B the same way; the set's
-        # iteration order decides where the witness path starts
-        A, B = frozenset(int(a) for a in A), frozenset(int(b) for b in B)
         assert (got.value, got.witness_path, got.bottleneck_edge) == \
             ref_critical(net, A, B)
 
+
+
+def test_witness_paths_do_not_depend_on_the_callers_container():
+    g = build_family("cycle:8")
+    space = enumerate_space(g)
+    params = ModelParams.for_graph(g, 50.0, Fraction(1, 2))
+    net = build_network(space, params, build_kernel(space, params))
+    # Iterated in insertion order, the list [3, 15, 27] began the search at 27
+    # and the others at 3, which gave different shortest paths.
+    same_A = [{27, 3, 15}, frozenset({27, 3, 15}), [3, 15, 27], (15, 27, 3)]
+    paths = {tuple(critical_resistance(net, A, {8}).witness_path) for A in same_A}
+    assert paths == {(3, 11, 9, 23, 22, 8)}
+    for B in ({8}, {space.v_state}, {space.empty_index}):
+        paths = {tuple(psi_symbolic(space, A, B, Fraction(1, 2)).witness_path)
+                 for A in same_A}
+        assert len(paths) == 1
 
 def test_detailed_balance_defect_matches_entrywise_scan():
     g = relabel(build_family("ladder:4"), 3)
