@@ -35,6 +35,8 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 
+ROUTE_GAP_TOL = 1e-6            # E[T] routes must agree to this relative gap
+
 
 def _emit(obj: dict, path: str | None, timestamp: bool = True) -> None:
     if timestamp:
@@ -108,6 +110,10 @@ def cmd_hitting(args) -> int:
            "E_steps": ht.value, "E_steps_first_step_route": ht.first_step,
            "route_rel_gap": ht.rel_gap,
            "E_continuous": ht.continuous(par)}, args.output)
+    if ht.rel_gap > ROUTE_GAP_TOL:
+        print(f"E[T] routes disagree: relative gap {ht.rel_gap:.3g} > "
+              f"{ROUTE_GAP_TOL:g}", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

@@ -1,11 +1,32 @@
 """Electric-network computations on the configuration graph.
 
-Conductances are c(x,y) = pi(x) K(x,y) with pi normalized.  Voltages come
-from a sparse LU solve of the row-normalized harmonic system (with iterative
-refinement).  Effective resistances and escape probabilities go through a
-cancellation-free star-mesh (Kron) elimination below a size threshold, which
-keeps full relative accuracy even when conductances span lambda^Delta ranges;
-larger networks fall back to the LU route.
+Conductances are c(x,y) = pi(x) K(x,y) with pi normalized.  Voltages,
+effective resistances, Green functions and the Green route of the expected
+hitting time, E_a[T_B] = R(a, B) sum_x pi(x) W_{a,B}(x), take one of two
+routes, chosen by the number of states alone:
+
+- Up to ``DENSE_ELIMINATION_LIMIT`` states, one star-mesh (Kron) elimination
+  in minimum-degree order gives the effective conductance c(A, B) and, by
+  back-substitution, the voltage W.  It only adds, multiplies and divides
+  positive numbers, so R, every W(x) and the Green-route E[T] keep entrywise
+  relative accuracy however far the conductances spread (Grassmann, Taksar
+  & Heyman 1985): they agree with exact rational references to 1e-12 up to
+  lambda = 1e6.
+- Above it, one sparse LU solve of the row-normalized harmonic system
+  (minimum-degree ordering on A^T + A, iterative refinement).  R is the
+  reciprocal of the current into B, and E[T] uses the same W.  Only the
+  harmonic residual, reported with every voltage, is guaranteed; there is
+  no relative-accuracy guarantee.
+
+``expected_hitting_time`` cross-checks the Green route with the first-step
+system (diag(p_move) - K_off) E = 1, solved by LU.  Its diagonal is p_move
+itself, so it no longer loses the digits of 1 - self-loop, but LU is not
+cancellation-free.  Against exact references its relative error was 3e-11
+on cycle:6 at lambda = 1e6, 3e-10 on ladder:4 at 1e4 and 7e-6 at 1e6, and
+1e-10 on complete:2x3 at 1e6; on torus:4x4 it is 2e-3 off the Green route
+at 1e4 and wholly wrong at 1e6.  Towards the empty state it does worse:
+E_u[T_empty] is 1.5e-4 off on cycle:6 at 1e4 and wholly wrong on ladder:4
+at 1e4.
 
 Critical (bottleneck) resistance is computed numerically by threshold
 connectivity over the conductances, and symbolically on a bottleneck tree: the
@@ -105,7 +126,7 @@ def build_network(space: ConfigurationSpace, params: ModelParams,
 
 
 # ----------------------------------------------------------------------------
-# Voltage
+# Voltage and effective resistance
 # ----------------------------------------------------------------------------
 
 @dataclass
@@ -116,8 +137,18 @@ class VoltageField:
     harmonic_residual: float
 
 
+def _splu(m: sp.csc_matrix):
+    """LU of a structurally symmetric matrix, ordered by minimum degree on
+    A^T + A (path:15's voltage: 0.52M fill nonzeros against COLAMD's 1.09M)."""
+    return spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+
+
 def voltage(net: ElectricNetwork, A, B, max_refine: int = 4) -> VoltageField:
-    """Harmonic W with W=1 on A, W=0 on B; W(x) = Pr_x(T_A < T_B)."""
+    """Harmonic W with W=1 on A, W=0 on B; W(x) = Pr_x(T_A < T_B).
+
+    Up to ``DENSE_ELIMINATION_LIMIT`` states W comes from the star-mesh
+    elimination, above it from one LU solve with iterative refinement.
+    """
     A, B = frozenset(int(a) for a in A), frozenset(int(b) for b in B)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
@@ -126,27 +157,28 @@ def voltage(net: ElectricNetwork, A, B, max_refine: int = 4) -> VoltageField:
     n = len(net)
     C = net.conductance_matrix()
     deg = np.asarray(C.sum(axis=1)).ravel()
-    interior = np.array([i for i in range(n) if i not in A and i not in B],
-                        dtype=np.int64)
-    w = np.zeros(n)
-    w[list(A)] = 1.0
-    if len(interior):
-        if (deg[interior] <= 0).any():
-            raise ValueError("singular system: isolated interior state")
-        P = sp.diags(1.0 / deg[interior]) @ C[interior, :]
-        M = (sp.identity(len(interior), format="csr")
-             - P[:, interior]).tocsc()
-        rhs = np.asarray(P[:, sorted(A)].sum(axis=1)).ravel()
-        lu = spla.splu(M)
-        x = lu.solve(rhs)
-        for _ in range(max_refine):
-            r = rhs - M @ x
-            if np.max(np.abs(r)) < 1e-15:
-                break
-            x = x + lu.solve(r)
-        w[interior] = x
-    res = _harmonic_residual(C, deg, w, interior)
-    return VoltageField(w, A, B, res)
+    interior = np.setdiff1d(np.arange(n), list(A | B))
+    if (deg[interior] <= 0).any():
+        raise ValueError("singular system: isolated interior state")
+    if n <= DENSE_ELIMINATION_LIMIT:
+        w = _star_mesh(net, A, B)[1]
+    else:
+        w = np.zeros(n)
+        w[list(A)] = 1.0
+        if len(interior):
+            P = sp.diags(1.0 / deg[interior]) @ C[interior, :]
+            M = (sp.identity(len(interior), format="csr")
+                 - P[:, interior]).tocsc()
+            rhs = np.asarray(P[:, sorted(A)].sum(axis=1)).ravel()
+            lu = _splu(M)
+            x = lu.solve(rhs)
+            for _ in range(max_refine):
+                r = rhs - M @ x
+                if np.max(np.abs(r)) < 1e-15:
+                    break
+                x = x + lu.solve(r)
+            w[interior] = x
+    return VoltageField(w, A, B, _harmonic_residual(C, deg, w, interior))
 
 
 def _harmonic_residual(C, deg, w, interior) -> float:
@@ -156,60 +188,75 @@ def _harmonic_residual(C, deg, w, interior) -> float:
     return float(np.max(np.abs(w[interior] - avg)))
 
 
-# ----------------------------------------------------------------------------
-# Effective resistance via star-mesh elimination
-# ----------------------------------------------------------------------------
+def _star_mesh(net: ElectricNetwork, A: frozenset, B: frozenset
+               ) -> tuple[float, np.ndarray]:
+    """Star-mesh (Kron) elimination in minimum-degree order.
 
-def _star_mesh_resistance(net: ElectricNetwork, A: frozenset, B: frozenset) -> float:
-    """Kron elimination with positive arithmetic; exact relative accuracy."""
+    Returns the effective conductance c(A, B) and the voltage W (1 on A,
+    0 on B).  Node 0 contracts A, node 1 contracts B and node 2 + k is the
+    k-th other state.  Each step eliminates the live node with the fewest
+    live neighbours (the lowest node on ties), adding c_is c_sj / c_s to
+    its neighbour block only, and keeps the degrees up to date from that
+    block's new fill.  W follows by back-substitution in reverse order,
+    W(s) = sum_j c_sj W(j) / c_s over s's neighbours when it was eliminated.
+    Every operation adds, multiplies or divides positive numbers, so c(A, B)
+    and every W(x) keep entrywise relative accuracy.
+    """
     n = len(net)
-    # Supernode 0 contracts A, supernode 1 contracts B, the rest in index order.
-    node_of: dict[int, int] = {}
-    nxt = 2
-    for x in range(n):
-        if x in A:
-            node_of[x] = 0
-        elif x in B:
-            node_of[x] = 1
-        else:
-            node_of[x] = nxt
-            nxt += 1
-    m = nxt
+    node = np.full(n, -1, dtype=np.int64)
+    node[list(A)] = 0
+    node[list(B)] = 1
+    rest = np.flatnonzero(node < 0)
+    node[rest] = np.arange(2, len(rest) + 2)
+    m = len(rest) + 2
     scale = float(net.edge_c.max())
+    i, j = node[net.edge_i], node[net.edge_j]
+    cross = i != j
     C = np.zeros((m, m))
-    for i, j, c in zip(net.edge_i, net.edge_j, net.edge_c):
-        a, b = node_of[int(i)], node_of[int(j)]
-        if a != b:
-            C[a, b] += c / scale
-            C[b, a] += c / scale
-    for s in range(m - 1, 1, -1):
-        row = C[s]
-        cs = row.sum()
-        if cs <= 0.0:
-            C[s, :] = 0.0
-            C[:, s] = 0.0
-            continue
-        col = C[:, s].copy()
-        C += np.outer(col, row) / cs
-        np.fill_diagonal(C, 0.0)
-        C[s, :] = 0.0
-        C[:, s] = 0.0
-    c01 = C[0, 1]
-    if c01 <= 0.0:
-        raise ValueError("A and B are disconnected")
-    return 1.0 / (c01 * scale)
+    np.add.at(C, (i[cross], j[cross]), net.edge_c[cross] / scale)
+    C += C.T
+    flat = C.reshape(-1)
+    deg = np.count_nonzero(C, axis=1)
+    done = 4 * m                # above any live degree: never a pivot
+    deg[:2] = done
+    steps = []
+    for _ in range(m - 2):
+        s = int(deg.argmin())
+        deg[s] = done
+        nb = C[s].nonzero()[0]
+        w = C[s, nb]
+        C[s, nb] = 0.0
+        C[nb, s] = 0.0
+        cs = w.sum()
+        steps.append((s, nb, w / cs))
+        block = (nb * m)[:, None] + nb
+        old = flat[block]
+        # the zeros of a block row, less its diagonal, become fill; s is lost
+        deg[nb] += (old == 0.0).sum(axis=1) - 2
+        new = old + np.multiply.outer(w, w) / cs
+        new.flat[::len(nb) + 1] = 0.0
+        flat[block] = new
+    W = np.zeros(m)
+    W[0] = 1.0
+    for s, nb, p in reversed(steps):
+        W[s] = p @ W[nb]
+    return float(C[0, 1]) * scale, W[node]
 
 
-def _lu_resistance(net: ElectricNetwork, A: frozenset, B: frozenset) -> float:
-    w = voltage(net, A, B)
-    C = net.conductance_matrix()
-    flow = 0.0
-    vals = w.values
-    for b in B:
-        flow += float((C[b] @ vals)[0])     # W(b) = 0, so this is the inflow
-    if flow <= 0.0:
+def _inflow(net: ElectricNetwork, w: np.ndarray, B: frozenset) -> float:
+    """The current into B under a voltage w that is 0 on B: the positive
+    sum of c(x, b) w(x) over the edges into B."""
+    in_b = np.zeros(len(net), dtype=bool)
+    in_b[list(B)] = True
+    to_b, from_b = in_b[net.edge_j], in_b[net.edge_i]
+    return float(net.edge_c[to_b] @ w[net.edge_i[to_b]]
+                 + net.edge_c[from_b] @ w[net.edge_j[from_b]])
+
+
+def _resistance(conductance: float) -> float:
+    if conductance <= 0.0:
         raise ValueError("A and B are disconnected")
-    return 1.0 / flow
+    return 1.0 / conductance
 
 
 def effective_resistance(net: ElectricNetwork, A, B) -> float:
@@ -219,8 +266,8 @@ def effective_resistance(net: ElectricNetwork, A, B) -> float:
     if not A or not B or (A & B):
         raise ValueError("A and B must be non-empty and disjoint")
     if len(net) <= DENSE_ELIMINATION_LIMIT:
-        return _star_mesh_resistance(net, A, B)
-    return _lu_resistance(net, A, B)
+        return _resistance(_star_mesh(net, A, B)[0])
+    return _resistance(_inflow(net, voltage(net, A, B).values, B))
 
 
 def escape_probability(net: ElectricNetwork, a: int, B) -> tuple[float, float]:
@@ -241,23 +288,31 @@ def escape_probability(net: ElectricNetwork, a: int, B) -> tuple[float, float]:
 # Green functions and expected hitting times
 # ----------------------------------------------------------------------------
 
+def _green_weights(net: ElectricNetwork, a: int, B: frozenset
+                   ) -> tuple[float, np.ndarray]:
+    """R(a, B) and W_{a,B} from one voltage solve."""
+    w = voltage(net, {a}, B).values
+    return _resistance(_inflow(net, w, B)), w
+
+
 def green_function(net: ElectricNetwork, a: int, B) -> np.ndarray:
     """G_{T_B}(a, x) = R(a, B) pi(x) W_{a,B}(x); zero on B."""
     a = int(a)
     B = frozenset(int(b) for b in B)
     if a in B:
         raise ValueError("a must not belong to B")
-    r = effective_resistance(net, {a}, B)
-    w = voltage(net, {a}, B)
-    return r * net.pi * w.values
+    r, w = _green_weights(net, a, B)
+    return r * net.pi * w
 
 
 def _sub_kernel(kernel: TransitionKernel, B: frozenset):
-    """The kernel restricted to the states outside B, as a CSC matrix.
+    """The first-step matrix diag(p_move) - K_off on the states outside B,
+    as a CSC matrix.
 
     Returns (matrix, keep, pos): ``keep`` lists the kept states in ascending
-    order and ``pos[x]`` is x's row in the matrix (-1 on B).  The diagonal
-    holds the self-loop ``1 - p_move``, the rest the moves between kept states.
+    order and ``pos[x]`` is x's row in the matrix (-1 on B).  The diagonal is
+    ``p_move`` itself, not ``1 - (1 - p_move)``, which would lose the digits
+    of a small move probability.
     """
     n = len(kernel)
     in_b = np.zeros(n, dtype=bool)
@@ -268,12 +323,12 @@ def _sub_kernel(kernel: TransitionKernel, B: frozenset):
     rows, cols, probs = kernel.offdiag_coo()
     live = ~in_b[rows] & ~in_b[cols]
     diag = np.arange(len(keep))
-    kk = sp.coo_matrix(
-        (np.concatenate([1.0 - kernel.p_move[keep], probs[live]]),
+    m = sp.coo_matrix(
+        (np.concatenate([kernel.p_move[keep], -probs[live]]),
          (np.concatenate([diag, pos[rows[live]]]),
           np.concatenate([diag, pos[cols[live]]]))),
         shape=(len(keep), len(keep))).tocsc()
-    return kk, keep, pos
+    return m, keep, pos
 
 
 def green_by_visits(net: ElectricNetwork, a: int, B) -> np.ndarray:
@@ -282,11 +337,10 @@ def green_by_visits(net: ElectricNetwork, a: int, B) -> np.ndarray:
     B = frozenset(int(b) for b in B)
     if a in B:
         raise ValueError("a must not belong to B")
-    kk, keep, pos = _sub_kernel(net.kernel, B)
-    m = (sp.identity(len(keep), format="csc") - kk.T).tocsc()
+    m, keep, pos = _sub_kernel(net.kernel, B)
     rhs = np.zeros(len(keep))
     rhs[pos[a]] = 1.0
-    g = spla.splu(m).solve(rhs)
+    g = _splu(m.T.tocsc()).solve(rhs)
     out = np.zeros(len(net))
     out[keep] = g
     return out
@@ -295,7 +349,7 @@ def green_by_visits(net: ElectricNetwork, a: int, B) -> np.ndarray:
 @dataclass
 class HittingTimeResult:
     value: float                 # Green-sum route: R(a,B) * sum pi W
-    first_step: float            # (I - K) E = 1 route
+    first_step: float            # (diag(p_move) - K_off) E = 1 route
     rel_gap: float
 
     def continuous(self, params: ModelParams) -> float:
@@ -303,19 +357,18 @@ class HittingTimeResult:
 
 
 def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
-    """E_a[T_B] in discrete steps, computed by two independent routes."""
+    """E_a[T_B] in discrete steps, computed by two independent routes: the
+    Green route R(a, B) sum_x pi(x) W(x) from one voltage solve, and the
+    first-step system (diag(p_move) - K_off) E = 1 outside B."""
     a = int(a)
     B = frozenset(int(b) for b in B)
     if a in B:
         return HittingTimeResult(0.0, 0.0, 0.0)
-    r = effective_resistance(net, {a}, B)
-    w = voltage(net, {a}, B)
-    green_route = r * float(net.pi @ w.values)
+    r, w = _green_weights(net, a, B)
+    green_route = r * float(net.pi @ w)
 
-    kk, keep, pos = _sub_kernel(net.kernel, B)
-    m = (sp.identity(len(keep), format="csc") - kk).tocsc()
-    e = spla.splu(m).solve(np.ones(len(keep)))
-    first_step = float(e[pos[a]])
+    m, keep, pos = _sub_kernel(net.kernel, B)
+    first_step = float(_splu(m).solve(np.ones(len(keep)))[pos[a]])
     gap = abs(green_route - first_step) / max(abs(green_route), abs(first_step), 1e-300)
     return HittingTimeResult(green_route, first_step, gap)
 

@@ -74,6 +74,15 @@ def test_hitting_command(capsys):
     assert obj["route_rel_gap"] < 1e-9
 
 
+def test_hitting_route_gap_exit_4(capsys):
+    # first-step LU loses ~2e-3 on torus:4x4 at 1e4; the artifact is still written
+    assert main(["hitting", "--graph", "torus:4x4", "--alpha", "1/2",
+                 "--lambda", "1e4"]) == 4
+    captured = capsys.readouterr()
+    assert _strip_timestamp(captured.out)["route_rel_gap"] > 1e-6
+    assert "routes disagree" in captured.err
+
+
 def test_resistance_command(capsys):
     assert main(["resistance", "--graph", "cycle:6", "--alpha", "1/2",
                  "--lambda", "50"]) == 0

@@ -1,0 +1,220 @@
+"""The minimum-degree star-mesh elimination against the routes it replaced
+(kept here: the dense O(N^3) star-mesh and the two-solve Green route with
+an LU voltage), and every E[T] route against exact rational references."""
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from hcmeta.configspace import ModelParams, enumerate_space
+from hcmeta.graph import BipartiteGraph, build_family
+from hcmeta.potential import (build_network, effective_resistance,
+                              expected_hitting_time, voltage)
+
+HALF = Fraction(1, 2)
+
+
+def relabel(g: BipartiteGraph, seed: int) -> BipartiteGraph:
+    """An isomorphic copy with the sites shuffled within U and within V."""
+    rng = random.Random(seed)
+    u, v = list(g.u_sites), list(g.v_sites)
+    rng.shuffle(u)
+    rng.shuffle(v)
+    new = {old: k for k, old in enumerate(u)}
+    new.update({old: len(u) + k for k, old in enumerate(v)})
+    return BipartiteGraph.from_parts(
+        len(u), len(v), [(new[a], new[b]) for a, b in g.edges])
+
+
+def ref_star_mesh_resistance(net, A, B) -> float:
+    """The dense star-mesh: nodes eliminated from the last index down, each
+    pivot updating the whole matrix (here only its live leading block, which
+    leaves every entry as the full update would)."""
+    n = len(net)
+    node_of = {}
+    nxt = 2
+    for x in range(n):
+        if x in A:
+            node_of[x] = 0
+        elif x in B:
+            node_of[x] = 1
+        else:
+            node_of[x] = nxt
+            nxt += 1
+    m = nxt
+    scale = float(net.edge_c.max())
+    C = np.zeros((m, m))
+    for i, j, c in zip(net.edge_i, net.edge_j, net.edge_c):
+        a, b = node_of[int(i)], node_of[int(j)]
+        if a != b:
+            C[a, b] += c / scale
+            C[b, a] += c / scale
+    for s in range(m - 1, 1, -1):
+        live = C[:s + 1, :s + 1]
+        row = live[s]
+        cs = row.sum()
+        if cs > 0.0:
+            live += np.outer(live[:, s].copy(), row) / cs
+            np.fill_diagonal(live, 0.0)
+        live[s, :] = 0.0
+        live[:, s] = 0.0
+    if C[0, 1] <= 0.0:
+        raise ValueError("A and B are disconnected")
+    return 1.0 / (C[0, 1] * scale)
+
+
+def ref_lu_voltage(net, A, B) -> np.ndarray:
+    """W by a COLAMD-ordered LU of the row-normalised harmonic system."""
+    n = len(net)
+    C = net.conductance_matrix()
+    deg = np.asarray(C.sum(axis=1)).ravel()
+    interior = np.array([i for i in range(n) if i not in A and i not in B])
+    P = sp.diags(1.0 / deg[interior]) @ C[interior, :]
+    M = (sp.identity(len(interior), format="csr") - P[:, interior]).tocsc()
+    rhs = np.asarray(P[:, sorted(A)].sum(axis=1)).ravel()
+    lu = spla.splu(M)
+    x = lu.solve(rhs)
+    for _ in range(4):
+        r = rhs - M @ x
+        if np.max(np.abs(r)) < 1e-15:
+            break
+        x = x + lu.solve(r)
+    w = np.zeros(n)
+    w[sorted(A)] = 1.0
+    w[interior] = x
+    return w
+
+
+def _net(g, lam):
+    spc = enumerate_space(g)
+    return spc, build_network(spc, ModelParams.for_graph(g, lam, alpha=HALF))
+
+
+def _pairs(spc, net):
+    """(u, v), and u and v with their configuration-graph neighbours."""
+    u, v = spc.u_state, spc.v_state
+    return [(frozenset({u}), frozenset({v})),
+            (frozenset({u, *net.kernel.row(u)[0]}),
+             frozenset({v, *net.kernel.row(v)[0]}))]
+
+
+CASES = [("cycle:8", 100.0), ("ladder:6", 100.0), ("hypercube:3", 100.0),
+         ("complete:2x3", 100.0), ("torus:4x4", 100.0), ("torus:4x4", 1e6)]
+
+
+@pytest.mark.parametrize("spec,lam", CASES, ids=[f"{s}@{l:g}" for s, l in CASES])
+def test_elimination_matches_dense_star_mesh_and_two_solve_green_route(spec, lam):
+    g = build_family(spec)
+    for graph in (g, relabel(g, 11)):
+        spc, net = _net(graph, lam)
+        for A, B in _pairs(spc, net):
+            ref_r = ref_star_mesh_resistance(net, A, B)
+            ref_mass = float(net.pi @ ref_lu_voltage(net, A, B))
+            assert effective_resistance(net, A, B) == pytest.approx(ref_r, rel=1e-12)
+            mass = float(net.pi @ voltage(net, A, B).values)
+            assert mass == pytest.approx(ref_mass, rel=1e-12)
+            if len(A) == len(B) == 1:
+                ht = expected_hitting_time(net, *A, B)
+                assert ht.value == pytest.approx(ref_r * ref_mass, rel=1e-12)
+
+
+def test_elimination_voltage_is_harmonic_and_bounded():
+    spc, net = _net(build_family("torus:4x4"), 1e6)
+    for A, B in _pairs(spc, net):
+        w = voltage(net, A, B)
+        assert (w.values[list(A)] == 1.0).all() and (w.values[list(B)] == 0.0).all()
+        # W(s) averages its neighbours with weights summing to 1 up to rounding
+        assert ((w.values >= 0.0) & (w.values <= 1.0 + 1e-14)).all()
+        assert w.harmonic_residual < 1e-12
+
+
+def test_disconnected_pair_raises():
+    g = build_family("complete:1x1")
+    spc, net = _net(g, 10.0)
+    empty, u0, v0 = spc.empty_index, spc.index[0b01], spc.index[0b10]
+    cut = net.with_scaled_edge(empty, u0, 0.0)
+    with pytest.raises(ValueError, match="A and B are disconnected"):
+        effective_resistance(cut, {u0}, {v0})
+
+
+# ----------------------------------------------------------------------------
+# Exact rational references
+# ----------------------------------------------------------------------------
+
+def _solve_exact(rows: dict, rhs: dict) -> dict:
+    """Gaussian elimination on a symmetric positive definite system given as
+    sparse rows {i: {j: a_ij}}, in ascending order without pivoting."""
+    rows = {i: dict(r) for i, r in rows.items()}
+    rhs = dict(rhs)
+    order = sorted(rows)
+    for k, s in enumerate(order):
+        piv = rows[s][s]
+        for i in order[k + 1:]:
+            f = rows[i].get(s)
+            if not f:
+                continue
+            f /= piv
+            for j, a in rows[s].items():
+                rows[i][j] = rows[i].get(j, 0) - f * a
+            rhs[i] = rhs.get(i, 0) - f * rhs.get(s, 0)
+    x = {}
+    for s in reversed(order):
+        acc = rhs.get(s, 0) - sum(a * x[j] for j, a in rows[s].items() if j in x)
+        x[s] = acc / rows[s][s]
+    return x
+
+
+def exact_references(spc, par, a: int, b: int) -> tuple[Fraction, Fraction]:
+    """R(a, b) and E_a[T_b] in steps for the model with the activities of
+    ``par`` taken as exact rationals."""
+    lam, lam_bar = Fraction(par.lam), Fraction(par.lam_bar)
+    g = spc.graph
+    gamma = (1 + lam) * len(g.u_sites) + (1 + lam_bar) * len(g.v_sites)
+    w = [lam ** nu * lam_bar ** nv for nu, nv in map(spc.counts, spc.configs)]
+    z = sum(w)
+    pi = [x / z for x in w]
+    c = {}                                  # c(x, y) = pi(x) K(x, y)
+    for occ, emp in spc.removals():
+        for x, y in zip(occ.tolist(), emp.tolist()):
+            c.setdefault(x, {})[y] = c.setdefault(y, {})[x] = pi[x] / gamma
+    n = len(spc)
+
+    def laplacian(keep):
+        return {x: {**{y: -cv for y, cv in c[x].items() if y in keep},
+                    x: sum(c[x].values())} for x in keep}
+
+    interior = set(range(n)) - {a, b}
+    W = _solve_exact(laplacian(interior),
+                     {x: c[x][a] for x in interior if a in c[x]})
+    W[a], W[b] = Fraction(1), Fraction(0)
+    r = 1 / sum(cv * W[x] for x, cv in c[b].items())
+    # first-step system, symmetrised by pi: L E = pi outside b
+    outside = set(range(n)) - {b}
+    E = _solve_exact(laplacian(outside), {x: pi[x] for x in outside})
+    assert r * sum(p * W[x] for x, p in enumerate(pi)) == E[a]
+    return r, E[a]
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "ladder:4", "complete:2x3"])
+def test_routes_against_exact_rationals(spec, record_property):
+    g = build_family(spec)
+    spc = enumerate_space(g)
+    for lam in (1e2, 1e4, 1e6):
+        par = ModelParams.for_graph(g, lam, alpha=HALF)
+        net = build_network(spc, par)
+        # The empty state is the first state, so all its edges leave it.  The
+        # first-step route to it is only recorded: LU loses 1.5e-4 on cycle:6
+        # at 1e4 and all digits on ladder:4 at 1e4.
+        for b in (spc.v_state, spc.empty_index):
+            r, e = exact_references(spc, par, spc.u_state, b)
+            assert effective_resistance(net, {spc.u_state}, {b}) == pytest.approx(
+                float(r), rel=1e-12)
+            ht = expected_hitting_time(net, spc.u_state, {b})
+            assert ht.value == pytest.approx(float(e), rel=1e-12)
+            first_step_error = float(abs(Fraction(ht.first_step) - e) / e)
+            record_property(f"first_step_rel_error[{b}]@{lam:g}", first_step_error)
+            if lam <= 1e4 and b == spc.v_state:     # LU is not cancellation-free
+                assert first_step_error <= 1e-8

@@ -104,13 +104,14 @@ def test_rayleigh_monotonicity_spot():
     assert r1 <= r0 * (1 + 1e-12)
 
 
-def test_star_mesh_agrees_with_lu_route():
-    from hcmeta.potential import _lu_resistance, _star_mesh_resistance
+def test_star_mesh_agrees_with_lu_route(monkeypatch):
+    from hcmeta import potential
 
     spc, par, net = _net("complete:2x3", 8.0)
     a, b = frozenset({spc.u_state}), frozenset({spc.v_state})
-    assert _star_mesh_resistance(net, a, b) == pytest.approx(
-        _lu_resistance(net, a, b), rel=1e-11)
+    star_mesh = 1.0 / potential._star_mesh(net, a, b)[0]
+    monkeypatch.setattr(potential, "DENSE_ELIMINATION_LIMIT", 0)   # LU route
+    assert star_mesh == pytest.approx(effective_resistance(net, a, b), rel=1e-11)
 
 
 def test_escape_probability_identities():
