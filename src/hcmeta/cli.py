@@ -123,9 +123,13 @@ def cmd_isoperimetry(args) -> int:
     rows = []
     mismatches = 0
     prof = None
+    s_max = args.s_max
+    if s_max < 0:
+        raise ValueError(f"--s-max must be nonnegative, got {s_max}")
     if args.brute_force:
-        prof = brute_force_profile(g, args.s_max, budget=args.budget)
-    for s in range(args.s_max + 1):
+        prof = brute_force_profile(g, s_max, budget=args.budget)
+        s_max = prof.s_max                  # clamped to |V|
+    for s in range(s_max + 1):
         brute = prof.delta(s) if prof else None
         closed = None
         if args.compare == "closed-form" or not args.brute_force:

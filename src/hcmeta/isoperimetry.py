@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .configspace import CapExceeded
 from .graph import BipartiteGraph, GraphValidationError
 
@@ -40,6 +42,12 @@ __all__ = [
 
 DEFAULT_SUBSET_BUDGET = 10_000_000
 WITNESS_CAP = 10_000
+_POPCOUNT_ROWS = 1 << 16        # rows per popcount chunk, bounding temporaries
+_WORD = (1 << 64) - 1
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
 
 
 # ----------------------------------------------------------------------------
@@ -98,13 +106,24 @@ class IsoperimetricProfile:
 def brute_force_profile(g: BipartiteGraph, s_max: int,
                         budget: int = DEFAULT_SUBSET_BUDGET,
                         witness_cap: int = WITNESS_CAP) -> IsoperimetricProfile:
-    """Exact Delta(s) for s <= s_max by exhaustive subset iteration.
+    """Exact Delta(s) for s <= s_max by exhaustive subset enumeration.
 
-    Subsets of each size are visited in colexicographic order (Gosper's hack
-    over V-position masks) with the neighborhood mask rebuilt from per-site
-    masks.  All optimal sets are retained up to ``witness_cap`` per size; the
-    truncation flag is recorded so completeness-dependent consumers can refuse.
+    Subsets of V positions are built level by level in colexicographic order.
+    The s-subsets whose largest member is j are, in colex order, the
+    (s-1)-subsets of {0..j-1} plus j, and those are the first C(j, s-1)
+    entries of level s-1.  So level s is the concatenation over j of
+    ``level[:C(j, s-1)] | nbr[j]``, one numpy pass per j with no sort, and
+    entry r with largest member j has parent r - C(j, s) at level s-1.
+    Neighbourhoods are rows of ceil(|U|/64) uint64 words over U positions.
+
+    Only levels s-1 and s are live.  Level s holds 8 * ceil(|U|/64) bytes of
+    words plus a bit count (one byte while |U| <= 192) per subset; the
+    popcount runs in chunks of ``_POPCOUNT_ROWS`` rows.  The first
+    ``witness_cap`` optimal sets per size are kept, in colex order, with a
+    truncation flag so completeness-dependent consumers can refuse.
     """
+    if s_max < 0:
+        raise ValueError(f"s_max must be nonnegative, got {s_max}")
     v = list(g.v_sites)
     nv = len(v)
     s_max = min(s_max, nv)
@@ -112,44 +131,56 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
     if total > budget:
         raise CapExceeded(
             f"brute force needs {total} subset evaluations > budget {budget}")
-    nbr = [g.neighbor_mask(a) for a in v]
+    n_words = max(1, -(-len(g.u_sites) // 64))
+    # U sites are 0..|U|-1, so a neighbour mask is a mask over U positions
+    nbr = np.array([[g.neighbor_mask(a) >> (64 * k) & _WORD for k in range(n_words)]
+                    for a in v], dtype=np.uint64)
+    count_type = np.min_scalar_type(64 * n_words)
 
     deltas = [0]
     witnesses: dict[int, list[tuple[int, ...]]] = {0: [()]}
     truncated: dict[int, bool] = {0: False}
+    level = np.zeros((1, n_words), dtype=np.uint64)      # the empty set
     for s in range(1, s_max + 1):
-        best = None
-        best_sets: list[tuple[int, ...]] = []
-        trunc = False
-        m = (1 << s) - 1
-        end = 1 << nv
-        while m < end:
-            nb = 0
-            mm = m
-            while mm:
-                low = mm & -mm
-                nb |= nbr[low.bit_length() - 1]
-                mm ^= low
-            cost = nb.bit_count() - s
-            if best is None or cost < best:
-                best = cost
-                best_sets = [m]
-                trunc = False
-            elif cost == best:
-                if len(best_sets) < witness_cap:
-                    best_sets.append(m)
-                else:
-                    trunc = True
-            # Gosper's hack: next subset of the same popcount.
-            c = m & -m
-            r = m + c
-            m = (((r ^ m) >> 2) // c) | r
-        deltas.append(best)
-        witnesses[s] = [tuple(v[i] for i in range(nv) if mask >> i & 1)
-                        for mask in best_sets]
-        truncated[s] = trunc
+        nxt = np.empty((math.comb(nv, s), n_words), dtype=np.uint64)
+        for j in range(s - 1, nv):
+            lo, n = math.comb(j, s), math.comb(j, s - 1)
+            np.bitwise_or(level[:n], nbr[j], out=nxt[lo:lo + n])
+        level = nxt
+        counts = np.empty(len(level), dtype=count_type)
+        for lo in range(0, len(level), _POPCOUNT_ROWS):
+            rows = level[lo:lo + _POPCOUNT_ROWS]
+            counts[lo:lo + len(rows)] = _popcount64(rows).sum(axis=1)
+        best = counts.min()
+        hits = np.flatnonzero(counts == best)
+        deltas.append(int(best) - s)
+        witnesses[s] = [tuple(v[i] for i in row)
+                        for row in _colex_members(hits[:witness_cap], s, nv).tolist()]
+        truncated[s] = len(hits) > witness_cap
     return IsoperimetricProfile(g, deltas, ["brute-force"] * (s_max + 1),
                                 witnesses, truncated)
+
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Bits set in each uint64 word (SWAR; numpy 1.24 has no bitwise_count)."""
+    x = x - ((x >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return (x * _H01) >> np.uint64(56)
+
+
+def _colex_members(ranks: np.ndarray, s: int, nv: int) -> np.ndarray:
+    """Ascending member positions of the s-subsets of range(nv) at the given
+    colex ranks: follow parent pointers r -> r - C(j, t) down the levels."""
+    r = ranks.astype(np.int64)
+    out = np.empty((len(r), s), dtype=np.int64)
+    for t in range(s, 0, -1):
+        below = np.array([math.comb(j, t) for j in range(nv)], dtype=np.int64)
+        j = np.searchsorted(below, r, side="right") - 1
+        out[:, t - 1] = j
+        r = r - below[j]
+    return out
 
 
 # ----------------------------------------------------------------------------

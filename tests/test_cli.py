@@ -22,6 +22,25 @@ def test_isoperimetry_compare_closed_form(tmp_path):
     assert lines[2].startswith("1,3,")
 
 
+def test_isoperimetry_s_max_beyond_v(capsys):
+    # cycle:6 has |V| = 3: the profile clamps there, and so do the rows
+    code = main(["isoperimetry", "--graph", "cycle:6", "--s-max", "5",
+                 "--brute-force"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[1:] == ["0,0,brute-force,1", "1,1,brute-force,3",
+                         "2,1,brute-force,3", "3,0,brute-force,1"]
+
+
+@pytest.mark.parametrize("brute", [[], ["--brute-force"]])
+def test_isoperimetry_negative_s_max_exit_2(capsys, brute):
+    assert main(["isoperimetry", "--graph", "torus:6x6", "--s-max", "-1",
+                 *brute]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
 def test_gate_command(tmp_path):
     out = tmp_path / "gate.json"
     code = main(["gate", "--graph", "torus:6x6", "--alpha", "7/10",

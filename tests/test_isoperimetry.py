@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import hcmeta.isoperimetry as iso
 from hcmeta.configspace import CapExceeded
-from hcmeta.graph import build_family
+from hcmeta.graph import BipartiteGraph, build_family
 from hcmeta.isoperimetry import (brute_force_profile, closed_form_profile,
                                  connecting_progression, doubled_torus_delta,
                                  doubled_torus_numbering, doubled_torus_v_sites,
@@ -37,6 +40,118 @@ def test_brute_force_budget_refusal():
     g = build_family("torus:6x6")
     with pytest.raises(CapExceeded):
         brute_force_profile(g, 9, budget=10_000)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached before the budget check")
+
+
+def test_budget_refusal_before_any_allocation(monkeypatch):
+    monkeypatch.setattr(iso, "np", _NoNumpy())
+    g = build_family("torus:6x6")
+    with pytest.raises(CapExceeded,
+                       match="brute force needs 155381 subset evaluations > budget 10000"):
+        brute_force_profile(g, 9, budget=10_000)
+
+
+def test_negative_size_rejected():
+    g = build_family("cycle:6")
+    with pytest.raises(ValueError):
+        brute_force_profile(g, -1)
+
+
+def _gosper_profile(g, s_max, witness_cap=iso.WITNESS_CAP):
+    """Reference: one Python bit loop per subset, visited by Gosper's hack."""
+    v = list(g.v_sites)
+    nv = len(v)
+    s_max = min(s_max, nv)
+    nbr = [g.neighbor_mask(a) for a in v]
+    deltas = [0]
+    witnesses = {0: [()]}
+    truncated = {0: False}
+    for s in range(1, s_max + 1):
+        best = None
+        best_sets = []
+        trunc = False
+        m = (1 << s) - 1
+        while m < 1 << nv:
+            nb = 0
+            mm = m
+            while mm:
+                low = mm & -mm
+                nb |= nbr[low.bit_length() - 1]
+                mm ^= low
+            cost = nb.bit_count() - s
+            if best is None or cost < best:
+                best, best_sets, trunc = cost, [m], False
+            elif cost == best:
+                if len(best_sets) < witness_cap:
+                    best_sets.append(m)
+                else:
+                    trunc = True
+            c = m & -m
+            r = m + c
+            m = (((r ^ m) >> 2) // c) | r
+        deltas.append(best)
+        witnesses[s] = [tuple(v[i] for i in range(nv) if mask >> i & 1)
+                        for mask in best_sets]
+        truncated[s] = trunc
+    return deltas, witnesses, truncated
+
+
+def _relabel(g, seed):
+    """An isomorphic copy with sites shuffled within U and within V."""
+    rng = random.Random(seed)
+    u, v = list(g.u_sites), list(g.v_sites)
+    rng.shuffle(u)
+    rng.shuffle(v)
+    new = {old: k for k, old in enumerate(u)}
+    new.update({old: len(u) + k for k, old in enumerate(v)})
+    return BipartiteGraph.from_parts(len(u), len(v),
+                                     [(new[a], new[b]) for a, b in g.edges])
+
+
+@pytest.mark.parametrize("relabelled", [False, True])
+@pytest.mark.parametrize("spec,s_max,cap", [
+    ("torus:6x6", 6, iso.WITNESS_CAP),
+    ("doubled(torus:5x5)", 6, iso.WITNESS_CAP),
+    ("hypercube:5", 16, iso.WITNESS_CAP),
+    ("cycle:12", 5, iso.WITNESS_CAP),
+    ("ladder:8", 8, iso.WITNESS_CAP),
+    ("torus:10x10", 3, iso.WITNESS_CAP),      # 100 sites
+    ("torus:12x12", 2, iso.WITNESS_CAP),      # 72 U sites: two words
+    ("torus:6x6", 5, 396),                    # exactly the optimum count
+    ("torus:6x6", 5, 395),
+])
+def test_colex_levels_equal_gosper_loop(spec, s_max, cap, relabelled):
+    g = build_family(spec)
+    if relabelled:
+        g = _relabel(g, 7)
+    prof = brute_force_profile(g, s_max, budget=10 ** 8, witness_cap=cap)
+    deltas, witnesses, truncated = _gosper_profile(g, s_max, cap)
+    assert prof.deltas == deltas
+    assert prof.witnesses == witnesses
+    assert prof.witnesses_truncated == truncated
+    if cap < iso.WITNESS_CAP:
+        assert len(prof.witnesses[5]) == min(cap, 396)
+        assert prof.witnesses_truncated[5] == (cap < 396)
+
+
+def test_profile_without_bitwise_count(monkeypatch):
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    g = build_family("torus:6x6")
+    prof = brute_force_profile(g, 4)
+    deltas, witnesses, _ = _gosper_profile(g, 4)
+    assert prof.deltas == deltas and prof.witnesses == witnesses
+
+
+def test_popcount_matches_bit_count():
+    rng = random.Random(3)
+    words = [0, 1, (1 << 64) - 1, 1 << 63, (1 << 63) | 1, 0x8000_0000_FFFF_0000]
+    words += [rng.getrandbits(64) | 1 << 63 for _ in range(200)]
+    got = iso._popcount64(np.array(words, dtype=np.uint64))
+    assert got.tolist() == [w.bit_count() for w in words]
 
 
 def test_torus_closed_form_values():
