@@ -8,8 +8,8 @@ from .dynamics import (HittingSample, TransitionKernel, build_kernel,
                        continuous_mean, coupled_simulate, sample_crossover,
                        simulate_hit)
 from .graph import (BipartiteGraph, GeneralGraph, GraphValidationError,
-                    build_family, double_graph, graphs_isomorphic,
-                    neighborhood, parse_graph_spec, validate)
+                    automorphism_generators, build_family, double_graph,
+                    graphs_isomorphic, neighborhood, parse_graph_spec, validate)
 from .isoperimetry import (IsoperimetricProfile, brute_force_profile,
                            closed_form_profile, doubled_torus_delta,
                            harper_numbering, hypercube_delta, set_cost,
@@ -32,9 +32,9 @@ __all__ = [
     "count_independent_sets", "enumerate_space", "height", "join", "leq", "meet",
     "HittingSample", "TransitionKernel", "build_kernel", "continuous_mean",
     "coupled_simulate", "sample_crossover", "simulate_hit",
-    "BipartiteGraph", "GeneralGraph", "GraphValidationError", "build_family",
-    "double_graph", "graphs_isomorphic", "neighborhood", "parse_graph_spec",
-    "validate",
+    "BipartiteGraph", "GeneralGraph", "GraphValidationError",
+    "automorphism_generators", "build_family", "double_graph",
+    "graphs_isomorphic", "neighborhood", "parse_graph_spec", "validate",
     "IsoperimetricProfile", "brute_force_profile", "closed_form_profile",
     "doubled_torus_delta", "harper_numbering", "hypercube_delta", "set_cost",
     "spiral_numbering", "torus_delta",

@@ -132,10 +132,17 @@ def cmd_isoperimetry(args) -> int:
     for s in range(s_max + 1):
         brute = prof.delta(s) if prof else None
         closed = None
-        if args.compare == "closed-form" or not args.brute_force:
-            closed = _closed_delta(g, fam, s)
-        delta = brute if brute is not None else closed
         prov = "brute-force" if brute is not None else f"closed-form:{fam}"
+        if args.compare == "closed-form" or not args.brute_force:
+            try:
+                closed = _closed_delta(g, fam, s)
+            except GraphValidationError:
+                raise                       # the family has no closed form
+            except ValueError:
+                if brute is None:           # nothing else to report for s
+                    raise
+                prov = "brute-force:outside-window"
+        delta = brute if brute is not None else closed
         wit = len(prof.witnesses.get(s, [])) if prof else 0
         rows.append(f"{s},{delta},{prov},{wit}")
         if brute is not None and closed is not None and brute != closed:

@@ -21,6 +21,7 @@ __all__ = [
     "validate",
     "parse_graph_spec",
     "graphs_isomorphic",
+    "automorphism_generators",
 ]
 
 
@@ -436,8 +437,87 @@ def parse_graph_spec(spec: str) -> BipartiteGraph:
 
 
 # ----------------------------------------------------------------------------
-# Isomorphism (test support, graphs <= 64 vertices)
+# Isomorphism and automorphisms (graphs <= 64 vertices)
 # ----------------------------------------------------------------------------
+
+def _distances(g: BipartiteGraph) -> list[list[int]]:
+    """All-pairs shortest-path lengths, one breadth-first search per site
+    (-1 between components)."""
+    out = []
+    for root in range(g.n_sites):
+        dist = [-1] * g.n_sites
+        dist[root] = 0
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in g.adjacency[x]:
+                    if dist[y] < 0:
+                        dist[y] = dist[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        out.append(dist)
+    return out
+
+
+def _bfs_tree(g: BipartiteGraph, roots: list[int]) -> tuple[list[int], list[int]]:
+    """The sites not in ``roots`` in breadth-first order from them, and each
+    site's parent in the search (-1 for a site no root reaches; those follow
+    in ascending order, each seeding its own search)."""
+    parent = [-2] * g.n_sites
+    for r in roots:
+        parent[r] = -1
+    order: list[int] = []
+    queue = list(roots)
+    for seed in range(g.n_sites + 1):
+        while queue:
+            x = queue.pop(0)
+            for y in g.adjacency[x]:
+                if parent[y] == -2:
+                    parent[y] = x
+                    order.append(y)
+                    queue.append(y)
+        if seed < g.n_sites and parent[seed] == -2:
+            parent[seed] = -1
+            order.append(seed)
+            queue.append(seed)
+    return order, parent
+
+
+def _extend(g1: BipartiteGraph, g2: BipartiteGraph, d1, d2, order, parent,
+            mapping: dict[int, int]) -> dict[int, int] | None:
+    """Backtracking: extend ``mapping`` (sites of g1 to sites of g2) over
+    ``order``.  A site whose search parent is mapped goes to an unused
+    neighbour of the parent's image; a site without one goes to any unused
+    site.  Every image must have the site's degree and its distance to every
+    site mapped before it, so a complete mapping preserves adjacency both
+    ways.  Returns the complete mapping, or None when there is none."""
+    used = set(mapping.values())
+    n2 = g2.n_sites
+
+    def rec(k: int) -> bool:
+        if k == len(order):
+            return True
+        x = order[k]
+        p = parent[x]
+        pool = g2.adjacency[mapping[p]] if p >= 0 else range(n2)
+        dx = d1[x]
+        for y in pool:
+            if y in used or len(g2.adjacency[y]) != len(g1.adjacency[x]):
+                continue
+            dy = d2[y]
+            if any(dx[w] != dy[z] for w, z in mapping.items()):
+                continue
+            mapping[x] = y
+            used.add(y)
+            if rec(k + 1):
+                return True
+            del mapping[x]
+            used.remove(y)
+        return False
+
+    return mapping if rec(0) else None
+
 
 def graphs_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
     """Backtracking isomorphism test for small graphs (<= 64 vertices)."""
@@ -448,50 +528,58 @@ def graphs_isomorphic(g1: BipartiteGraph, g2: BipartiteGraph) -> bool:
     deg2 = sorted(len(g2.adjacency[a]) for a in range(n2))
     if deg1 != deg2:
         return False
+    order, parent = _bfs_tree(g1, [])
+    return _extend(g1, g2, _distances(g1), _distances(g2), order, parent,
+                   {}) is not None
 
-    adj1 = [set(g1.adjacency[a]) for a in range(n1)]
-    adj2 = [set(g2.adjacency[a]) for a in range(n2)]
 
-    # Map vertices of g1 in BFS order so each new vertex has a mapped anchor.
-    order = []
-    seen = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        order.append(x)
-        for y in g1.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
+def automorphism_generators(g: BipartiteGraph) -> list[tuple[int, ...]]:
+    """Generators of the automorphisms of ``g`` that map U onto U and V onto V.
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def feasible(x: int, y: int) -> bool:
-        if len(adj1[x]) != len(adj2[y]):
-            return False
-        for w in adj1[x]:
-            if w in mapping and mapping[w] not in adj2[y]:
-                return False
-        mapped_nbrs = {mapping[w] for w in adj1[x] if w in mapping}
-        for z in adj2[y]:
-            if z in used and z not in mapped_nbrs:
-                return False
-        return True
-
-    def rec(k: int) -> bool:
-        if k == len(order):
-            return True
-        x = order[k]
-        for y in range(n2):
-            if y in used or not feasible(x, y):
+    Each generator is a tuple ``p`` with ``p[site]`` the site's image.  Base
+    points b_1, b_2, ... are taken in breadth-first order from site 0.  At
+    level i the search looks, for each site y of b_i's part and degree that
+    has b_i's distances to b_1..b_{i-1} and is not yet in b_i's orbit under
+    the level's generators, for one automorphism that fixes b_1..b_{i-1} and
+    maps b_i to y (an extension of the :func:`graphs_isomorphic`
+    backtracking), and keeps it.  These transversal elements of the
+    point-stabiliser chain generate the group, and no element of the group
+    beyond them is ever built.  The chain stops once the distances to the
+    base points tell every site apart.
+    """
+    n = g.n_sites
+    if n > 64:
+        raise GraphValidationError("automorphism search limited to <= 64 sites")
+    dist = _distances(g)
+    in_u = [False] * n
+    for a in g.u_sites:
+        in_u[a] = True
+    gens: list[tuple[int, ...]] = []
+    base: list[int] = []
+    for b in [0, *_bfs_tree(g, [0])[0]]:
+        if len({tuple(dist[x][f] for f in base) for x in range(n)}) == n:
+            break
+        order, parent = _bfs_tree(g, base + [b])
+        orbit = {b}
+        level: list[tuple[int, ...]] = []
+        for y in range(n):
+            if (y in orbit or in_u[y] != in_u[b]
+                    or len(g.adjacency[y]) != len(g.adjacency[b])
+                    or any(dist[b][f] != dist[y][f] for f in base)):
                 continue
-            mapping[x] = y
-            used.add(y)
-            if rec(k + 1):
-                return True
-            del mapping[x]
-            used.remove(y)
-        return False
-
-    return rec(0)
+            mapping = {f: f for f in base}
+            mapping[b] = y
+            found = _extend(g, g, dist, dist, order, parent, mapping)
+            if found is None:
+                continue
+            level.append(tuple(found[x] for x in range(n)))
+            orbit, stack = {b}, [b]
+            while stack:
+                x = stack.pop()
+                for p in level:
+                    if p[x] not in orbit:
+                        orbit.add(p[x])
+                        stack.append(p[x])
+        gens.extend(level)
+        base.append(b)
+    return gens

@@ -1,32 +1,49 @@
 """Electric-network computations on the configuration graph.
 
 Conductances are c(x,y) = pi(x) K(x,y) with pi normalized.  Voltages,
-effective resistances, Green functions and the Green route of the expected
-hitting time, E_a[T_B] = R(a, B) sum_x pi(x) W_{a,B}(x), take one of two
-routes, chosen by the number of states alone:
+effective resistances, Green functions and both routes of the expected
+hitting time are solved on the orbit network.  Every automorphism of the
+graph that maps U onto U and V onto V permutes the configurations and keeps
+pi and every conductance, so it is an automorphism of the chain; it fixes
+the packed states u and v.  Those of a generating set
+(:func:`hcmeta.graph.automorphism_generators`) that map the terminal sets
+A and B onto themselves split the states into orbits, and W_{A,B}, E_x[T_B]
+and the currents are constant on each orbit.  They are therefore exactly the
+values of the lumped network, whose conductances are summed over orbit pairs
+and whose pi is summed over orbits (strong lumpability; Kemeny & Snell,
+*Finite Markov Chains*).  path:15 lumps from 1,597 states to 826 orbits,
+cycle:12 from 322 to 47, torus:4x6 from 18,995 to 659.  A voltage is read back
+on every state and its harmonic residual is taken on the full network, so
+the residual checks the lumping as well.
 
-- Up to ``DENSE_ELIMINATION_LIMIT`` states, one star-mesh (Kron) elimination
-  in minimum-degree order gives the effective conductance c(A, B) and, by
-  back-substitution, the voltage W.  It only adds, multiplies and divides
-  positive numbers, so R, every W(x) and the Green-route E[T] keep entrywise
+The route is chosen by the number of orbits alone:
+
+- Up to ``DENSE_ELIMINATION_LIMIT`` orbits, one star-mesh (Kron)
+  elimination gives the effective conductance c(A, B) and, by
+  back-substitution, the voltage W, hence the Green route E_a[T_B] = R(a, B)
+  sum_x pi(x) W_{a,B}(x).  The same elimination with only B grounded, carrying
+  the mass pi, is GTH state reduction: back-substitution h_s = (m_s + sum_j
+  c_sj h_j) / c_s gives the first-step route E_x[T_B] for every x.  Pivots
+  follow minimum degree while the live graph is sparse; once it is dense,
+  the live nodes are compacted and finished in BLAS-3 panels, whose
+  trailing update is one nonnegative product (U/c)^T U, with no diagonal
+  ever formed.  The elimination only adds, multiplies and divides
+  nonnegative numbers, so R, every W(x) and both E[T] routes keep entrywise
   relative accuracy however far the conductances spread (Grassmann, Taksar
   & Heyman 1985): they agree with exact rational references to 1e-12 up to
-  lambda = 1e6.
-- Above it, one sparse LU solve of the row-normalized harmonic system
-  (minimum-degree ordering on A^T + A, iterative refinement).  R is the
-  reciprocal of the current into B, and E[T] uses the same W.  Only the
-  harmonic residual, reported with every voltage, is guaranteed; there is
-  no relative-accuracy guarantee.
-
-``expected_hitting_time`` cross-checks the Green route with the first-step
-system (diag(p_move) - K_off) E = 1, solved by LU.  Its diagonal is p_move
-itself, so it no longer loses the digits of 1 - self-loop, but LU is not
-cancellation-free.  Against exact references its relative error was 3e-11
-on cycle:6 at lambda = 1e6, 3e-10 on ladder:4 at 1e4 and 7e-6 at 1e6, and
-1e-10 on complete:2x3 at 1e6; on torus:4x4 it is 2e-3 off the Green route
-at 1e4 and wholly wrong at 1e6.  Towards the empty state it does worse:
-E_u[T_empty] is 1.5e-4 off on cycle:6 at 1e4 and wholly wrong on ladder:4
-at 1e4.
+  lambda = 1e6, towards v and towards the empty state, and the two routes
+  agree to rounding.
+- Above it, one sparse LU solve of the row-normalized harmonic system of
+  the orbit network (minimum-degree ordering on A^T + A, iterative
+  refinement).  R is the reciprocal of the current into B, and E[T] uses the
+  same W.  The first step solves (diag(p_move) - K_off) E = 1 on the full
+  kernel by LU.  Only the harmonic residual, reported with every voltage,
+  is guaranteed; there is no relative-accuracy guarantee.  Measured on
+  unlumped spaces, where this LU first step once ran below the limit too:
+  3e-11 relative error on cycle:6 at lambda = 1e6, 3e-10 on ladder:4 at 1e4
+  and 7e-6 at 1e6; 2e-3 off the Green route on torus:4x4 at 1e4 and a
+  negative value at 1e6; towards the empty state 1.5e-4 off on cycle:6 at
+  1e4 and no correct digit on ladder:4 at 1e4.
 
 Critical (bottleneck) resistance is computed numerically by threshold
 connectivity over the conductances, and symbolically on a bottleneck tree: the
@@ -37,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +64,7 @@ from scipy.sparse import csgraph
 from .asymptotics import AsymptoticExponent
 from .configspace import ConfigurationSpace, ModelParams
 from .dynamics import TransitionKernel, build_kernel
+from .graph import automorphism_generators
 
 __all__ = [
     "ElectricNetwork",
@@ -68,11 +87,20 @@ __all__ = [
     "VoltageBoundReport",
 ]
 
-DENSE_ELIMINATION_LIMIT = 1200
+DENSE_ELIMINATION_LIMIT = 1200      # counted in orbits
+# The elimination's minimum-degree front ends once the smallest live degree
+# reaches this share of the live nodes; the dense tail runs in panels of
+# PANEL pivots.
+DENSE_SWITCH = 0.1
+PANEL = 32
 
 
 class ElectricNetwork:
-    """Conductance network over an enumerated configuration space."""
+    """Conductance network over an enumerated configuration space.
+
+    A network lumped by :func:`_lump` has orbits of states for nodes and no
+    space, parameters or kernel.
+    """
 
     def __init__(self, space: ConfigurationSpace, params: ModelParams,
                  kernel: TransitionKernel | None = None):
@@ -87,7 +115,7 @@ class ElectricNetwork:
         self.edge_c = self.pi[self.edge_i] * probs[up]
 
     def __len__(self) -> int:
-        return len(self.space)
+        return len(self.pi)
 
     @property
     def n_edges(self) -> int:
@@ -119,10 +147,77 @@ class ElectricNetwork:
         out.edge_c[hit] *= factor
         return out
 
+    @cached_property
+    def symmetries(self) -> list[np.ndarray]:
+        """State permutations p (state x to state p[x]) induced by the graph's
+        :func:`automorphism_generators`, kept when they preserve pi and every
+        conductance, so that each is an automorphism of this chain (a copy
+        from :meth:`with_scaled_edge` may keep fewer).  A lumped network has
+        none."""
+        if self.space is None:
+            return []
+        masks, n = self.space.masks, len(self)
+        key = self.edge_i * n + self.edge_j
+        order = np.argsort(key)
+        key, c = key[order], self.edge_c[order]
+        out = []
+        for perm in automorphism_generators(self.space.graph):
+            image = np.zeros_like(masks)
+            for site, to in enumerate(perm):
+                image |= ((masks >> site) & 1) << to
+            p = np.searchsorted(masks, image)       # images are independent sets
+            i, j = p[self.edge_i], p[self.edge_j]
+            moved = np.minimum(i, j) * n + np.maximum(i, j)
+            at = np.minimum(np.searchsorted(key, moved), len(key) - 1)
+            if ((self.pi[p] == self.pi).all() and (key[at] == moved).all()
+                    and (c[at] == self.edge_c).all()):
+                out.append(p)
+        return out
+
 
 def build_network(space: ConfigurationSpace, params: ModelParams,
                   kernel: TransitionKernel | None = None) -> ElectricNetwork:
     return ElectricNetwork(space, params, kernel)
+
+
+def _lump(net: ElectricNetwork, *fixed: frozenset
+          ) -> tuple[ElectricNetwork, np.ndarray]:
+    """The orbit network of ``net`` and the orbit of every state.
+
+    The orbits are the connected components of x ~ p(x) over the symmetries
+    p that map every set in ``fixed`` onto itself.  Each such p is an
+    automorphism of the chain that keeps the terminals, so voltages, hitting
+    times and currents are constant on orbits, and they are exactly those of
+    the lumped network: conductances summed over orbit pairs (those inside
+    an orbit dropped), pi summed over orbits (strong lumpability; Kemeny &
+    Snell, Finite Markov Chains).  Any subset of the symmetries gives exact
+    orbits; the generators that fix the sets may generate less than the
+    whole stabiliser, and then the lumping is only finer.
+    """
+    n = len(net)
+    sets = [np.fromiter(s, dtype=np.int64) for s in fixed]
+    perms = [p for p in net.symmetries
+             if all(np.isin(p[s], s).all() for s in sets)]
+    if not perms:
+        return net, np.arange(n)
+    moves = sp.coo_matrix((np.ones(n * len(perms), dtype=np.int8),
+                           (np.tile(np.arange(n), len(perms)), np.concatenate(perms))),
+                          shape=(n, n))
+    k, orbit = csgraph.connected_components(moves, directed=False)
+    oi, oj = orbit[net.edge_i], orbit[net.edge_j]
+    cross = oi != oj
+    pair, which = np.unique(np.minimum(oi, oj)[cross] * k + np.maximum(oi, oj)[cross],
+                            return_inverse=True)
+    out = ElectricNetwork.__new__(ElectricNetwork)
+    out.space = out.params = out.kernel = None
+    out.pi = np.bincount(orbit, weights=net.pi, minlength=k)
+    out.edge_i, out.edge_j = pair // k, pair % k
+    out.edge_c = np.bincount(which, weights=net.edge_c[cross], minlength=len(pair))
+    return out, orbit
+
+
+def _orbits(orbit: np.ndarray, states: frozenset) -> frozenset:
+    return frozenset(orbit[list(states)].tolist())
 
 
 # ----------------------------------------------------------------------------
@@ -134,7 +229,8 @@ class VoltageField:
     values: np.ndarray
     source: frozenset[int]              # value 1
     ground: frozenset[int]              # value 0
-    harmonic_residual: float
+    harmonic_residual: float            # on the full network
+    orbits: int | None = None           # nodes of the network solved
 
 
 def _splu(m: sp.csc_matrix):
@@ -146,39 +242,51 @@ def _splu(m: sp.csc_matrix):
 def voltage(net: ElectricNetwork, A, B, max_refine: int = 4) -> VoltageField:
     """Harmonic W with W=1 on A, W=0 on B; W(x) = Pr_x(T_A < T_B).
 
-    Up to ``DENSE_ELIMINATION_LIMIT`` states W comes from the star-mesh
-    elimination, above it from one LU solve with iterative refinement.
+    W is solved on the orbit network of the symmetries that fix A and B
+    (:func:`_lump`) and read back on every state; the harmonic residual is
+    taken on the full network, so it checks the lumping too.
     """
     A, B = frozenset(int(a) for a in A), frozenset(int(b) for b in B)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
     if A & B:
         raise ValueError("A and B must be disjoint")
+    C = net.conductance_matrix()
+    deg = np.asarray(C.sum(axis=1)).ravel()
+    interior = np.setdiff1d(np.arange(len(net)), list(A | B))
+    if (deg[interior] <= 0).any():
+        raise ValueError("singular system: isolated interior state")
+    lumped, orbit = _lump(net, A, B)
+    w = _solve_voltage(lumped, _orbits(orbit, A), _orbits(orbit, B), max_refine)[orbit]
+    return VoltageField(w, A, B, _harmonic_residual(C, deg, w, interior), len(lumped))
+
+
+def _solve_voltage(net: ElectricNetwork, A: frozenset, B: frozenset,
+                   max_refine: int = 4) -> np.ndarray:
+    """W on ``net`` itself: the star-mesh elimination up to
+    ``DENSE_ELIMINATION_LIMIT`` nodes, above it one LU solve of the
+    row-normalized harmonic system with iterative refinement."""
     n = len(net)
+    if n <= DENSE_ELIMINATION_LIMIT:
+        return _star_mesh(net, A, B)[1]
     C = net.conductance_matrix()
     deg = np.asarray(C.sum(axis=1)).ravel()
     interior = np.setdiff1d(np.arange(n), list(A | B))
-    if (deg[interior] <= 0).any():
-        raise ValueError("singular system: isolated interior state")
-    if n <= DENSE_ELIMINATION_LIMIT:
-        w = _star_mesh(net, A, B)[1]
-    else:
-        w = np.zeros(n)
-        w[list(A)] = 1.0
-        if len(interior):
-            P = sp.diags(1.0 / deg[interior]) @ C[interior, :]
-            M = (sp.identity(len(interior), format="csr")
-                 - P[:, interior]).tocsc()
-            rhs = np.asarray(P[:, sorted(A)].sum(axis=1)).ravel()
-            lu = _splu(M)
-            x = lu.solve(rhs)
-            for _ in range(max_refine):
-                r = rhs - M @ x
-                if np.max(np.abs(r)) < 1e-15:
-                    break
-                x = x + lu.solve(r)
-            w[interior] = x
-    return VoltageField(w, A, B, _harmonic_residual(C, deg, w, interior))
+    w = np.zeros(n)
+    w[list(A)] = 1.0
+    if len(interior):
+        P = sp.diags(1.0 / deg[interior]) @ C[interior, :]
+        M = (sp.identity(len(interior), format="csr") - P[:, interior]).tocsc()
+        rhs = np.asarray(P[:, sorted(A)].sum(axis=1)).ravel()
+        lu = _splu(M)
+        x = lu.solve(rhs)
+        for _ in range(max_refine):
+            r = rhs - M @ x
+            if np.max(np.abs(r)) < 1e-15:
+                break
+            x = x + lu.solve(r)
+        w[interior] = x
+    return w
 
 
 def _harmonic_residual(C, deg, w, interior) -> float:
@@ -190,57 +298,122 @@ def _harmonic_residual(C, deg, w, interior) -> float:
 
 def _star_mesh(net: ElectricNetwork, A: frozenset, B: frozenset
                ) -> tuple[float, np.ndarray]:
-    """Star-mesh (Kron) elimination in minimum-degree order.
+    """The effective conductance c(A, B) and the voltage W (1 on A, 0 on B)
+    from one :func:`_eliminate`."""
+    K, W = _eliminate(net, (A, B), (1.0, 0.0))
+    return float(K[0, 1]), W
 
-    Returns the effective conductance c(A, B) and the voltage W (1 on A,
-    0 on B).  Node 0 contracts A, node 1 contracts B and node 2 + k is the
-    k-th other state.  Each step eliminates the live node with the fewest
-    live neighbours (the lowest node on ties), adding c_is c_sj / c_s to
-    its neighbour block only, and keeps the degrees up to date from that
-    block's new fill.  W follows by back-substitution in reverse order,
-    W(s) = sum_j c_sj W(j) / c_s over s's neighbours when it was eliminated.
-    Every operation adds, multiplies or divides positive numbers, so c(A, B)
-    and every W(x) keep entrywise relative accuracy.
+
+def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Star-mesh (Kron) elimination of every node outside the terminal groups.
+
+    Group k contracts to node k; node len(groups) + i is the i-th other node.
+    Eliminating s adds c_is c_sj / c_s to c_ij for every pair of its
+    neighbours and, with a carried mass m, c_is m_s / c_s to m_i.
+    Back-substitution in reverse order gives x(s) = (m_s + sum_j c_sj x(j))
+    / c_s over s's neighbours at its elimination, with x = top[k] on group
+    k.  With no mass and top (1, 0) on (A, B), x is the voltage W.  With
+    mass pi and top 0 on B, x(s) is E_s[T_B] in steps, for every s: the
+    first-step equation times pi(s) reads c_s E_s = pi(s) + sum_y c_sy E_y
+    (GTH state reduction; Grassmann, Taksar & Heyman 1985).
+
+    Pivots follow minimum live degree (the lowest node on ties), each
+    updating only its neighbour block, until the smallest live degree
+    reaches ``DENSE_SWITCH`` of the live nodes.  The live nodes are then
+    compacted into a dense array, terminals last, and eliminated in panels
+    of ``PANEL`` pivots: inside a panel a pivot updates only the panel's
+    block, each panel row's part past the panel gains the shares of the
+    earlier pivots' parts (a unit triangular solve that only adds), and the
+    trailing block gets one product (U/c)^T U.  Degrees are row sums of
+    off-diagonal conductances taken at the pivot, so no diagonal is formed
+    or read.  Every operation adds, multiplies or divides nonnegative
+    numbers, so the reduced conductances and every x(s) keep entrywise
+    relative accuracy.
+
+    Returns the reduced conductances among the groups (zero diagonal) and x.
     """
+    t = len(groups)
     n = len(net)
     node = np.full(n, -1, dtype=np.int64)
-    node[list(A)] = 0
-    node[list(B)] = 1
+    for k, grp in enumerate(groups):
+        node[list(grp)] = k
     rest = np.flatnonzero(node < 0)
-    node[rest] = np.arange(2, len(rest) + 2)
-    m = len(rest) + 2
+    node[rest] = np.arange(t, len(rest) + t)
+    m = len(rest) + t
     scale = float(net.edge_c.max())
     i, j = node[net.edge_i], node[net.edge_j]
     cross = i != j
-    C = np.zeros((m, m))
-    np.add.at(C, (i[cross], j[cross]), net.edge_c[cross] / scale)
-    C += C.T
+    i, j, cc = i[cross], j[cross], net.edge_c[cross] / scale
+    C = np.bincount(np.concatenate([i * m + j, j * m + i]),
+                    weights=np.concatenate([cc, cc]), minlength=m * m).reshape(m, m)
+    md = np.zeros(m) if mass is None else np.bincount(node, weights=mass / scale,
+                                                      minlength=m)
     flat = C.reshape(-1)
     deg = np.count_nonzero(C, axis=1)
     done = 4 * m                # above any live degree: never a pivot
-    deg[:2] = done
+    deg[:t] = done
+    live = np.ones(m, dtype=bool)
+    live[:t] = False
     steps = []
-    for _ in range(m - 2):
+    for count in range(m, t, -1):
         s = int(deg.argmin())
+        if deg[s] >= DENSE_SWITCH * count:
+            break
         deg[s] = done
+        live[s] = False
         nb = C[s].nonzero()[0]
         w = C[s, nb]
         C[s, nb] = 0.0
         C[nb, s] = 0.0
         cs = w.sum()
-        steps.append((s, nb, w / cs))
+        p = w / cs
+        h = md[s] / cs if cs else 0.0          # cs = 0: s was cut off
+        steps.append((s, nb, p, h))
+        if mass is not None:
+            md[nb] += w * h
         block = (nb * m)[:, None] + nb
         old = flat[block]
         # the zeros of a block row, less its diagonal, become fill; s is lost
         deg[nb] += (old == 0.0).sum(axis=1) - 2
-        new = old + np.multiply.outer(w, w) / cs
+        new = old + np.multiply.outer(w, p)
         new.flat[::len(nb) + 1] = 0.0
         flat[block] = new
-    W = np.zeros(m)
-    W[0] = 1.0
-    for s, nb, p in reversed(steps):
-        W[s] = p @ W[nb]
-    return float(C[0, 1]) * scale, W[node]
+    order = np.concatenate([np.flatnonzero(live), np.arange(t)])
+    L = len(order) - t
+    D = C[np.ix_(order, order)]
+    dm = md[order]
+    c = np.zeros(L)
+    for start in range(0, L, PANEL):
+        end = min(start + PANEL, L)
+        P, pm = D[start:end, start:end], dm[start:end]
+        # U[k]: pivot k's row past the panel when it is eliminated, which is
+        # its row in D plus the share F[k, k'] of each earlier pivot's U[k']
+        U = D[start:end, end:].copy()
+        F = np.zeros((end - start, end - start))
+        for k in range(end - start):
+            U[k] += F[k, :k] @ U[:k]
+            row = P[k, k + 1:]
+            c[start + k] = ck = row.sum() + U[k].sum()
+            f = row / ck
+            F[k + 1:, k] = f
+            P[k + 1:, k + 1:] += np.multiply.outer(f, row)
+            pm[k + 1:] += f * pm[k]
+        D[start:end, end:] = U
+        S = U / c[start:end, None]
+        D[end:, end:] += S.T @ U
+        dm[end:] += S.T @ pm
+    x = np.zeros(m)
+    xd = np.zeros(len(order))
+    xd[L:] = top
+    for k in range(L - 1, -1, -1):
+        xd[k] = (dm[k] + D[k, k + 1:] @ xd[k + 1:]) / c[k]
+    x[order] = xd
+    for s, nb, p, h in reversed(steps):
+        x[s] = h + p @ x[nb]
+    K = D[L:, L:] * scale
+    np.fill_diagonal(K, 0.0)
+    return K, x[node]
 
 
 def _inflow(net: ElectricNetwork, w: np.ndarray, B: frozenset) -> float:
@@ -260,14 +433,17 @@ def _resistance(conductance: float) -> float:
 
 
 def effective_resistance(net: ElectricNetwork, A, B) -> float:
-    """R(A, B) > 0; invariant under contraction of A and of B."""
+    """R(A, B) > 0; invariant under contraction of A and of B.  Solved on the
+    orbit network of the symmetries that fix A and B."""
     A = frozenset(int(a) for a in A)
     B = frozenset(int(b) for b in B)
     if not A or not B or (A & B):
         raise ValueError("A and B must be non-empty and disjoint")
-    if len(net) <= DENSE_ELIMINATION_LIMIT:
-        return _resistance(_star_mesh(net, A, B)[0])
-    return _resistance(_inflow(net, voltage(net, A, B).values, B))
+    lumped, orbit = _lump(net, A, B)
+    A, B = _orbits(orbit, A), _orbits(orbit, B)
+    if len(lumped) <= DENSE_ELIMINATION_LIMIT:
+        return _resistance(_star_mesh(lumped, A, B)[0])
+    return _resistance(_inflow(lumped, _solve_voltage(lumped, A, B), B))
 
 
 def escape_probability(net: ElectricNetwork, a: int, B) -> tuple[float, float]:
@@ -289,10 +465,10 @@ def escape_probability(net: ElectricNetwork, a: int, B) -> tuple[float, float]:
 # ----------------------------------------------------------------------------
 
 def _green_weights(net: ElectricNetwork, a: int, B: frozenset
-                   ) -> tuple[float, np.ndarray]:
-    """R(a, B) and W_{a,B} from one voltage solve."""
-    w = voltage(net, {a}, B).values
-    return _resistance(_inflow(net, w, B)), w
+                   ) -> tuple[float, VoltageField]:
+    """R(a, B) and the voltage W_{a,B} from one voltage solve."""
+    field = voltage(net, {a}, B)
+    return _resistance(_inflow(net, field.values, B)), field
 
 
 def green_function(net: ElectricNetwork, a: int, B) -> np.ndarray:
@@ -301,8 +477,8 @@ def green_function(net: ElectricNetwork, a: int, B) -> np.ndarray:
     B = frozenset(int(b) for b in B)
     if a in B:
         raise ValueError("a must not belong to B")
-    r, w = _green_weights(net, a, B)
-    return r * net.pi * w
+    r, field = _green_weights(net, a, B)
+    return r * net.pi * field.values
 
 
 def _sub_kernel(kernel: TransitionKernel, B: frozenset):
@@ -349,28 +525,39 @@ def green_by_visits(net: ElectricNetwork, a: int, B) -> np.ndarray:
 @dataclass
 class HittingTimeResult:
     value: float                 # Green-sum route: R(a,B) * sum pi W
-    first_step: float            # (diag(p_move) - K_off) E = 1 route
+    first_step: float            # c_x E_x = pi_x + sum_y c_xy E_y route
     rel_gap: float
+    orbits: int | None = None    # nodes of the Green route's voltage solve
 
     def continuous(self, params: ModelParams) -> float:
         return self.value / params.gamma
 
 
 def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
-    """E_a[T_B] in discrete steps, computed by two independent routes: the
-    Green route R(a, B) sum_x pi(x) W(x) from one voltage solve, and the
-    first-step system (diag(p_move) - K_off) E = 1 outside B."""
+    """E_a[T_B] in discrete steps, computed by two independent routes.
+
+    The Green route is R(a, B) sum_x pi(x) W(x) from one voltage solve.  The
+    first-step route solves c_x E_x = pi(x) + sum_y c_xy E_y outside B.  Up
+    to ``DENSE_ELIMINATION_LIMIT`` orbits of the symmetries that fix B, it
+    is the elimination of the orbit network with only B grounded and mass
+    pi; above it, LU of (diag(p_move) - K_off) E = 1 on the full kernel.
+    """
     a = int(a)
     B = frozenset(int(b) for b in B)
     if a in B:
         return HittingTimeResult(0.0, 0.0, 0.0)
-    r, w = _green_weights(net, a, B)
-    green_route = r * float(net.pi @ w)
+    r, field = _green_weights(net, a, B)
+    green_route = r * float(net.pi @ field.values)
 
-    m, keep, pos = _sub_kernel(net.kernel, B)
-    first_step = float(_splu(m).solve(np.ones(len(keep)))[pos[a]])
+    lumped, orbit = _lump(net, B)
+    if len(lumped) <= DENSE_ELIMINATION_LIMIT:
+        E = _eliminate(lumped, (_orbits(orbit, B),), (0.0,), mass=lumped.pi)[1]
+        first_step = float(E[orbit[a]])
+    else:
+        m, keep, pos = _sub_kernel(net.kernel, B)
+        first_step = float(_splu(m).solve(np.ones(len(keep)))[pos[a]])
     gap = abs(green_route - first_step) / max(abs(green_route), abs(first_step), 1e-300)
-    return HittingTimeResult(green_route, first_step, gap)
+    return HittingTimeResult(green_route, first_step, gap, field.orbits)
 
 
 # ----------------------------------------------------------------------------

@@ -32,6 +32,34 @@ def test_isoperimetry_s_max_beyond_v(capsys):
                          "2,1,brute-force,3", "3,0,brute-force,1"]
 
 
+@pytest.mark.parametrize("spec,s_max,outside", [("cycle:6", 5, [3]),
+                                                 ("torus:6x6", 7, [7])])
+def test_isoperimetry_compare_outside_window_keeps_rows(capsys, spec, s_max, outside):
+    # sizes outside the closed form's window are not compared, only marked
+    code = main(["isoperimetry", "--graph", spec, "--s-max", str(s_max),
+                 "--brute-force", "--compare", "closed-form"])
+    assert code == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "s,delta,provenance,witness_count"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    assert [int(r[0]) for r in rows if r[2] == "brute-force:outside-window"] == outside
+    assert all(r[2] in ("brute-force", "brute-force:outside-window") for r in rows)
+
+
+def test_isoperimetry_compare_mismatch_inside_window_exit_4(capsys, monkeypatch):
+    import hcmeta.cli as cli
+
+    closed = cli._closed_delta
+    monkeypatch.setattr(cli, "_closed_delta",
+                        lambda g, fam, s: closed(g, fam, s) + (s == 2))
+    assert main(["isoperimetry", "--graph", "cycle:6", "--s-max", "5",
+                 "--brute-force", "--compare", "closed-form"]) == 4
+    captured = capsys.readouterr()
+    assert len(captured.out.strip().split("\n")) == 5      # header + s = 0..3
+    assert "comparison failed on 1 sizes" in captured.err
+
+
 @pytest.mark.parametrize("brute", [[], ["--brute-force"]])
 def test_isoperimetry_negative_s_max_exit_2(capsys, brute):
     assert main(["isoperimetry", "--graph", "torus:6x6", "--s-max", "-1",
@@ -93,12 +121,19 @@ def test_hitting_command(capsys):
     assert obj["route_rel_gap"] < 1e-9
 
 
-def test_hitting_route_gap_exit_4(capsys):
-    # first-step LU loses ~2e-3 on torus:4x4 at 1e4; the artifact is still written
-    assert main(["hitting", "--graph", "torus:4x4", "--alpha", "1/2",
+def test_hitting_route_gap_exit_4(capsys, monkeypatch):
+    # both routes agree to rounding now, so a gap above the tolerance is
+    # injected; the artifact is still written
+    import hcmeta.cli as cli
+    from hcmeta.potential import HittingTimeResult
+
+    gap = 10 * cli.ROUTE_GAP_TOL
+    monkeypatch.setattr(cli, "expected_hitting_time",
+                        lambda net, a, B: HittingTimeResult(1.0, 1.0 - gap, gap))
+    assert main(["hitting", "--graph", "cycle:6", "--alpha", "1/2",
                  "--lambda", "1e4"]) == 4
     captured = capsys.readouterr()
-    assert _strip_timestamp(captured.out)["route_rel_gap"] > 1e-6
+    assert _strip_timestamp(captured.out)["route_rel_gap"] == gap
     assert "routes disagree" in captured.err
 
 

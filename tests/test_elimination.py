@@ -9,8 +9,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hcmeta import potential
 from hcmeta.configspace import ModelParams, enumerate_space
-from hcmeta.graph import BipartiteGraph, build_family
+from hcmeta.graph import BipartiteGraph, automorphism_generators, build_family
 from hcmeta.potential import (build_network, effective_resistance,
                               expected_hitting_time, voltage)
 
@@ -131,6 +132,28 @@ def test_elimination_voltage_is_harmonic_and_bounded():
         assert w.harmonic_residual < 1e-12
 
 
+@pytest.mark.parametrize("switch,panel", [(0.0, 1), (0.0, 5), (0.2, 3), (0.5, 32),
+                                          (10.0, 32)])
+def test_sparse_front_and_dense_panels_agree(monkeypatch, switch, panel):
+    # every split between the minimum-degree front and the dense panels, and
+    # every panel width, gives the same R, voltage mass and first step; the
+    # networks are unlumped, and the random ones have terminals next to
+    # pivots of both phases
+    monkeypatch.setattr(potential, "DENSE_SWITCH", switch)
+    monkeypatch.setattr(potential, "PANEL", panel)
+    for spec in ("random:3x4:0.5:6", "random:5x5:0.5:9", "ladder:6"):
+        spc, net = _net(build_family(spec), 100.0)
+        for A, B in _pairs(spc, net):
+            ref_r = ref_star_mesh_resistance(net, A, B)
+            ref_mass = float(net.pi @ ref_lu_voltage(net, A, B))
+            c, w = potential._star_mesh(net, A, B)
+            assert 1.0 / c == pytest.approx(ref_r, rel=1e-12)
+            assert float(net.pi @ w) == pytest.approx(ref_mass, rel=1e-12)
+            if len(A) == 1:
+                E = potential._eliminate(net, (B,), (0.0,), mass=net.pi)[1]
+                assert E[min(A)] == pytest.approx(ref_r * ref_mass, rel=1e-12)
+
+
 def test_disconnected_pair_raises():
     g = build_family("complete:1x1")
     spc, net = _net(g, 10.0)
@@ -167,20 +190,31 @@ def _solve_exact(rows: dict, rhs: dict) -> dict:
     return x
 
 
-def exact_references(spc, par, a: int, b: int) -> tuple[Fraction, Fraction]:
+def exact_references(spc, par, a: int, b: int, orbit=None
+                     ) -> tuple[Fraction, Fraction]:
     """R(a, b) and E_a[T_b] in steps for the model with the activities of
-    ``par`` taken as exact rationals."""
+    ``par`` taken as exact rationals.  With ``orbit`` (a node per state),
+    on the chain lumped by it: pi and conductances summed, edges inside a
+    node dropped."""
     lam, lam_bar = Fraction(par.lam), Fraction(par.lam_bar)
     g = spc.graph
     gamma = (1 + lam) * len(g.u_sites) + (1 + lam_bar) * len(g.v_sites)
     w = [lam ** nu * lam_bar ** nv for nu, nv in map(spc.counts, spc.configs)]
     z = sum(w)
-    pi = [x / z for x in w]
+    if orbit is None:
+        orbit = list(range(len(spc)))
+    a, b = orbit[a], orbit[b]
+    n = max(orbit) + 1
+    pi = [Fraction(0)] * n
+    for x, wx in enumerate(w):
+        pi[orbit[x]] += wx / z
     c = {}                                  # c(x, y) = pi(x) K(x, y)
     for occ, emp in spc.removals():
         for x, y in zip(occ.tolist(), emp.tolist()):
-            c.setdefault(x, {})[y] = c.setdefault(y, {})[x] = pi[x] / gamma
-    n = len(spc)
+            ox, oy = orbit[x], orbit[y]
+            if ox != oy:
+                cx = c.setdefault(ox, {})
+                cx[oy] = c.setdefault(oy, {})[ox] = cx.get(oy, 0) + w[x] / z / gamma
 
     def laplacian(keep):
         return {x: {**{y: -cv for y, cv in c[x].items() if y in keep},
@@ -205,9 +239,7 @@ def test_routes_against_exact_rationals(spec, record_property):
     for lam in (1e2, 1e4, 1e6):
         par = ModelParams.for_graph(g, lam, alpha=HALF)
         net = build_network(spc, par)
-        # The empty state is the first state, so all its edges leave it.  The
-        # first-step route to it is only recorded: LU loses 1.5e-4 on cycle:6
-        # at 1e4 and all digits on ladder:4 at 1e4.
+        # The empty state is the first state, so all its edges leave it.
         for b in (spc.v_state, spc.empty_index):
             r, e = exact_references(spc, par, spc.u_state, b)
             assert effective_resistance(net, {spc.u_state}, {b}) == pytest.approx(
@@ -216,5 +248,43 @@ def test_routes_against_exact_rationals(spec, record_property):
             assert ht.value == pytest.approx(float(e), rel=1e-12)
             first_step_error = float(abs(Fraction(ht.first_step) - e) / e)
             record_property(f"first_step_rel_error[{b}]@{lam:g}", first_step_error)
-            if lam <= 1e4 and b == spc.v_state:     # LU is not cancellation-free
-                assert first_step_error <= 1e-8
+            assert first_step_error <= 1e-12
+
+
+def _is_uv_automorphism(g, p) -> bool:
+    edges = set(g.edges)
+    return (sorted(p) == list(range(g.n_sites))
+            and {p[a] for a in g.u_sites} == set(g.u_sites)
+            and {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges)
+
+
+def test_torus_4x4_against_exact_lumped_chain():
+    g = build_family("torus:4x4")
+    spc = enumerate_space(g)
+    gens = automorphism_generators(g)
+    assert all(_is_uv_automorphism(g, p) for p in gens)
+    # orbits of the states: union-find over x ~ p(x)
+    root = list(range(len(spc)))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+    for p in gens:
+        for x, mask in enumerate(spc.configs):
+            image = sum(1 << p[site] for site in range(g.n_sites) if mask >> site & 1)
+            root[find(x)] = find(spc.index[image])
+    heads = sorted({find(x) for x in range(len(spc))})
+    node = {h: k for k, h in enumerate(heads)}
+    orbit = [node[find(x)] for x in range(len(spc))]
+    assert len(heads) == 39
+    u, v = spc.u_state, spc.v_state
+    for lam in (1e2, 1e4, 1e6):
+        par = ModelParams.for_graph(g, lam, alpha=HALF)
+        net = build_network(spc, par)
+        r, e = exact_references(spc, par, u, v, orbit)
+        assert effective_resistance(net, {u}, {v}) == pytest.approx(float(r), rel=1e-12)
+        ht = expected_hitting_time(net, u, {v})
+        assert ht.orbits == 39
+        assert ht.value == pytest.approx(float(e), rel=1e-12)
+        assert ht.first_step == pytest.approx(float(e), rel=1e-12)

@@ -1,0 +1,134 @@
+"""The U/V-preserving automorphism search and the orbit lumping built on it."""
+import random
+import time
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hcmeta.configspace import ModelParams, enumerate_space
+from hcmeta.graph import BipartiteGraph, automorphism_generators, build_family
+from hcmeta.potential import (_lump, build_network, effective_resistance,
+                              expected_hitting_time, voltage)
+
+HALF = Fraction(1, 2)
+
+
+def relabel(g: BipartiteGraph, seed: int) -> BipartiteGraph:
+    """An isomorphic copy with the sites shuffled within U and within V."""
+    rng = random.Random(seed)
+    u, v = list(g.u_sites), list(g.v_sites)
+    rng.shuffle(u)
+    rng.shuffle(v)
+    new = {old: k for k, old in enumerate(u)}
+    new.update({old: len(u) + k for k, old in enumerate(v)})
+    return BipartiteGraph.from_parts(
+        len(u), len(v), [(new[a], new[b]) for a, b in g.edges])
+
+
+def closure_order(gens, n: int) -> int:
+    """The order of the group the generators generate, by enumerating it."""
+    seen = {tuple(range(n))}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for p in gens:
+            y = tuple(p[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen)
+
+
+ORDERS = {"cycle:12": 12, "path:15": 2, "ladder:4": 24, "complete:2x3": 12,
+          "ladder:8": 16, "torus:4x4": 192, "hypercube:4": 192}
+
+
+@pytest.mark.parametrize("spec", sorted(ORDERS))
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_generators_are_automorphisms_of_the_stated_group_order(spec, relabelled):
+    g = build_family(spec)
+    if relabelled:
+        g = relabel(g, 5)
+    gens = automorphism_generators(g)
+    edges = set(g.edges)
+    for p in gens:
+        assert sorted(p) == list(range(g.n_sites))
+        assert {p[a] for a in g.u_sites} == set(g.u_sites)
+        assert {p[b] for b in g.v_sites} == set(g.v_sites)
+        assert {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
+    assert closure_order(gens, g.n_sites) == ORDERS[spec]
+
+
+ORBITS = {"cycle:12": 47, "path:15": 826, "ladder:4": 10, "torus:4x4": 39,
+          "ladder:8": 111, "torus:4x6": 659}
+
+
+@pytest.mark.parametrize("spec", sorted(ORBITS))
+def test_orbit_counts_of_u_and_v(spec):
+    g = build_family(spec)
+    spc = enumerate_space(g)
+    net = build_network(spc, ModelParams.for_graph(g, 100.0, alpha=HALF))
+    lumped, orbit = _lump(net, frozenset({spc.u_state}), frozenset({spc.v_state}))
+    assert len(lumped) == orbit.max() + 1 == ORBITS[spec]
+    # u and v are fixed by every automorphism that keeps U and V apart
+    assert (orbit == orbit[spc.u_state]).sum() == (orbit == orbit[spc.v_state]).sum() == 1
+    assert lumped.pi.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+def _unlumped(net):
+    """The same network with no symmetries, so every solve runs unlumped."""
+    out = net.with_scaled_edge(int(net.edge_i[0]), int(net.edge_j[0]), 1.0)
+    out.__dict__["symmetries"] = []
+    return out
+
+
+def _assert_same_solves(net, A, B, a):
+    ref = _unlumped(net)
+    w, w_ref = voltage(net, A, B), voltage(ref, A, B)
+    assert w.orbits < w_ref.orbits == len(net)
+    np.testing.assert_allclose(w.values, w_ref.values, rtol=1e-12, atol=1e-300)
+    assert w.harmonic_residual < 1e-12
+    assert effective_resistance(net, A, B) == pytest.approx(
+        effective_resistance(ref, A, B), rel=1e-12)
+    ht, ht_ref = expected_hitting_time(net, a, B), expected_hitting_time(ref, a, B)
+    assert ht.value == pytest.approx(ht_ref.value, rel=1e-12)
+    assert ht.first_step == pytest.approx(ht_ref.first_step, rel=1e-12)
+
+
+def test_pair_the_group_does_not_fix():
+    # A: one particle on a U site of cycle:8.  Only the generators that fix
+    # it lump, and A's voltage is not the u-to-v one.
+    g = build_family("cycle:8")
+    spc = enumerate_space(g)
+    net = build_network(spc, ModelParams.for_graph(g, 1e3, alpha=HALF))
+    a = spc.require(1 << g.u_sites[0])
+    A, B = frozenset({a}), frozenset({spc.v_state})
+    assert any(p[a] != a for p in net.symmetries)
+    assert len(_lump(net, A, B)[0]) > len(_lump(net, {spc.u_state}, B)[0])
+    _assert_same_solves(net, A, B, a)
+
+
+def test_complete_6x6_search_and_solves():
+    g = build_family("complete:6x6")
+    t0 = time.perf_counter()
+    gens = automorphism_generators(g)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(gens) <= 2 * sum(range(6))      # one per (level, image) at most
+    spc = enumerate_space(g)
+    net = build_network(spc, ModelParams.for_graph(g, 1e4, alpha=HALF))
+    u, v = spc.u_state, spc.v_state
+    _assert_same_solves(net, frozenset({u}), frozenset({v}), u)
+
+
+def test_edited_network_keeps_only_its_own_symmetries():
+    # a scaled edge breaks the automorphisms that move it; those that fix it
+    # still lump, and the answers match the unlumped network
+    g = build_family("cycle:8")
+    spc = enumerate_space(g)
+    net = build_network(spc, ModelParams.for_graph(g, 100.0, alpha=HALF))
+    e = int(np.flatnonzero(net.edge_i == spc.empty_index)[0])
+    edited = net.with_scaled_edge(int(net.edge_i[e]), int(net.edge_j[e]), 3.0)
+    assert 0 < len(edited.symmetries) < len(net.symmetries)
+    u, v = spc.u_state, spc.v_state
+    _assert_same_solves(edited, frozenset({u}), frozenset({v}), u)
