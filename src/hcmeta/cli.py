@@ -280,13 +280,20 @@ def _add_common(p, lam: bool = True):
     p.add_argument("-o", "--output", help="artifact path (stdout if omitted)")
 
 
+def _env_threads() -> int:
+    text = os.environ.get("HCMETA_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"HCMETA_THREADS must be an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hcmeta",
         description="Hard-core metastability on bipartite graphs: exact "
                     "potential theory, isoperimetry, critical gates, Monte Carlo.")
-    default_threads = int(os.environ.get("HCMETA_THREADS", "1"))
-    ap.add_argument("--threads", type=int, default=default_threads,
+    ap.add_argument("--threads", type=int, default=_env_threads(),
                     help="worker processes for sampling (HCMETA_THREADS)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -346,15 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
+    except ValueError as exc:                   # a bad HCMETA_THREADS
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     needs_alpha = {"resistance", "critical", "gate", "notrap"}
     needs_rates = {"resistance", "hitting", "simulate"}
     try:
         cmd = args.command
+        if args.threads < 1:
+            raise ValueError(f"--threads (or HCMETA_THREADS) must be at least 1, "
+                             f"got {args.threads}")
         if cmd in needs_rates and getattr(args, "lam", None) is None:
             raise ValueError(f"--lambda is required for {cmd}")
         if cmd in needs_alpha and getattr(args, "alpha", None) is None:

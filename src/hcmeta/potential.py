@@ -57,9 +57,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from .asymptotics import AsymptoticExponent
 from .configspace import ConfigurationSpace, ModelParams
@@ -124,7 +121,9 @@ class ElectricNetwork:
     def edges(self):
         return zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_c.tolist())
 
-    def conductance_matrix(self) -> sp.csr_matrix:
+    def conductance_matrix(self) -> "scipy.sparse.csr_matrix":
+        import scipy.sparse as sp
+
         n = len(self)
         m = sp.coo_matrix(
             (np.concatenate([self.edge_c, self.edge_c]),
@@ -200,6 +199,9 @@ def _lump(net: ElectricNetwork, *fixed: frozenset
              if all(np.isin(p[s], s).all() for s in sets)]
     if not perms:
         return net, np.arange(n)
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     moves = sp.coo_matrix((np.ones(n * len(perms), dtype=np.int8),
                            (np.tile(np.arange(n), len(perms)), np.concatenate(perms))),
                           shape=(n, n))
@@ -233,10 +235,12 @@ class VoltageField:
     orbits: int | None = None           # nodes of the network solved
 
 
-def _splu(m: sp.csc_matrix):
+def _splu(m: "scipy.sparse.csc_matrix"):
     """LU of a structurally symmetric matrix, ordered by minimum degree on
     A^T + A (path:15's voltage: 0.52M fill nonzeros against COLAMD's 1.09M)."""
-    return spla.splu(m, permc_spec="MMD_AT_PLUS_A")
+    from scipy.sparse.linalg import splu
+
+    return splu(m, permc_spec="MMD_AT_PLUS_A")
 
 
 def voltage(net: ElectricNetwork, A, B, max_refine: int = 4) -> VoltageField:
@@ -269,6 +273,8 @@ def _solve_voltage(net: ElectricNetwork, A: frozenset, B: frozenset,
     n = len(net)
     if n <= DENSE_ELIMINATION_LIMIT:
         return _star_mesh(net, A, B)[1]
+    import scipy.sparse as sp
+
     C = net.conductance_matrix()
     deg = np.asarray(C.sum(axis=1)).ravel()
     interior = np.setdiff1d(np.arange(n), list(A | B))
@@ -490,6 +496,8 @@ def _sub_kernel(kernel: TransitionKernel, B: frozenset):
     ``p_move`` itself, not ``1 - (1 - p_move)``, which would lose the digits
     of a small move probability.
     """
+    import scipy.sparse as sp
+
     n = len(kernel)
     in_b = np.zeros(n, dtype=bool)
     in_b[list(B)] = True
@@ -604,6 +612,9 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
         raise ValueError("A and B must be non-empty")
     if A & B:
         return PsiResult(0.0, [min(A & B)], (-1, -1))
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
+
     n = len(net)
     ei, ej = net.edge_i, net.edge_j
     levels, rank = np.unique(net.edge_c, return_inverse=True)

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _st
 
 __all__ = ["StatReport", "ks_exponential_test"]
 
@@ -35,6 +34,8 @@ def ks_exponential_test(samples, threshold: float = 0.01,
     (asymptotic above its internal cutoff).  Pass/fail is decided only by the
     pre-declared threshold.
     """
+    from scipy.stats import kstest
+
     x = np.asarray(list(samples), dtype=float)
     if len(x) < min_samples:
         raise ValueError(f"need at least {min_samples} samples, got {len(x)}")
@@ -42,7 +43,7 @@ def ks_exponential_test(samples, threshold: float = 0.01,
     if not (mean > 0 and math.isfinite(mean)):
         raise ValueError("samples must have a positive finite mean")
     scaled = x / mean
-    res = _st.kstest(scaled, "expon")
+    res = kstest(scaled, "expon")
     p = float(res.pvalue)
     return StatReport(n=len(x), mean=mean,
                       std_error=float(x.std(ddof=1) / math.sqrt(len(x))),

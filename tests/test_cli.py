@@ -180,6 +180,30 @@ def test_threads_env_honored(monkeypatch):
     assert args.threads == 3
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampling must not start")
+
+
+def test_threads_env_not_an_integer_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("HCMETA_THREADS", "abc")
+    assert main(["enumerate", "--graph", "cycle:6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and "HCMETA_THREADS" in err
+
+
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_threads_below_one_exit_2(monkeypatch, capsys, threads):
+    # rejected before any sample is drawn, so no worker process starts
+    monkeypatch.setattr("hcmeta.cli.sample_crossover", _no_sampling)
+    code = main(["--threads", threads, "simulate", "--graph", "cycle:6",
+                 "--alpha", "1/2", "--lambda", "10", "--samples", "5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("invalid configuration:")
+    monkeypatch.setenv("HCMETA_THREADS", threads)
+    assert main(["simulate", "--graph", "cycle:6", "--alpha", "1/2",
+                 "--lambda", "10", "--samples", "5"]) == 2
+
+
 def test_verify_subset(capsys):
     assert main(["verify", "--criteria", "1,9"]) == 0
     out = capsys.readouterr().out

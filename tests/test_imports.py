@@ -1,23 +1,38 @@
-"""``import hcmeta`` loads nothing beyond the standard library, numpy and scipy."""
+"""``import hcmeta`` loads nothing beyond the standard library, numpy and scipy,
+and the scipy submodules only at the first call that needs them."""
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # what hcmeta imports of its dependencies; they may load modules of their own
 DEPENDENCIES = ("numpy", "scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph",
                 "scipy.linalg", "scipy.stats")
+# loaded inside the functions that use them, never by an import of hcmeta
+LAZY = ("scipy.stats", "scipy.sparse", "scipy.linalg")
+
+SOLVE = ("from fractions import Fraction\n"
+         "from hcmeta import (ModelParams, build_network, effective_resistance,\n"
+         "                    enumerate_space, parse_graph_spec)\n"
+         "g = parse_graph_spec('cycle:6')\n"
+         "spc = enumerate_space(g)\n"
+         "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(1, 2))\n"
+         "effective_resistance(build_network(spc, par), [spc.u_state], [spc.v_state])")
+KS = ("from hcmeta import ks_exponential_test\n"
+      "ks_exponential_test([0.5 + i / 100 for i in range(100)])")
 
 
-def _loaded_by(statement: str) -> set[str]:
-    """Top-level names of the modules that ``statement`` adds to sys.modules
-    in a fresh interpreter."""
+def _new_modules(statement: str) -> set[str]:
+    """Full names of the modules that ``statement`` adds to sys.modules in a
+    fresh interpreter."""
     code = ("import json, sys\n"
             "before = set(sys.modules)\n"
             f"{statement}\n"
-            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -25,8 +40,33 @@ def _loaded_by(statement: str) -> set[str]:
     return set(json.loads(proc.stdout.strip().splitlines()[-1]))
 
 
+def _loaded_by(statement: str) -> set[str]:
+    """Top-level names of the modules that ``statement`` adds to sys.modules
+    in a fresh interpreter."""
+    return {m.split(".")[0] for m in _new_modules(statement)}
+
+
+def _lazy_loaded(modules: set[str]) -> set[str]:
+    """The packages in LAZY that ``modules`` holds, by full name or by a submodule."""
+    return {p for p in LAZY if any(m == p or m.startswith(p + ".") for m in modules)}
+
+
 def test_import_loads_only_stdlib_numpy_and_scipy():
     allowed = _loaded_by("import " + ", ".join(DEPENDENCIES)) | {"hcmeta"}
     extra = {m for m in _loaded_by("import hcmeta") - allowed
              if m not in sys.stdlib_module_names}
     assert not extra, f"import hcmeta loads modules outside its dependencies: {extra}"
+
+
+@pytest.mark.parametrize("module", ["hcmeta", "hcmeta.cli"])
+def test_import_leaves_scipy_submodules_unloaded(module):
+    assert not _lazy_loaded(_new_modules(f"import {module}"))
+
+
+def test_first_solve_loads_scipy_sparse_not_stats():
+    loaded = _lazy_loaded(_new_modules(SOLVE))
+    assert "scipy.sparse" in loaded and "scipy.stats" not in loaded
+
+
+def test_ks_test_loads_scipy_stats():
+    assert "scipy.stats" in _lazy_loaded(_new_modules(KS))
