@@ -36,6 +36,8 @@ DEFAULT_CAP = 5_000_000
 # it the log form is mandatory (lambda up to 1e6 with |U| up to 50 overflows).
 LOG_LINEAR_LIMIT = 600.0
 
+INT64_MAX = 2 ** 63 - 1
+
 
 class CapExceeded(RuntimeError):
     """Enumeration or subset budget exceeded; message names the count."""
@@ -121,13 +123,16 @@ class ConfigurationSpace:
     def removals(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per site, ``(occ, emp)``: the states with the site occupied and,
         entry for entry, the states left when it is emptied.  Read in
-        reverse, the same pairs are every addition of a particle there."""
-        out = []
-        for site in range(self.graph.n_sites):
-            occ = np.flatnonzero((self.masks >> site) & 1)
-            out.append((occ, np.searchsorted(self.masks,
-                                             self.masks[occ] ^ (1 << site))))
-        return out
+        reverse, the same pairs are every addition of a particle there.
+
+        Setting a clear bit keeps the masks in order, so the k-th state with
+        the site and its neighbours empty becomes the k-th state with the
+        site occupied: two scans per site, no search.
+        """
+        masks = self.masks
+        return [((masks & (1 << site)).nonzero()[0],
+                 ((masks & (nbr | 1 << site)) == 0).nonzero()[0])
+                for site, nbr in enumerate(self.neighbor_masks)]
 
     def occupancy(self, sites) -> np.ndarray:
         """Number of occupied sites among ``sites``, per state (int64)."""
@@ -149,11 +154,13 @@ class ConfigurationSpace:
             return math.exp(lw)
         return math.inf if lw > 0 else 0.0
 
+    def part_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|x_U|, |x_V|) per state, as int64 arrays."""
+        return self.occupancy(self.graph.u_sites), self.occupancy(self.graph.v_sites)
+
     def log_weights(self, params: ModelParams) -> np.ndarray:
-        lu = math.log(params.lam)
-        lv = math.log(params.lam_bar)
-        return (self.occupancy(self.graph.u_sites) * lu
-                + self.occupancy(self.graph.v_sites) * lv)
+        nu, nv = self.part_counts()
+        return nu * math.log(params.lam) + nv * math.log(params.lam_bar)
 
     def stationary(self, params: ModelParams) -> np.ndarray:
         """Normalized pi over the space (log-sum-exp normalisation)."""
@@ -167,18 +174,30 @@ class ConfigurationSpace:
         nu, nv = self.counts(mask)
         return AsymptoticExponent.from_powers(nu, nv)
 
-    def weight_keys(self, alpha: Fraction) -> list[int]:
-        """Exact integer keys of the weight orders, one per state.
+    def key_coefficients(self, alpha: Fraction) -> tuple[int, int]:
+        """(b, a + b) for alpha = a/b: the weight key of x is b*|x_U| + (a+b)*|x_V|.
+
+        Refuses, rather than wrap around, an alpha whose keys could leave
+        int64: (|a| + b) * n_sites bounds every key and partial sum.
+        """
+        alpha = Fraction(alpha)
+        a, b = alpha.numerator, alpha.denominator
+        if (abs(a) + b) * self.graph.n_sites > INT64_MAX:
+            raise ValueError(
+                f"alpha = {alpha}: denominator {b} too large for int64 weight keys "
+                f"on {self.graph.n_sites} sites")
+        return b, a + b
+
+    def weight_keys(self, alpha: Fraction) -> np.ndarray:
+        """Exact integer keys of the weight orders, one per state (int64).
 
         With alpha = a/b the weight of x has order lambda^(p + q*alpha), where
         p = |x_U| + |x_V| and q = |x_V|; the key b*(p + q*alpha) = b*p + a*q
         orders states (and detects equal orders) exactly as p + q*alpha does.
         """
-        alpha = Fraction(alpha)
-        a, b = alpha.numerator, alpha.denominator
-        um, vm = self.u_mask, self.v_mask
-        return [b * (m & um).bit_count() + (a + b) * (m & vm).bit_count()
-                for m in self.configs]
+        cu, cv = self.key_coefficients(alpha)
+        nu, nv = self.part_counts()
+        return cu * nu + cv * nv
 
     def serialize_config(self, mask: int) -> dict:
         return {"mask": format(mask, "x"),

@@ -683,14 +683,7 @@ def _placements_in_window(cells: frozenset, window) -> list[frozenset]:
     out = set()
     lo, hi = min(window), max(window)
     for o in range(8):
-        pts = []
-        for (x, y) in cells:
-            a, b = x, y
-            if o & 4:
-                a, b = b, a
-            for _ in range(o & 3):
-                a, b = -b, a
-            pts.append((a, b))
+        pts = [_orient(p, o) for p in cells]
         for dx in window:
             for dy in window:
                 shifted = frozenset((p[0] + dx, p[1] + dy) for p in pts)

@@ -11,12 +11,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .asymptotics import AsymptoticExponent
 from .configspace import (CapExceeded, ConfigurationSpace, ModelParams,
                           enumerate_space)
 from .graph import BipartiteGraph, GraphValidationError
 from .isoperimetry import (
     IsoperimetricProfile,
+    _orient,
     brute_force_profile,
     doubled_torus_delta,
     hypercube_delta,
@@ -196,9 +199,9 @@ def dominance_sets(space: ConfigurationSpace, a: int, alpha: Fraction
     J_minus(a) requires strictly larger order.
     """
     keys = space.weight_keys(alpha)
-    ref = keys[a]
-    j = {i for i, k in enumerate(keys) if k >= ref and i != a}
-    return j, {i for i in j if keys[i] > ref}
+    j = set(np.flatnonzero(keys >= keys[a]).tolist())
+    j.discard(a)
+    return j, set(np.flatnonzero(keys > keys[a]).tolist())
 
 
 # ----------------------------------------------------------------------------
@@ -515,6 +518,25 @@ class CriticalGate:
                 "conditional_on_conjecture": self.conditional_on_conjecture}
 
 
+def _site_mask(sites) -> int:
+    """Bitmask of a collection of sites."""
+    mask = 0
+    for site in sites:
+        mask |= 1 << site
+    return mask
+
+
+def _one_short(fam_c) -> set[int]:
+    """Masks of the sets one site short of a member of ``fam_c``: a set
+    extends by one site to a member of C exactly when its mask is here."""
+    out = set()
+    for c_set in fam_c:
+        c = _site_mask(c_set)
+        for site in c_set:
+            out.add(c ^ (1 << site))
+    return out
+
+
 def _gate_from_families(g: BipartiteGraph, fam_a, fam_b) -> tuple[list, int]:
     """The set of transitions (x, y) generated by the family pairs.
 
@@ -522,25 +544,30 @@ def _gate_from_families(g: BipartiteGraph, fam_a, fam_b) -> tuple[list, int]:
     pairs generate distinct transitions (true for all the lattice families);
     with degenerate neighborhoods (complete bipartite: every B has N(B) = U)
     coinciding transitions collapse, and the collapsed set is the object the
-    sharp prefactor and the uniform-passage law live on.
+    sharp prefactor and the uniform-passage law live on.  Pairs run over B
+    in order, then over the members of A that B extends by one site, in A's
+    order; that fixes the order of the transitions.
     """
-    u_mask_all = 0
-    for a in g.u_sites:
-        u_mask_all |= 1 << a
+    u_mask_all = _site_mask(g.u_sites)
+    nbr = {site: g.neighbor_mask(site) for site in set().union(*fam_b)}
+    a_rank: dict[int, int] = {}
+    for k, a_set in enumerate(fam_a):
+        a_rank.setdefault(_site_mask(a_set), k)
     transitions: dict[tuple[int, int], None] = {}
     for b_set in fam_b:
+        b = _site_mask(b_set)
+        # (rank in A, site) of each member of A that is B minus one site
+        below = sorted((a_rank[b ^ (1 << site)], site) for site in b_set
+                       if b ^ (1 << site) in a_rank)
         nb_mask = 0
         for site in b_set:
-            nb_mask |= g.neighbor_mask(site)
-        for a_set in fam_a:
-            if not (a_set < b_set and len(b_set - a_set) == 1):
-                continue
+            nb_mask |= nbr[site]
+        for _, extra_site in below:
             na_mask = 0
-            for site in a_set:
-                na_mask |= g.neighbor_mask(site)
-            y = (u_mask_all & ~nb_mask)
-            for site in a_set:
-                y |= 1 << site
+            for site in b_set:
+                if site != extra_site:
+                    na_mask |= nbr[site]
+            y = (u_mask_all & ~nb_mask) | (b ^ (1 << extra_site))
             extra = nb_mask & ~na_mask
             while extra:
                 low = extra & -extra
@@ -556,17 +583,10 @@ def _dihedral_placements(cells: frozenset, dims: tuple[int, int]):
     m, n = dims
     shapes = set()
     for o in range(8):
-        pts = []
-        for (x, y) in cells:
-            a, b = x, y
-            if o & 4:
-                a, b = b, a
-            for _ in range(o & 3):
-                a, b = -b, a
-            pts.append((a, b))
+        pts = [_orient(p, o) for p in cells]
         mi = min(p[0] for p in pts)
         mj = min(p[1] for p in pts)
-        shapes.add(frozenset(((p[0] - mi), (p[1] - mj)) for p in pts))
+        shapes.add(frozenset((a - mi, b - mj) for a, b in pts))
     out = set()
     for shape in shapes:
         span_i = max(p[0] for p in shape) + 1
@@ -612,6 +632,7 @@ def _doubled_gate(g: BipartiteGraph, alpha: Fraction, kappa: int,
     fam_c_set = {to_sites(c) for c in fam_c_cells}
 
     delta_b = doubled_torus_delta(s_star)
+    one_short_c = _one_short(fam_c_set)
     fam_b_set = set()
     v_all = set(g.v_sites)
     for a_set in fam_a:
@@ -624,8 +645,7 @@ def _doubled_gate(g: BipartiteGraph, alpha: Fraction, kappa: int,
             if set_cost(g, b_set) != delta_b:
                 continue
             if kappa == 1:
-                ok = any((b_set | {x}) in fam_c_set
-                         for x in v_all - b_set)
+                ok = _site_mask(b_set) in one_short_c
             else:
                 p, _ = _find_progression_up(
                     g, doubled_torus_delta, b_set, s_star + kappa, s_star,
@@ -680,22 +700,20 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
     fam_a = [frozenset(w) for w in prof.complete_witnesses(s_star - 1)]
     fam_c = [frozenset(w) for w in prof.complete_witnesses(
         min(s_star + kappa, prof.s_max))]
-    cand_b = [frozenset(w) for w in prof.complete_witnesses(s_star)]
-    fam_c_set = set(fam_c)
+    a_masks = {_site_mask(a_set) for a_set in fam_a}
+    # for kappa <= 1: the masks that are, or are one site short of, a member of C
+    reach_c = {_site_mask(c_set) for c_set in fam_c} if kappa == 0 else _one_short(fam_c)
     fam_b = []
-    for b_set in cand_b:
-        if not any(a_set < b_set for a_set in fam_a if len(b_set - a_set) == 1):
+    for w in prof.complete_witnesses(s_star):
+        b = _site_mask(w)
+        if not any((b ^ (1 << site)) in a_masks for site in w):
             continue
-        if kappa == 0:
-            ok = b_set in fam_c_set
-        elif kappa == 1:
-            ok = any((b_set | {x}) in fam_c_set
-                     for x in set(g.v_sites) - b_set)
+        if kappa <= 1:
+            ok = b in reach_c
         else:
-            reachable = _witness_reachable(b_set, prof, s_star, kappa)
-            ok = reachable
+            ok = _witness_reachable(frozenset(w), prof, s_star, kappa)
         if ok:
-            fam_b.append(b_set)
+            fam_b.append(frozenset(w))
     transitions, count = _gate_from_families(g, fam_a, fam_b)
 
     if fam == "torus":
@@ -743,21 +761,25 @@ def _check_torus_gate_families(g: BipartiteGraph, analysis: CriticalAnalysis,
     expected_a = _dihedral_placements(rect, (m, n))
     site_of = g.meta["site_of_point"]
 
-    def l_cells_to_sites(cells) -> frozenset:
+    def l_cells_to_mask(cells) -> int:
         # L-plane cell (a, b) -> odd-parity torus point (a - b, a + b + 1).
-        return frozenset(site_of[((a - b) % m, (a + b + 1) % n)] for a, b in cells)
+        mask = 0
+        for a, b in cells:
+            mask |= 1 << site_of[((a - b) % m, (a + b + 1) % n)]
+        return mask
 
-    expected_a_sites = {l_cells_to_sites(c) for c in expected_a}
-    if set(fam_a) != expected_a_sites:
+    if {_site_mask(a_set) for a_set in fam_a} != \
+            {l_cells_to_mask(c) for c in expected_a}:
         raise AssertionError("torus family A does not match tilted rectangles")
     # Every B must be an L-plane rectangle plus one cell on a longer side:
     # equivalently not collinear when ell = 2; in general: bounding box of the
     # B-shape is ell x (ell-1)+1 with the extra cell adjacent along a long side.
+    # A B set (ell^2 - ell + 1 sites) inside a square (ell^2) is a proper subset.
     square = frozenset((a, b) for a in range(ell) for b in range(ell))
-    expected_c = _dihedral_placements(square, (m, n))
-    expected_c_sites = {l_cells_to_sites(c) for c in expected_c}
+    squares = [l_cells_to_mask(c) for c in _dihedral_placements(square, (m, n))]
     for b_set in fam_b:
-        if not any(b_set < c for c in expected_c_sites):
+        b = _site_mask(b_set)
+        if not any(b & ~c == 0 for c in squares):
             raise AssertionError(
                 "torus family B member does not extend to a tilted square "
                 "(extra element not on a longer side)")

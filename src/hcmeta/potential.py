@@ -664,13 +664,8 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
 
 def _bottleneck_path(net: ElectricNetwork, A: frozenset, B: frozenset,
                      c_min: float) -> list[int]:
-    """A shortest path from A to B using only edges with c >= c_min.
-
-    Breadth-first from A in ascending order, one level per step, each state's
-    neighbours in edge order; a state's predecessor is the first state of
-    the previous level to reach it, and the first state of B reached ends
-    the path.
-    """
+    """A shortest path from A to B using only edges with c >= c_min, each
+    state's neighbours in edge order (see :func:`_level_bfs`)."""
     n = len(net)
     sel = np.flatnonzero(net.edge_c >= c_min * (1.0 - 1e-15))
     tail = np.concatenate([net.edge_i[sel], net.edge_j[sel]])
@@ -678,17 +673,32 @@ def _bottleneck_path(net: ElectricNetwork, A: frozenset, B: frozenset,
     head = head[np.lexsort((np.concatenate([sel, sel]), tail))]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+
+    def expand(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the neighbour slots of the level's states, state by state
+        lo, counts = indptr[level], indptr[level + 1] - indptr[level]
+        starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        return head[starts + np.arange(len(starts))], np.repeat(level, counts)
+
+    return _level_bfs(n, A, B, expand)
+
+
+def _level_bfs(n: int, A: frozenset, B: frozenset, expand) -> list[int]:
+    """Breadth-first search from A in ascending order, one level per step.
+
+    ``expand(level)`` gives the neighbours of the level's states and, entry
+    for entry, the state each was reached from, in scan order.  A state's
+    predecessor is the first state of the previous level to reach it, and
+    the first state of B reached ends the path, as a scan one state and
+    one neighbour at a time would find them.
+    """
     in_b = np.zeros(n, dtype=bool)
     in_b[list(B)] = True
     prev = np.full(n, -2, dtype=np.int64)           # -2: not reached yet
     level = np.array(sorted(A), dtype=np.int64)
     prev[level] = -1
     while len(level):
-        # the neighbour slots of the level's states, state by state
-        lo, counts = indptr[level], indptr[level + 1] - indptr[level]
-        starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        nbr = head[starts + np.arange(len(starts))]
-        src = np.repeat(level, counts)
+        nbr, src = expand(level)
         fresh = prev[nbr] == -2
         nbr, src = nbr[fresh], src[fresh]
         first = np.sort(np.unique(nbr, return_index=True)[1])
@@ -734,33 +744,44 @@ class BottleneckTree:
     the highest key down: level k has key ``level_keys[k]``, sorted distinct
     (p, q) labels ``level_pq[k]`` (more than one label is an alpha-genericity
     tie) and edges ``edge_i[e], edge_j[e]`` for ``level_start[k] <= e <
-    level_start[k+1]``.  Building costs one O(E log E) sort; each query is a
-    single union-find pass over the levels.
+    level_start[k+1]``.  Building costs one stable sort of the edges by
+    level (a radix sort on int16 levels); each query is a single union-find
+    pass over the levels.
     """
 
     def __init__(self, space: ConfigurationSpace, alpha: Fraction):
         self.space = space
-        self.keys = space.weight_keys(alpha)
-        labels: dict[int, set[tuple[int, int]]] = {}
-        for key, mask in zip(self.keys, space.configs):
-            if mask:                    # the empty state heads no edge
-                nu, nv = space.counts(mask)
-                labels.setdefault(key, set()).add((nu + nv, nv))
+        cu, cv = space.key_coefficients(alpha)
+        nu, nv = space.part_counts()
+        self._keys = cu * nu + cv * nv
+        self.keys = self._keys.tolist()
+        # Levels and labels from the distinct (|x_U|, |x_V|) pairs, found by one
+        # count over the combined key |x_U| * (|V| + 1) + |x_V|; pair 0, the
+        # empty state, heads no edge.
+        width = len(space.graph.v_sites) + 1
+        present = np.bincount(nu * width + nv)
+        present[0] = 0
+        labels: dict[int, list[tuple[Fraction, Fraction]]] = {}
+        for pair in np.flatnonzero(present).tolist():
+            pu, pv = divmod(pair, width)
+            labels.setdefault(cu * pu + cv * pv, []).append(
+                (Fraction(pu + pv), Fraction(pv)))
         self.level_keys = sorted(labels, reverse=True)
-        self.level_pq = [sorted((Fraction(p), Fraction(q)) for p, q in labels[k])
-                         for k in self.level_keys]
-        level_of = {k: lvl for lvl, k in enumerate(self.level_keys)}
-        state_level = np.array([level_of.get(k, -1) for k in self.keys],
-                               dtype=np.int64)
+        self.level_pq = [sorted(labels[k]) for k in self.level_keys]
+        ascending = np.array(self.level_keys[::-1], dtype=np.int64)
+        top = len(ascending) - 1
         # Removal edges, recorded once from the occupied side i: w_i > w_j,
         # so the edge's level is i's.
         heads, tails = zip(*space.removals())
         ei, ej = np.concatenate(heads), np.concatenate(tails)
-        lvl = state_level[ei]
+        # (occupied, emptied, site) of every removal, for witness_path's moves
+        self._moves = (ei, ej, np.repeat(np.arange(len(heads)), [len(h) for h in heads]))
+        # at most (|U| + 1)(|V| + 1) levels: int16 lets the stable sort be a
+        # radix sort
+        lvl = (top - np.searchsorted(ascending, self._keys[ei])).astype(np.int16)
         order = np.argsort(lvl, kind="stable")
         self.edge_i, self.edge_j = ei[order].tolist(), ej[order].tolist()
-        self.level_start = np.searchsorted(
-            lvl[order], np.arange(len(self.level_keys) + 1)).tolist()
+        self.level_start = np.searchsorted(lvl[order], np.arange(top + 2)).tolist()
 
     def bottleneck_weight(self, level: int) -> AsymptoticExponent:
         """Level's weight exponent: its smallest (p, q) label."""
@@ -769,19 +790,32 @@ class BottleneckTree:
     def connecting_level(self, A: frozenset, B: frozenset) -> int:
         """First level at which edges at or above it join A to B."""
         n = len(self.keys)
-        uf = _UnionFind(n + 2)
+        parent = list(range(n + 2))
         src, dst = n, n + 1
-        for a in A:
-            uf.union(a, src)
-        for b in B:
-            uf.union(b, dst)
-        if uf.find(src) == uf.find(dst):
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        for root, members in ((src, A), (dst, B)):
+            for x in members:
+                x, r = find(x), find(root)
+                if x != r:
+                    parent[x] = r
+        if find(src) == find(dst):
             raise ValueError("A and B intersect")
         ei, ej, start = self.edge_i, self.edge_j, self.level_start
-        for level in range(len(self.level_keys)):
-            for e in range(start[level], start[level + 1]):
-                uf.union(ei[e], ej[e])
-            if uf.find(src) == uf.find(dst):
+        for level in range(len(start) - 1):
+            lo, hi = start[level], start[level + 1]
+            for x, y in zip(ei[lo:hi], ej[lo:hi]):
+                while parent[x] != x:           # find, with path halving
+                    parent[x] = x = parent[parent[x]]
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x != y:
+                    parent[x] = y
+            if find(src) == find(dst):
                 return level
         raise ValueError("A and B are disconnected")
 
@@ -822,37 +856,22 @@ class BottleneckTree:
 
     def witness_path(self, A: frozenset, B: frozenset, level: int) -> list[int]:
         """Shortest path from A to B using only edges whose heavier endpoint
-        has key at least ``level_keys[level]`` (BFS from A in ascending
-        order, each state's neighbours in site order)."""
-        space, keys = self.space, self.keys
-        floor = self.level_keys[level]
-        frontier = sorted(A)
-        prev = {a: -1 for a in frontier}
-        while frontier:
-            nxt = []
-            for x in frontier:
-                mx = space.configs[x]
-                for site in range(space.graph.n_sites):
-                    bit = 1 << site
-                    if mx & bit:
-                        my = mx ^ bit
-                    elif not (mx & space.neighbor_masks[site]):
-                        my = mx | bit
-                    else:
-                        continue
-                    y = space.index[my]
-                    if max(keys[x], keys[y]) < floor:
-                        continue
-                    if y not in prev:
-                        prev[y] = x
-                        if y in B:
-                            path = [y]
-                            while prev[path[-1]] != -1:
-                                path.append(prev[path[-1]])
-                            return list(reversed(path))
-                        nxt.append(y)
-            frontier = nxt
-        raise AssertionError("exponent path reconstruction failed")
+        has key at least ``level_keys[level]`` (breadth-first from A, each
+        state's moves in site order; see :func:`_level_bfs`)."""
+        n, sites = len(self.keys), self.space.graph.n_sites
+        ei, ej, site = self._moves
+        keep = np.maximum(self._keys[ei], self._keys[ej]) >= self.level_keys[level]
+        ei, ej, site = ei[keep], ej[keep], site[keep]
+        moves = np.full((n, sites), -1, dtype=np.int64)
+        moves[ei, site] = ej
+        moves[ej, site] = ei
+
+        def expand(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            rows = moves[level]
+            keep = rows >= 0
+            return rows[keep], np.repeat(level, sites)[keep.ravel()]
+
+        return _level_bfs(n, A, B, expand)
 
 
 def psi_symbolic(space: ConfigurationSpace, A, B, alpha: Fraction) -> PsiSymbolic:

@@ -1,20 +1,30 @@
-"""Differential test of the bottleneck tree against a brute-force reference.
+"""Differential tests of the bottleneck tree and the gate families.
 
-The reference knows nothing of integer keys or union-find: it orders states
+``Reference`` knows nothing of integer keys or union-find: it orders states
 by the Fraction value p + q*alpha of their weight exponents and, for every
 edge level in turn, labels the connected components of the configuration
-graph restricted to edges at or above that level.
+graph restricted to edges at or above that level.  It also keeps the
+per-state Python build of the tree (Python-int keys, a union-find with
+method calls, a state-by-state breadth-first search) and the frozenset
+steps of the gate, against which the array and bitmask versions must agree
+field for field and in the same order.
 """
+import random
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
+from types import SimpleNamespace
 
 import pytest
 
 from hcmeta.asymptotics import AsymptoticExponent
 from hcmeta.configspace import enumerate_space
 from hcmeta.graph import build_family
-from hcmeta.metastability import no_trap_certificate
+from hcmeta.isoperimetry import brute_force_profile
+from hcmeta.metastability import (_witness_reachable, build_gate, dominance_sets,
+                                  no_trap_certificate)
 from hcmeta.potential import BottleneckTree, psi_symbolic
+from test_kernel_csr import _UnionFind, relabel
 
 
 class Reference:
@@ -118,6 +128,156 @@ class Reference:
         return len(path) - 1 == min(dist[b] for b in B if b in dist)
 
 
+    # -- the per-state Python bottleneck tree -------------------------------
+
+    @cached_property
+    def tree(self) -> SimpleNamespace:
+        """The tree's fields from Python-int keys, one state at a time: the
+        removal edges site by site, each in state order, then stably sorted
+        by the level of the occupied endpoint."""
+        space, alpha = self.space, Fraction(self.alpha)
+        a, b = alpha.numerator, alpha.denominator
+        keys = [b * (m & space.u_mask).bit_count() + (a + b) * (m & space.v_mask).bit_count()
+                for m in space.configs]
+        labels: dict[int, set] = {}
+        for key, mask in zip(keys, space.configs):
+            if mask:
+                nu, nv = space.counts(mask)
+                labels.setdefault(key, set()).add((nu + nv, nv))
+        level_keys = sorted(labels, reverse=True)
+        level_of = {k: lvl for lvl, k in enumerate(level_keys)}
+        edges = [(i, space.index[m ^ (1 << site)])
+                 for site in range(space.graph.n_sites)
+                 for i, m in enumerate(space.configs) if m >> site & 1]
+        edges.sort(key=lambda e: level_of[keys[e[0]]])
+        return SimpleNamespace(
+            keys=keys, level_keys=level_keys,
+            level_pq=[sorted((Fraction(p), Fraction(q)) for p, q in labels[k])
+                      for k in level_keys],
+            edge_i=[i for i, _ in edges], edge_j=[j for _, j in edges],
+            level_start=[sum(level_of[keys[i]] < k for i, _ in edges)
+                         for k in range(len(level_keys) + 1)])
+
+    def connecting_level(self, A, B) -> int:
+        t = self.tree
+        uf = _UnionFind(len(t.keys) + 2)
+        src, dst = len(t.keys), len(t.keys) + 1
+        for x in A:
+            uf.union(x, src)
+        for x in B:
+            uf.union(x, dst)
+        for level in range(len(t.level_keys)):
+            for e in range(t.level_start[level], t.level_start[level + 1]):
+                uf.union(t.edge_i[e], t.edge_j[e])
+            if uf.find(src) == uf.find(dst):
+                return level
+        raise AssertionError("disconnected")
+
+    def witness_path(self, A, B, level) -> list[int]:
+        """Breadth-first from A in ascending order, each state's moves in
+        site order; the first state of B reached ends the path."""
+        space, keys = self.space, self.tree.keys
+        floor = self.tree.level_keys[level]
+        frontier = sorted(A)
+        prev = {x: -1 for x in frontier}
+        while frontier:
+            nxt = []
+            for x in frontier:
+                mx = space.configs[x]
+                for site in range(space.graph.n_sites):
+                    bit = 1 << site
+                    if mx & bit:
+                        my = mx ^ bit
+                    elif not mx & space.neighbor_masks[site]:
+                        my = mx | bit
+                    else:
+                        continue
+                    y = space.index[my]
+                    if max(keys[x], keys[y]) < floor or y in prev:
+                        continue
+                    prev[y] = x
+                    if y in B:
+                        path = [y]
+                        while prev[path[-1]] != -1:
+                            path.append(prev[path[-1]])
+                        return path[::-1]
+                    nxt.append(y)
+            frontier = nxt
+        raise AssertionError("no path")
+
+    def escape_levels(self) -> list[int]:
+        t = self.tree
+        n = len(t.keys)
+        uf = _UnionFind(n)
+        top = list(t.keys)
+        waiting = [[x] for x in range(n)]
+        escape = [-1] * n
+        for level in range(len(t.level_keys)):
+            for e in range(t.level_start[level], t.level_start[level + 1]):
+                r, s = uf.find(t.edge_i[e]), uf.find(t.edge_j[e])
+                if r == s:
+                    continue
+                if top[r] > top[s]:
+                    r, s = s, r
+                if top[r] < top[s]:
+                    for x in waiting[r]:
+                        escape[x] = level
+                else:
+                    if len(waiting[r]) > len(waiting[s]):
+                        r, s = s, r
+                    waiting[s].extend(waiting[r])
+                waiting[r] = None
+                uf.parent[r] = s
+        return escape
+
+    # -- the frozenset steps of the gate ------------------------------------
+
+    @staticmethod
+    def gate_family_b(g, prof, s_star, kappa, fam_a, fam_c) -> list[frozenset]:
+        """The size-s* witnesses that extend a member of A by one site and
+        reach C."""
+        fam_c = set(fam_c)
+        out = []
+        for b_set in (frozenset(w) for w in prof.complete_witnesses(s_star)):
+            if not any(a_set < b_set for a_set in fam_a if len(b_set - a_set) == 1):
+                continue
+            if kappa == 0:
+                ok = b_set in fam_c
+            elif kappa == 1:
+                ok = any((b_set | {x}) in fam_c for x in set(g.v_sites) - b_set)
+            else:
+                ok = _witness_reachable(b_set, prof, s_star, kappa)
+            if ok:
+                out.append(b_set)
+        return out
+
+    @staticmethod
+    def gate_transitions(g, fam_a, fam_b) -> list[tuple[int, int]]:
+        u_all = 0
+        for a in g.u_sites:
+            u_all |= 1 << a
+        transitions = {}
+        for b_set in fam_b:
+            nb = 0
+            for site in b_set:
+                nb |= g.neighbor_mask(site)
+            for a_set in fam_a:
+                if not (a_set < b_set and len(b_set - a_set) == 1):
+                    continue
+                na = 0
+                for site in a_set:
+                    na |= g.neighbor_mask(site)
+                y = u_all & ~nb
+                for site in a_set:
+                    y |= 1 << site
+                extra = nb & ~na
+                while extra:
+                    low = extra & -extra
+                    transitions[(y | low, y)] = None
+                    extra ^= low
+        return list(transitions)
+
+
 CASES = [("cycle:8", Fraction(2, 5), "certified"),
          ("ladder:6", Fraction(2, 5), "certified"),
          ("path:6", Fraction(2, 5), "refuted"),
@@ -159,3 +319,67 @@ def test_escape_levels_match_reference(spec, alpha, status):
         assert sym.bottleneck_weight.value(alpha) == ref.levels[k]
         assert sym.tie_pq == ref.tie_pq(k)
         assert ref.is_witness(sym.witness_path, {x}, jm, k)
+
+
+TREE_SPECS = ["cycle:8", "ladder:8", "torus:4x4", "hypercube:4", "complete:2x3"]
+
+
+@pytest.mark.parametrize("relabelled", [False, True], ids=["canonical", "relabelled"])
+@pytest.mark.parametrize("spec", TREE_SPECS)
+def test_tree_matches_python_reference(spec, relabelled):
+    g = build_family(spec)
+    if relabelled:
+        g = relabel(g, 5)
+    spc = enumerate_space(g)
+    n = len(spc)
+    rng = random.Random(f"{spec}-{relabelled}")
+    # alpha = 0 puts all states with p particles on one level, with p + 1 labels
+    for alpha in (Fraction(2, 5), Fraction(1, 2), Fraction(0)):
+        ref, tree = Reference(spc, alpha), BottleneckTree(spc, alpha)
+        want = ref.tree
+        assert tree.keys == want.keys and tree.level_keys == want.level_keys
+        assert tree.level_pq == want.level_pq
+        assert (tree.edge_i, tree.edge_j) == (want.edge_i, want.edge_j)
+        assert tree.level_start == want.level_start
+        assert all(type(k) is int for k in tree.keys + tree.level_keys + tree.edge_i)
+        assert tree.escape_levels() == ref.escape_levels()
+        u, v = spc.u_state, spc.v_state
+        pairs = [({u}, {v}), ({u}, dominance_sets(spc, u, alpha)[0])]
+        for _ in range(12):
+            a_set = set(rng.sample(range(n), rng.randint(1, 3)))
+            rest = sorted(set(range(n)) - a_set)
+            pairs.append((a_set, set(rng.sample(rest, rng.randint(1, 3)))))
+        for A, B in pairs:
+            A, B = frozenset(A), frozenset(B)
+            level = ref.connecting_level(A, B)
+            assert tree.connecting_level(A, B) == level == ref.level_of(A, B)
+            path = tree.witness_path(A, B, level)
+            assert path == ref.witness_path(A, B, level)
+            assert all(type(x) is int for x in path)
+
+
+GATE_CASES = [("torus:6x6", Fraction(7, 10)),
+              ("hypercube:4", Fraction(1, 2)),
+              ("doubled(torus:5x5)", Fraction(7, 10)),
+              # kappa = 2, and a size-s* witness that extends no member of A
+              ("random:6x6:0.5:1", Fraction(2, 5))]
+
+
+@pytest.mark.parametrize("spec,alpha", GATE_CASES,
+                         ids=[f"{spec}@{alpha}" for spec, alpha in GATE_CASES])
+def test_gate_matches_frozenset_reference(spec, alpha):
+    g = build_family(spec)
+    gate = build_gate(g, alpha)
+    s_star, kappa = gate.s_star, gate.kappa
+    prof = brute_force_profile(g, min(s_star + kappa, len(g.v_sites)))
+    fam_a = [frozenset(w) for w in prof.complete_witnesses(s_star - 1)]
+    fam_c = [frozenset(w) for w in prof.complete_witnesses(
+        min(s_star + kappa, prof.s_max))]
+    fam_b = Reference.gate_family_b(g, prof, s_star, kappa, fam_a, fam_c)
+    if gate.conditional_on_conjecture:
+        # the doubled torus lists its seed-built families sorted by members
+        fam_a, fam_b, fam_c = (sorted(f, key=sorted) for f in (fam_a, fam_b, fam_c))
+    assert (gate.family_A, gate.family_B, gate.family_C) == (fam_a, fam_b, fam_c)
+    transitions = Reference.gate_transitions(g, fam_a, fam_b)
+    assert gate.transitions == transitions
+    assert gate.count == len(transitions) > 0

@@ -2,12 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hcmeta.configspace import (CapExceeded, ModelParams, config_cost,
                                 count_independent_sets, enumerate_space,
                                 height, join, leq, meet)
 from hcmeta.graph import BipartiteGraph, build_family
+from hcmeta.metastability import dominance_sets
+from hcmeta.potential import BottleneckTree
 
 
 def test_known_counts():
@@ -48,6 +51,30 @@ def test_weights():
     assert spc.weight(spc.v_mask, par) == pytest.approx(10.0 ** 4.5, rel=1e-12)
     pi = spc.stationary(par)
     assert abs(pi.sum() - 1.0) < 1e-12
+
+
+def test_weight_keys_exact_up_to_the_int64_bound():
+    g = build_family("cycle:8")
+    spc = enumerate_space(g)
+
+    def python_keys(alpha):
+        a, b = alpha.numerator, alpha.denominator
+        return [b * (m & spc.u_mask).bit_count() + (a + b) * (m & spc.v_mask).bit_count()
+                for m in spc.configs]
+
+    # (1 + b) * 8 sites fits int64 for this b, and not for b + 1
+    b = (2 ** 63 - 1) // g.n_sites - 1
+    for alpha in (Fraction(2, 5), Fraction(7, 10), Fraction(1, b)):
+        keys = spc.weight_keys(alpha)
+        assert keys.dtype == np.int64 and keys.tolist() == python_keys(alpha)
+        assert BottleneckTree(spc, alpha).keys == python_keys(alpha)
+    for alpha, denominator in ((Fraction(1, b + 1), b + 1),
+                               (Fraction(1, 2 ** 60), 2 ** 60),
+                               (0.001, Fraction(0.001).denominator)):
+        for build in (spc.weight_keys, lambda a: BottleneckTree(spc, a),
+                      lambda a: dominance_sets(spc, spc.u_state, a)):
+            with pytest.raises(ValueError, match=f"denominator {denominator} "):
+                build(alpha)
 
 
 def test_log_weight_fallback_above_overflow():

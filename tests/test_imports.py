@@ -22,6 +22,13 @@ SOLVE = ("from fractions import Fraction\n"
          "spc = enumerate_space(g)\n"
          "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(1, 2))\n"
          "effective_resistance(build_network(spc, par), [spc.u_state], [spc.v_state])")
+EXACT = ("from fractions import Fraction\n"
+         "from hcmeta import (build_gate, enumerate_space, no_trap_certificate,\n"
+         "                    parse_graph_spec, psi_symbolic)\n"
+         "spc = enumerate_space(parse_graph_spec('ladder:4'))\n"
+         "psi_symbolic(spc, [spc.u_state], [spc.v_state], Fraction(1, 2))\n"
+         "no_trap_certificate(spc, Fraction(2, 5))\n"
+         "build_gate(parse_graph_spec('torus:6x6'), Fraction(7, 10))")
 KS = ("from hcmeta import ks_exponential_test\n"
       "ks_exponential_test([0.5 + i / 100 for i in range(100)])")
 
@@ -66,6 +73,11 @@ def test_import_leaves_scipy_submodules_unloaded(module):
 def test_first_solve_loads_scipy_sparse_not_stats():
     loaded = _lazy_loaded(_new_modules(SOLVE))
     assert "scipy.sparse" in loaded and "scipy.stats" not in loaded
+
+
+def test_exact_exponent_layer_loads_no_scipy():
+    loaded = _new_modules(EXACT)
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_ks_test_loads_scipy_stats():

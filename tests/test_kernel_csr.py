@@ -149,6 +149,11 @@ def test_array_build_matches_loops(label, g):
     assert kernel.cum.tolist() == [c for r in ref for c in r[2]]
     assert kernel.p_move.tolist() == [r[3] for r in ref]
     assert kernel.row(space.u_state) == tuple(ref[space.u_state][:2])
+    for site, (occ, emp) in enumerate(space.removals()):
+        want = np.flatnonzero((space.masks >> site) & 1)
+        assert occ.dtype == want.dtype and occ.tobytes() == want.tobytes()
+        want = np.searchsorted(space.masks, space.masks[want] ^ (1 << site))
+        assert emp.dtype == want.dtype and emp.tobytes() == want.tobytes()
 
     net = build_network(space, params, kernel)
     lw = np.array([(m & space.u_mask).bit_count() * np.log(params.lam)
