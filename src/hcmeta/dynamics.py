@@ -85,8 +85,11 @@ class TransitionKernel:
     unblocked site i (lambda_bar on V), 1/gamma for removing one; the
     self-loop probability absorbs the rest of the row.  Row ``i`` holds its
     entries ``indptr[i]:indptr[i+1]`` in ascending site order: targets
-    ``indices``, probabilities ``probs`` and their running sums ``cum``;
-    ``p_move[i]`` is the row's total move probability.
+    ``indices`` and probabilities ``probs``.  Their running sums ``cum`` and
+    each row's total move probability ``p_move`` are computed on first use;
+    the sampler, the first-step system above the dense limit,
+    :meth:`self_loop` and :meth:`check_invariants` read them, building a
+    network does not.
     """
 
     def __init__(self, space: ConfigurationSpace, params: ModelParams):
@@ -112,17 +115,36 @@ class TransitionKernel:
         np.cumsum(counts, out=self.indptr[1:])
         self.indices = np.empty(self.indptr[-1], dtype=np.int64)
         self.probs = np.empty(self.indptr[-1])
-        self.cum = np.empty(self.indptr[-1])
-        # Filled site by site in ascending order, so each row's running sum
-        # adds its probabilities left to right, as a per-row loop would.
+        # filled site by site in ascending order
         fill = self.indptr[:-1].copy()
-        self.p_move = np.zeros(n)
         for states, targets, p in moves:
             at = fill[states]
             self.indices[at] = targets
             self.probs[at] = p
-            self.cum[at] = self.p_move[states] = self.p_move[states] + p
             fill[states] = at + 1
+
+    @functools.cached_property
+    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cum, p_move).  One pass per entry rank r adds the running sum up to
+        entry r - 1 to entry r of every row that long, so each row is summed
+        left to right, as a per-row loop would sum it."""
+        cum = self.probs.copy()
+        starts, counts = self.indptr[:-1], np.diff(self.indptr)
+        for r in range(1, int(counts.max(initial=0))):
+            at = starts[counts > r] + r
+            cum[at] += cum[at - 1]
+        p_move = np.zeros(len(counts))
+        moves = counts > 0
+        p_move[moves] = cum[self.indptr[1:][moves] - 1]
+        return cum, p_move
+
+    @property
+    def cum(self) -> np.ndarray:
+        return self._sums[0]
+
+    @property
+    def p_move(self) -> np.ndarray:
+        return self._sums[1]
 
     @functools.cached_property
     def _rows(self):

@@ -601,10 +601,15 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
 
     The bottleneck conductance c* is the largest c at which the edges with
     conductance >= c join A to B, found by bisection over the distinct
-    conductances with one connectivity labelling per step.  The bottleneck
-    edge is the edge at which Kruskal over the edges by descending
-    conductance, ties in edge order, first joins A to B: a union-find over
-    the components above c*, run on c*'s tie group only.
+    conductances with one connectivity labelling per step; edges with
+    conductance 0 (cut, or underflowed) are absent.  The bottleneck edge is
+    the edge at which Kruskal over the edges by descending conductance, ties
+    in edge order, first joins A to B: a union-find over the components
+    above c*, run on c*'s tie group only.  No step sorts the edges: each
+    step's adjacency is a CSR built straight from ``edge_i``, which is
+    nondecreasing in every network (the kernel's CSR order, copies from
+    :meth:`ElectricNetwork.with_scaled_edge`, the sorted orbit pairs of
+    :func:`_lump`).
     """
     A = frozenset(int(a) for a in A)
     B = frozenset(int(b) for b in B)
@@ -616,16 +621,17 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     from scipy.sparse import csgraph
 
     n = len(net)
-    ei, ej = net.edge_i, net.edge_j
-    levels, rank = np.unique(net.edge_c, return_inverse=True)
-    rank = len(levels) - 1 - rank                   # 0: the largest conductance
+    ei, ej, ec = net.edge_i, net.edge_j, net.edge_c
+    levels = np.unique(ec)[::-1]                    # 0: the largest conductance
+    levels = levels[levels > 0]
     a_list, b_list = list(A), list(B)
 
     def labels_above(k: int) -> np.ndarray:
         """Component labels of the edges of the k + 1 largest conductances."""
-        sel = np.flatnonzero(rank <= k)
-        adj = sp.csr_matrix((np.ones(len(sel), dtype=np.int8), (ei[sel], ej[sel])),
-                            shape=(n, n))
+        sel = ec >= levels[k]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ei[sel], minlength=n), out=indptr[1:])
+        adj = sp.csr_matrix((np.ones(indptr[-1]), ej[sel], indptr), shape=(n, n))
         # weak components of the i < j edges: no symmetric copy needed
         return csgraph.connected_components(adj, connection="weak")[1]
 
@@ -653,11 +659,11 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
         uf.union(lab[a], src)
     for b in B:
         uf.union(lab[b], dst)
-    for e in np.flatnonzero(rank == hi).tolist():
+    for e in np.flatnonzero(ec == levels[hi]).tolist():
         uf.union(lab[int(ei[e])], lab[int(ej[e])])
         if uf.find(src) == uf.find(dst):
             break
-    c_star = float(net.edge_c[e])
+    c_star = float(ec[e])
     path = _bottleneck_path(net, A, B, c_star)
     return PsiResult(1.0 / c_star, path, (int(ei[e]), int(ej[e])))
 
@@ -665,12 +671,15 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
 def _bottleneck_path(net: ElectricNetwork, A: frozenset, B: frozenset,
                      c_min: float) -> list[int]:
     """A shortest path from A to B using only edges with c >= c_min, each
-    state's neighbours in edge order (see :func:`_level_bfs`)."""
+    state's neighbours in edge order (see :func:`_level_bfs`).  With
+    ``edge_i`` nondecreasing, a state's lower neighbours (it is the edge's
+    j) come before its upper ones (it is the edge's i) in edge order, so one
+    stable sort by state orders them."""
     n = len(net)
-    sel = np.flatnonzero(net.edge_c >= c_min * (1.0 - 1e-15))
-    tail = np.concatenate([net.edge_i[sel], net.edge_j[sel]])
-    head = np.concatenate([net.edge_j[sel], net.edge_i[sel]])
-    head = head[np.lexsort((np.concatenate([sel, sel]), tail))]
+    sel = net.edge_c >= c_min * (1.0 - 1e-15)
+    tail = np.concatenate([net.edge_j[sel], net.edge_i[sel]])
+    head = np.concatenate([net.edge_i[sel], net.edge_j[sel]])
+    head = head[np.argsort(tail, kind="stable")]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
 
@@ -746,7 +755,8 @@ class BottleneckTree:
     tie) and edges ``edge_i[e], edge_j[e]`` for ``level_start[k] <= e <
     level_start[k+1]``.  Building costs one stable sort of the edges by
     level (a radix sort on int16 levels); each query is a single union-find
-    pass over the levels.
+    pass over the levels, which reads the edges as Python ints one level at
+    a time.
     """
 
     def __init__(self, space: ConfigurationSpace, alpha: Fraction):
@@ -780,8 +790,16 @@ class BottleneckTree:
         # radix sort
         lvl = (top - np.searchsorted(ascending, self._keys[ei])).astype(np.int16)
         order = np.argsort(lvl, kind="stable")
-        self.edge_i, self.edge_j = ei[order].tolist(), ej[order].tolist()
+        self._ei, self._ej = ei[order], ej[order]
         self.level_start = np.searchsorted(lvl[order], np.arange(top + 2)).tolist()
+
+    @cached_property
+    def edge_i(self) -> list[int]:
+        return self._ei.tolist()
+
+    @cached_property
+    def edge_j(self) -> list[int]:
+        return self._ej.tolist()
 
     def bottleneck_weight(self, level: int) -> AsymptoticExponent:
         """Level's weight exponent: its smallest (p, q) label."""
@@ -805,10 +823,10 @@ class BottleneckTree:
                     parent[x] = r
         if find(src) == find(dst):
             raise ValueError("A and B intersect")
-        ei, ej, start = self.edge_i, self.edge_j, self.level_start
+        ei, ej, start = self._ei, self._ej, self.level_start
         for level in range(len(start) - 1):
             lo, hi = start[level], start[level + 1]
-            for x, y in zip(ei[lo:hi], ej[lo:hi]):
+            for x, y in zip(ei[lo:hi].tolist(), ej[lo:hi].tolist()):
                 while parent[x] != x:           # find, with path halving
                     parent[x] = x = parent[parent[x]]
                 while parent[y] != y:
@@ -835,7 +853,7 @@ class BottleneckTree:
         top = list(self.keys)
         waiting: list[list[int] | None] = [[x] for x in range(n)]
         escape = [-1] * n
-        ei, ej, start = self.edge_i, self.edge_j, self.level_start
+        ei, ej, start = self._ei.tolist(), self._ej.tolist(), self.level_start
         for level in range(len(self.level_keys)):
             for e in range(start[level], start[level + 1]):
                 r, s = uf.find(ei[e]), uf.find(ej[e])

@@ -29,6 +29,15 @@ EXACT = ("from fractions import Fraction\n"
          "psi_symbolic(spc, [spc.u_state], [spc.v_state], Fraction(1, 2))\n"
          "no_trap_certificate(spc, Fraction(2, 5))\n"
          "build_gate(parse_graph_spec('torus:6x6'), Fraction(7, 10))")
+BUILD = ("from fractions import Fraction\n"
+         "from hcmeta import (ModelParams, build_kernel, build_network,\n"
+         "                    enumerate_space, parse_graph_spec)\n"
+         "g = parse_graph_spec('ladder:4')\n"
+         "spc = enumerate_space(g)\n"
+         "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(1, 2))\n"
+         "net = build_network(spc, par, build_kernel(spc, par))")
+CRITICAL = (BUILD + "\nfrom hcmeta import critical_resistance\n"
+            "critical_resistance(net, [spc.u_state], [spc.v_state])")
 KS = ("from hcmeta import ks_exponential_test\n"
       "ks_exponential_test([0.5 + i / 100 for i in range(100)])")
 
@@ -78,6 +87,16 @@ def test_first_solve_loads_scipy_sparse_not_stats():
 def test_exact_exponent_layer_loads_no_scipy():
     loaded = _new_modules(EXACT)
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_kernel_and_network_load_no_scipy():
+    loaded = _new_modules(BUILD)
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_critical_resistance_loads_scipy_sparse_not_stats():
+    loaded = _lazy_loaded(_new_modules(CRITICAL))
+    assert "scipy.sparse" in loaded and "scipy.stats" not in loaded
 
 
 def test_ks_test_loads_scipy_stats():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
-from hcmeta.dynamics import build_kernel
+from hcmeta.dynamics import build_kernel, simulate_hit
 from hcmeta.graph import BipartiteGraph, build_family
-from hcmeta.potential import build_network, critical_resistance, psi_symbolic
+from hcmeta.potential import (_lump, build_network, critical_resistance,
+                              expected_hitting_time, psi_symbolic)
 
 SPECS = ["cycle:8", "ladder:6", "torus:4x4", "hypercube:3", "complete:2x3",
          "random:4x4:0.4:3"]
@@ -180,6 +181,37 @@ def test_array_build_matches_loops(label, g):
         assert (got.value, got.witness_path, got.bottleneck_edge) == \
             ref_critical(net, A, B)
 
+    # critical_resistance builds its CSR from edge_i as it stands: every
+    # network must keep it nondecreasing
+    lumped, orbit = _lump(net, frozenset({u}), frozenset({v}))
+    bottleneck = ref_critical(net, {u}, {v})[2]
+    scaled = net.with_scaled_edge(*bottleneck, 1e-3)
+    for other, A, B in [(net, {u}, {v}), (scaled, {u}, {v}),
+                        (lumped, {int(orbit[u])}, {int(orbit[v])})]:
+        assert (np.diff(other.edge_i) >= 0).all()
+        got = critical_resistance(other, A, B)
+        assert (got.value, got.witness_path, got.bottleneck_edge) == \
+            ref_critical(other, A, B)
+
+
+
+def test_running_sums_computed_only_by_their_readers():
+    g = relabel(build_family("ladder:6"), 2)
+    space = enumerate_space(g)
+    params = ModelParams.for_graph(g, 50.0, Fraction(1, 2))
+    kernel = build_kernel(space, params)
+    u, v = space.u_state, space.v_state
+    net = build_network(space, params, kernel)
+    critical_resistance(net, {u}, {v})
+    expected_hitting_time(net, u, {v})          # below the dense limit
+    assert "_sums" not in vars(kernel)
+    simulate_hit(kernel, u, [v], seed=1)
+    assert "_sums" in vars(kernel)
+    ref = ref_kernel(space, params)
+    for got, want in [(kernel.cum, [c for r in ref for c in r[2]]),
+                      (kernel.p_move, [r[3] for r in ref])]:
+        want = np.array(want)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_witness_paths_do_not_depend_on_the_callers_container():

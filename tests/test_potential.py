@@ -235,6 +235,29 @@ def test_critical_resistance_k23_formula():
     assert path[0] == u and path[-1] == v
 
 
+def test_zero_conductance_edges_are_absent():
+    spc, par, net = _net("complete:1x1", 10.0, lam_bar=20.0)
+    empty, u0, v0 = spc.empty_index, spc.index[0b01], spc.index[0b10]
+    cut = net.with_scaled_edge(empty, u0, 0.0)
+    for solve in (effective_resistance, critical_resistance):
+        with pytest.raises(ValueError, match="A and B are disconnected"):
+            solve(cut, {u0}, {v0})
+    spc, par, net = _net("cycle:6", 7.0)
+    u, v = spc.u_state, spc.v_state
+    cut = net
+    for i, j, _ in net.edges():             # every edge at u cut
+        if u in (i, j):
+            cut = cut.with_scaled_edge(i, j, 0.0)
+    for solve in (effective_resistance, critical_resistance):
+        with pytest.raises(ValueError, match="A and B are disconnected"):
+            solve(cut, {u}, {v})
+    # a zero edge elsewhere is no bottleneck: Psi(v, empty) keeps its value
+    want = critical_resistance(net, {v}, {spc.empty_index})
+    got = critical_resistance(cut, {v}, {spc.empty_index})
+    assert (got.value, got.witness_path, got.bottleneck_edge) == \
+        (want.value, want.witness_path, want.bottleneck_edge)
+
+
 def test_voltage_residual_under_stiffness():
     # iterative refinement keeps the harmonic residual tiny even when the
     # conductance spread is lambda^Delta sized
