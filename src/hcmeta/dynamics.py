@@ -87,7 +87,7 @@ class TransitionKernel:
     entries ``indptr[i]:indptr[i+1]`` in ascending site order: targets
     ``indices`` and probabilities ``probs``.  Their running sums ``cum`` and
     each row's total move probability ``p_move`` are computed on first use;
-    the sampler, the first-step system above the dense limit,
+    the sampler, the first-step system of ``green_by_visits``,
     :meth:`self_loop` and :meth:`check_invariants` read them, building a
     network does not.
     """

@@ -172,6 +172,16 @@ def test_budget_exit_3(capsys):
     assert main(["enumerate", "--graph", "torus:6x6", "--cap", "100"]) == 3
 
 
+def test_dense_tail_beyond_available_memory_exit_3(capsys, monkeypatch):
+    from hcmeta import potential
+
+    monkeypatch.setattr(potential, "_available_memory", lambda: 100)
+    for cmd in ("hitting", "resistance"):
+        assert main([cmd, "--graph", "cycle:6", "--alpha", "1/2",
+                     "--lambda", "100"]) == 3
+        assert "refused: the dense elimination tail" in capsys.readouterr().err
+
+
 def test_threads_env_honored(monkeypatch):
     from hcmeta.cli import build_parser
 

@@ -251,6 +251,22 @@ def test_routes_against_exact_rationals(spec, record_property):
             assert first_step_error <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [1e4, 1e6])
+def test_routes_agree_above_the_old_dense_limit(lam):
+    # path:17 lumps to 2,135 orbits; above 1,200 an LU first step gave
+    # -1.73e20 towards the empty state at 1e4, the Green route found the
+    # empty state disconnected at 1e6, and the routes to v differed by 3.5e-8
+    spc, net = _net(build_family("path:17"), lam)
+    u = spc.u_state
+    for b in (spc.v_state, spc.empty_index):
+        ht = expected_hitting_time(net, u, {b})
+        assert ht.orbits == 2135
+        assert ht.value > 0 and ht.first_step > 0
+        assert ht.first_step == pytest.approx(ht.value, rel=1e-12)
+        green_r = potential._green_weights(net, u, frozenset({b}))[0]
+        assert effective_resistance(net, {u}, {b}) == pytest.approx(green_r, rel=1e-12)
+
+
 def _is_uv_automorphism(g, p) -> bool:
     edges = set(g.edges)
     return (sorted(p) == list(range(g.n_sites))

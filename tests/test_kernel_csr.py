@@ -196,16 +196,17 @@ def test_array_build_matches_loops(label, g):
 
 
 def test_running_sums_computed_only_by_their_readers():
-    g = relabel(build_family("ladder:6"), 2)
-    space = enumerate_space(g)
-    params = ModelParams.for_graph(g, 50.0, Fraction(1, 2))
-    kernel = build_kernel(space, params)
-    u, v = space.u_state, space.v_state
-    net = build_network(space, params, kernel)
-    critical_resistance(net, {u}, {v})
-    expected_hitting_time(net, u, {v})          # below the dense limit
-    assert "_sums" not in vars(kernel)
-    simulate_hit(kernel, u, [v], seed=1)
+    # path:17 lumps to 2,135 orbits, where E[T]'s first step once read p_move
+    for g in (build_family("path:17"), relabel(build_family("ladder:6"), 2)):
+        space = enumerate_space(g)
+        params = ModelParams.for_graph(g, 50.0, Fraction(1, 2))
+        kernel = build_kernel(space, params)
+        u, v = space.u_state, space.v_state
+        net = build_network(space, params, kernel)
+        critical_resistance(net, {u}, {v})
+        expected_hitting_time(net, u, {v})
+        assert "_sums" not in vars(kernel)
+    simulate_hit(kernel, u, [v], seed=1)      # on ladder:6, the last input
     assert "_sums" in vars(kernel)
     ref = ref_kernel(space, params)
     for got, want in [(kernel.cum, [c for r in ref for c in r[2]]),

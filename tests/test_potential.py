@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hcmeta.asymptotics import AsymptoticExponent
-from hcmeta.configspace import ModelParams, enumerate_space
+from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.dynamics import build_kernel, simulate_hit
 from hcmeta.graph import build_family
 from hcmeta.potential import (build_network, critical_resistance,
@@ -104,14 +104,17 @@ def test_rayleigh_monotonicity_spot():
     assert r1 <= r0 * (1 + 1e-12)
 
 
-def test_star_mesh_agrees_with_lu_route(monkeypatch):
+def test_star_mesh_agrees_with_lu_route():
     from hcmeta import potential
+    from test_elimination import ref_lu_voltage
 
     spc, par, net = _net("complete:2x3", 8.0)
     a, b = frozenset({spc.u_state}), frozenset({spc.v_state})
-    star_mesh = 1.0 / potential._star_mesh(net, a, b)[0]
-    monkeypatch.setattr(potential, "DENSE_ELIMINATION_LIMIT", 0)   # LU route
-    assert star_mesh == pytest.approx(effective_resistance(net, a, b), rel=1e-11)
+    w = ref_lu_voltage(net, a, b)
+    # R is 1 / the current into b, where w is 0
+    lu = 1.0 / sum(c * (w[i] + w[j]) for i, j, c in net.edges() if (i in b) != (j in b))
+    assert 1.0 / potential._star_mesh(net, a, b)[0] == pytest.approx(lu, rel=1e-11)
+    assert effective_resistance(net, a, b) == pytest.approx(lu, rel=1e-11)
 
 
 def test_escape_probability_identities():
@@ -236,6 +239,8 @@ def test_critical_resistance_k23_formula():
 
 
 def test_zero_conductance_edges_are_absent():
+    from hcmeta import potential
+
     spc, par, net = _net("complete:1x1", 10.0, lam_bar=20.0)
     empty, u0, v0 = spc.empty_index, spc.index[0b01], spc.index[0b10]
     cut = net.with_scaled_edge(empty, u0, 0.0)
@@ -251,6 +256,9 @@ def test_zero_conductance_edges_are_absent():
     for solve in (effective_resistance, critical_resistance):
         with pytest.raises(ValueError, match="A and B are disconnected"):
             solve(cut, {u}, {v})
+    # u is cut off: its pivot row sums to 0, and x(u) is its h = 0
+    E = potential._eliminate(cut, ({v},), (0.0,), mass=cut.pi)[1]
+    assert E[u] == 0.0 and np.isfinite(E).all()
     # a zero edge elsewhere is no bottleneck: Psi(v, empty) keeps its value
     want = critical_resistance(net, {v}, {spc.empty_index})
     got = critical_resistance(cut, {v}, {spc.empty_index})
@@ -258,8 +266,23 @@ def test_zero_conductance_edges_are_absent():
         (want.value, want.witness_path, want.bottleneck_edge)
 
 
+def test_dense_tail_beyond_available_memory_refused(monkeypatch):
+    from hcmeta import potential
+
+    # cycle:12 lumps to 47 orbits: 16 (L + 2) bytes would fit in 1,000, the
+    # dense tail and its trailing product, 16 (L + 2)^2 bytes, do not
+    spc, par, net = _net("cycle:12", 100.0)
+    u, v = spc.u_state, spc.v_state
+    monkeypatch.setattr(potential, "_available_memory", lambda: 1000)
+    refused = r"tail of L = \d+ nodes needs [\d,]+ bytes; 1,000 bytes are available"
+    with pytest.raises(CapExceeded, match=refused):
+        effective_resistance(net, {u}, {v})
+    with pytest.raises(CapExceeded, match=refused):
+        expected_hitting_time(net, u, {v})
+
+
 def test_voltage_residual_under_stiffness():
-    # iterative refinement keeps the harmonic residual tiny even when the
+    # the elimination keeps the harmonic residual tiny even when the
     # conductance spread is lambda^Delta sized
     spc, par, net = _net("cycle:6", 1e4)
     w = voltage(net, {spc.u_state}, {spc.v_state})
