@@ -364,6 +364,23 @@ def _find_progression_up(g, delta_fn, start: frozenset, size_to: int,
     return None, False
 
 
+def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None,
+                    profile: IsoperimetricProfile | None, budgets: SearchBudgets):
+    """(delta_fn, analysis, kappa): the profile of :func:`profile_function`,
+    replaced by ``profile`` on a graph with no closed form; its critical
+    analysis; and kappa, ceil(1/alpha) - 1 by default, checked to lie in
+    [0, 1/alpha)."""
+    delta_fn, bound, fam = profile_function(g, alpha, budgets.profile_budget)
+    if profile is not None and fam not in ("torus", "doubled-torus", "hypercube"):
+        delta_fn, bound = profile.delta, profile.s_max
+    analysis = critical_analysis(delta_fn, alpha, bound, n_u=len(g.u_sites))
+    if kappa is None:
+        kappa = math.ceil(1 / alpha) - 1
+    if not (0 <= kappa < 1 / alpha):
+        raise ValueError(f"kappa={kappa} outside [0, 1/alpha)")
+    return delta_fn, analysis, kappa
+
+
 def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
                      budgets: SearchBudgets | None = None,
                      kappa: int | None = None,
@@ -395,15 +412,8 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
     alpha = Fraction(alpha)
     budgets = budgets or SearchBudgets()
     fam = g.meta.get("family")
-    delta_fn, bound, _ = profile_function(g, alpha, budgets.profile_budget)
-    if profile is not None and fam not in ("torus", "doubled-torus", "hypercube"):
-        delta_fn, bound = profile.delta, profile.s_max
-    analysis = critical_analysis(delta_fn, alpha, bound, n_u=len(g.u_sites))
+    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa, profile, budgets)
     s_star, s_tilde = analysis.s_star, analysis.s_tilde
-    if kappa is None:
-        kappa = math.ceil(1 / alpha) - 1
-    if not (0 <= kappa < 1 / alpha):
-        raise ValueError(f"kappa={kappa} outside [0, 1/alpha)")
     st: dict[str, HypothesisStatus] = {}
 
     h0 = len(g.u_sites) < (1 + alpha) * len(g.v_sites)
@@ -673,15 +683,9 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
     """
     alpha = Fraction(alpha)
     budgets = budgets or SearchBudgets()
-    delta_fn, bound, fam = profile_function(g, alpha, budgets.profile_budget)
-    if profile is not None and fam not in ("torus", "doubled-torus", "hypercube"):
-        delta_fn, bound = profile.delta, profile.s_max
-    analysis = critical_analysis(delta_fn, alpha, bound, n_u=len(g.u_sites))
+    fam = g.meta.get("family")
+    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa, profile, budgets)
     s_star = analysis.s_star
-    if kappa is None:
-        kappa = math.ceil(1 / alpha) - 1
-    if not (0 <= kappa < 1 / alpha):
-        raise ValueError(f"kappa={kappa} outside [0, 1/alpha)")
 
     if fam == "doubled-torus":
         return _doubled_gate(g, alpha, kappa, analysis)
@@ -909,45 +913,35 @@ def no_trap_certificate(space: ConfigurationSpace, alpha: Fraction) -> NoTrapRep
         raise ValueError("J(u) is empty: u already has maximal order")
     tree = BottleneckTree(space, alpha)
     lu = tree.connecting_level(frozenset({u}), frozenset(j_u))
-    escape = tree.escape_levels()
-    keys, level_keys, level_pq = tree.keys, tree.level_keys, tree.level_pq
+    escape = np.array(tree.escape_levels())
+    level_pq = tree.level_pq
     q_u = space.weight_exponent(space.configs[u]) / tree.bottleneck_weight(lu)
-    q_u_key = keys[u] - level_keys[lu]
+    # Compare values p + q*alpha (as integer keys): the bottleneck VALUE is
+    # unambiguous even when its (p, q) label is tied.  Strict inequality
+    # certifies, so only the states at or above u's value, and those with no
+    # J^-(x) (a second stable state: infinite scale), need a closer look.
+    q_key = tree.keys - np.array(tree.level_keys, dtype=np.int64)[escape]
+    q_u_key = int(tree.keys[u]) - tree.level_keys[lu]
+    others = np.ones(len(space), dtype=bool)
+    others[[u, v]] = False
     traps, ties = [], []
-    checked = 0
-    inconclusive = False
-    for x in range(len(space)):
-        if x in (u, v):
-            continue
-        checked += 1
-        lx = escape[x]
-        if lx < 0:
-            traps.append(x)             # a second stable state: infinite scale
-            continue
-        # Compare values p + q*alpha (as integer keys): the bottleneck VALUE
-        # is unambiguous even when its (p, q) label is tied.  Strict
-        # inequality certifies; equal values with unambiguous equal labels
-        # expose a genuine trap; equal values with mixed labels are an
-        # alpha-genericity failure.
-        q_x_key = keys[x] - level_keys[lx]
-        if q_x_key > q_u_key:
+    for x in np.flatnonzero(others & ((escape < 0) | (q_key >= q_u_key))).tolist():
+        lx = int(escape[x])
+        if lx < 0 or q_key[x] > q_u_key:
             traps.append(x)
-        elif q_x_key == q_u_key:
-            q_x = (space.weight_exponent(space.configs[x])
-                   / tree.bottleneck_weight(lx))
-            if (len(level_pq[lx]) > 1 or len(level_pq[lu]) > 1
-                    or q_x.as_tuple() != q_u.as_tuple()):
-                ties.append(x)
-                inconclusive = True
-            else:
-                traps.append(x)
-    if traps:
-        status = "refuted"
-    elif inconclusive:
-        status = "inconclusive"
-    else:
-        status = "certified"
-    return NoTrapReport(status == "certified", status, traps, ties, q_u, checked)
+            continue
+        # Equal values with unambiguous equal labels expose a genuine trap;
+        # equal values with mixed labels are an alpha-genericity failure.
+        q_x = (space.weight_exponent(space.configs[x])
+               / tree.bottleneck_weight(lx))
+        if (len(level_pq[lx]) > 1 or len(level_pq[lu]) > 1
+                or q_x.as_tuple() != q_u.as_tuple()):
+            ties.append(x)
+        else:
+            traps.append(x)
+    status = "refuted" if traps else ("inconclusive" if ties else "certified")
+    return NoTrapReport(status == "certified", status, traps, ties, q_u,
+                        int(others.sum()))
 
 
 # ----------------------------------------------------------------------------

@@ -73,6 +73,10 @@ __all__ = [
 # PANEL pivots.
 DENSE_SWITCH = 0.05
 PANEL = 32
+# bytes per neighbour pair that a level of the front holds at its peak: ten
+# int64 or float64 arrays (the pair's two slots, both nodes, both factors
+# and their product, and the keys and ranks of the sparse update)
+FRONT_PAIR_BYTES = 80
 
 
 class ElectricNetwork:
@@ -223,7 +227,9 @@ def voltage(net: ElectricNetwork, A, B) -> VoltageField:
 
     W is solved on the orbit network of the symmetries that fix A and B
     (:func:`_lump`) and read back on every state; the harmonic residual is
-    taken on the full network, so it checks the lumping too.
+    taken on the full network, so it checks the lumping too.  An interior
+    state with no edge of positive conductance (cut, or underflowed) has no
+    harmonic condition: it gets W = 0 and is left out of the residual.
     """
     A, B = frozenset(int(a) for a in A), frozenset(int(b) for b in B)
     if not A or not B:
@@ -232,9 +238,7 @@ def voltage(net: ElectricNetwork, A, B) -> VoltageField:
         raise ValueError("A and B must be disjoint")
     C = net.conductance_matrix()
     deg = np.asarray(C.sum(axis=1)).ravel()
-    interior = np.setdiff1d(np.arange(len(net)), list(A | B))
-    if (deg[interior] <= 0).any():
-        raise ValueError("singular system: isolated interior state")
+    interior = np.setdiff1d(np.flatnonzero(deg > 0), list(A | B))
     lumped, orbit = _lump(net, A, B)
     w = _star_mesh(lumped, _orbits(orbit, A), _orbits(orbit, B))[1][orbit]
     return VoltageField(w, A, B, _harmonic_residual(C, deg, w, interior), len(lumped))
@@ -278,8 +282,10 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
     earlier pivot whose clique held it; the pivots of a level touch neither
     each other's rows nor masses, so their values are eliminated together.
     The nodes left (terminals last) are finished in panels of ``PANEL``
-    pivots of a dense array, refused with :class:`CapExceeded` when it and
-    its trailing product need more memory than is available.  Inside a
+    pivots of a dense array.  Before any value is computed, the elimination
+    is refused with :class:`CapExceeded` when the dense array, its trailing
+    product, the front's key/value store and the pair arrays of its largest
+    level need more memory than is available.  Inside a
     panel a pivot updates only the panel's block, each panel row's part past
     the panel gains the shares of the earlier pivots' parts (a unit
     triangular solve that only adds), and the trailing block gets one
@@ -333,17 +339,26 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
     order = [s for s in range(t, m) if adj[s] is not None] + list(range(t))
     L = len(order) - t
     size = len(order) ** 2
-    need = 2 * 8 * size                 # the dense array and its trailing product
+    dk = [len(nbl) for _, nbl in front]
+    levels = [[] for _ in range(max((level[s] + 1 for s, _ in front), default=0))]
+    for s, nbl in front:
+        levels[level[s]].append((s, nbl))
+    # the front's keys and values, 2 sum(d) of each, and its largest level's
+    # sum d(d - 1) pairs
+    front_need = 2 * 16 * sum(dk) + FRONT_PAIR_BYTES * max(
+        (sum(len(nbl) * (len(nbl) - 1) for _, nbl in piv) for piv in levels), default=0)
+    tail_need = 2 * 8 * size            # the dense array and its trailing product
     available = _available_memory()
-    if need > available:
+    if front_need + tail_need > available:
         raise CapExceeded(f"the dense elimination tail of L = {L} nodes needs "
-                          f"{need:,} bytes; {available:,} bytes are available")
+                          f"{tail_need:,} bytes; {available:,} bytes are available, "
+                          f"and the sparse front of {len(front)} pivots needs "
+                          f"{front_need:,} bytes more")
     pos = np.full(m, -1, dtype=np.int64)
     pos[order] = np.arange(len(order))
     work = np.zeros(2 * size)           # D, then room for each trailing product
     D = work[:size].reshape(len(order), len(order))
     # c_ij of every pivot's row and column, at the rank of i * m + j in key
-    dk = [len(nbl) for _, nbl in front]
     nbc = np.fromiter(chain.from_iterable(nbl for _, nbl in front), np.int64, sum(dk))
     prow = np.repeat(np.array([s for s, _ in front], dtype=np.int64), dk)
     key = np.sort(np.concatenate([prow * m + nbc, nbc * m + prow]))
@@ -356,9 +371,6 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
         np.add.at(val, np.searchsorted(key, i[~tail] * m + j[~tail]), v[~tail])
 
     add(ei, ej, np.concatenate([cc[keep], cc[keep]]))
-    levels = [[] for _ in range(max((level[s] + 1 for s, _ in front), default=0))]
-    for s, nbl in front:
-        levels[level[s]].append((s, nbl))
     steps = []
     for piv in levels:
         ps = np.array([s for s, _ in piv], dtype=np.int64)
@@ -565,21 +577,13 @@ def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
 # Critical (bottleneck) resistance
 # ----------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in the union-find forest ``parent``, halving the path.  The
+    union of x's and y's trees is ``parent[_find(parent, x)] = _find(parent,
+    y)``."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 @dataclass
@@ -598,10 +602,10 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     conductance 0 (cut, or underflowed) are absent.  The bottleneck edge is
     the edge at which Kruskal over the edges by descending conductance, ties
     in edge order, first joins A to B: a union-find over the components
-    above c*, run on c*'s tie group only.  No step sorts the edges: each
-    step's adjacency is a CSR built straight from ``edge_i``, which is
-    nondecreasing in every network (the kernel's CSR order, copies from
-    :meth:`ElectricNetwork.with_scaled_edge`, the sorted orbit pairs of
+    above c*, run on c*'s tie group only.  No bisection step sorts the
+    edges: each step's adjacency is a CSR built straight from ``edge_i``,
+    which is nondecreasing in every network (the kernel's CSR order, copies
+    from :meth:`ElectricNetwork.with_scaled_edge`, the sorted orbit pairs of
     :func:`_lump`).
     """
     A = frozenset(int(a) for a in A)
@@ -646,64 +650,55 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
         raise ValueError("A and B are disconnected")
     # Kruskal over c*'s tie group, on the components above c*
     lab = below.tolist()
-    uf = _UnionFind(n + 2)
+    parent = list(range(n + 2))
     src, dst = n, n + 1
-    for a in A:
-        uf.union(lab[a], src)
-    for b in B:
-        uf.union(lab[b], dst)
+    for x, y in chain(((lab[a], src) for a in A), ((lab[b], dst) for b in B)):
+        parent[_find(parent, x)] = _find(parent, y)
     for e in np.flatnonzero(ec == levels[hi]).tolist():
-        uf.union(lab[int(ei[e])], lab[int(ej[e])])
-        if uf.find(src) == uf.find(dst):
+        parent[_find(parent, lab[int(ei[e])])] = _find(parent, lab[int(ej[e])])
+        if _find(parent, src) == _find(parent, dst):
             break
     c_star = float(ec[e])
-    path = _bottleneck_path(net, A, B, c_star)
+    # with edge_i nondecreasing, a state's lower neighbours (it is the edge's
+    # j) come before its upper ones (it is the edge's i) in edge order, so
+    # the moves j -> i first keep each state's neighbours in edge order
+    sel = ec >= c_star * (1.0 - 1e-15)
+    path = _shortest_path(n, np.concatenate([ej[sel], ei[sel]]),
+                          np.concatenate([ei[sel], ej[sel]]), A, B)
     return PsiResult(1.0 / c_star, path, (int(ei[e]), int(ej[e])))
 
 
-def _bottleneck_path(net: ElectricNetwork, A: frozenset, B: frozenset,
-                     c_min: float) -> list[int]:
-    """A shortest path from A to B using only edges with c >= c_min, each
-    state's neighbours in edge order (see :func:`_level_bfs`).  With
-    ``edge_i`` nondecreasing, a state's lower neighbours (it is the edge's
-    j) come before its upper ones (it is the edge's i) in edge order, so one
-    stable sort by state orders them."""
-    n = len(net)
-    sel = net.edge_c >= c_min * (1.0 - 1e-15)
-    tail = np.concatenate([net.edge_j[sel], net.edge_i[sel]])
-    head = np.concatenate([net.edge_i[sel], net.edge_j[sel]])
-    head = head[np.argsort(tail, kind="stable")]
+def _shortest_path(n: int, tail: np.ndarray, head: np.ndarray, A: frozenset,
+                   B: frozenset, key: np.ndarray | None = None) -> list[int]:
+    """A shortest path from A to B over the moves tail -> head.
+
+    Breadth-first from A in ascending order, one level per step, on a CSR
+    of the moves: each state's moves in array order, or by ``key`` when
+    given (distinct values, ordered by tail first).  A state's predecessor
+    is the first state of the previous level to reach it, and the first
+    state of B reached ends the path, as a scan one state and one move at a
+    time would find them.
+    """
+    head = head[np.argsort(tail, kind="stable") if key is None else np.argsort(key)]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-
-    def expand(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the neighbour slots of the level's states, state by state
-        lo, counts = indptr[level], indptr[level + 1] - indptr[level]
-        starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        return head[starts + np.arange(len(starts))], np.repeat(level, counts)
-
-    return _level_bfs(n, A, B, expand)
-
-
-def _level_bfs(n: int, A: frozenset, B: frozenset, expand) -> list[int]:
-    """Breadth-first search from A in ascending order, one level per step.
-
-    ``expand(level)`` gives the neighbours of the level's states and, entry
-    for entry, the state each was reached from, in scan order.  A state's
-    predecessor is the first state of the previous level to reach it, and
-    the first state of B reached ends the path, as a scan one state and
-    one neighbour at a time would find them.
-    """
     in_b = np.zeros(n, dtype=bool)
     in_b[list(B)] = True
     prev = np.full(n, -2, dtype=np.int64)           # -2: not reached yet
     level = np.array(sorted(A), dtype=np.int64)
     prev[level] = -1
+    slot = np.full(n, len(tail), dtype=np.int64)    # scan position of first reach
     while len(level):
-        nbr, src = expand(level)
+        # the moves of the level's states, state by state
+        lo, counts = indptr[level], indptr[level + 1] - indptr[level]
+        starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        nbr, src = head[starts + np.arange(len(starts))], np.repeat(level, counts)
         fresh = prev[nbr] == -2
         nbr, src = nbr[fresh], src[fresh]
-        first = np.sort(np.unique(nbr, return_index=True)[1])
+        # a state is fresh in one level only, so its slot is set once
+        at = np.arange(len(nbr))
+        np.minimum.at(slot, nbr, at)
+        first = np.flatnonzero(slot[nbr] == at)
         level = nbr[first]
         prev[level] = src[first]
         hits = np.flatnonzero(in_b[level])
@@ -742,22 +737,22 @@ class BottleneckTree:
 
     An edge joins x and x minus one particle; its level is the weight order of
     its heavier endpoint (bigger w = smaller resistance), read from the exact
-    integer keys of :meth:`ConfigurationSpace.weight_keys`.  Levels run from
-    the highest key down: level k has key ``level_keys[k]``, sorted distinct
+    integer keys of :meth:`ConfigurationSpace.weight_keys`.  The tree keeps
+    ``space``; ``keys``, every state's key (int64); the levels from the
+    highest key down: level k has key ``level_keys[k]`` and sorted distinct
     (p, q) labels ``level_pq[k]`` (more than one label is an alpha-genericity
-    tie) and edges ``edge_i[e], edge_j[e]`` for ``level_start[k] <= e <
-    level_start[k+1]``.  Building costs one stable sort of the edges by
-    level (a radix sort on int16 levels); each query is a single union-find
-    pass over the levels, which reads the edges as Python ints one level at
-    a time.
+    tie); and the edges ``edge_i[e], edge_j[e]`` (int64, occupied side
+    first) of level k for ``level_start[k] <= e < level_start[k+1]``.
+    Building costs one stable sort of the edges by level (a radix sort on
+    int16 levels); each query is a single union-find pass over the levels,
+    which reads the edges as Python ints one level at a time.
     """
 
     def __init__(self, space: ConfigurationSpace, alpha: Fraction):
         self.space = space
         cu, cv = space.key_coefficients(alpha)
         nu, nv = space.part_counts()
-        self._keys = cu * nu + cv * nv
-        self.keys = self._keys.tolist()
+        self.keys = cu * nu + cv * nv
         # Levels and labels from the distinct (|x_U|, |x_V|) pairs, found by one
         # count over the combined key |x_U| * (|V| + 1) + |x_V|; pair 0, the
         # empty state, heads no edge.
@@ -777,56 +772,36 @@ class BottleneckTree:
         # so the edge's level is i's.
         heads, tails = zip(*space.removals())
         ei, ej = np.concatenate(heads), np.concatenate(tails)
-        # (occupied, emptied, site) of every removal, for witness_path's moves
-        self._moves = (ei, ej, np.repeat(np.arange(len(heads)), [len(h) for h in heads]))
+        del heads, tails
         # at most (|U| + 1)(|V| + 1) levels: int16 lets the stable sort be a
         # radix sort
-        lvl = (top - np.searchsorted(ascending, self._keys[ei])).astype(np.int16)
+        lvl = (top - np.searchsorted(ascending, self.keys[ei])).astype(np.int16)
         order = np.argsort(lvl, kind="stable")
-        self._ei, self._ej = ei[order], ej[order]
+        self.edge_i, self.edge_j = ei[order], ej[order]
         self.level_start = np.searchsorted(lvl[order], np.arange(top + 2)).tolist()
-
-    @cached_property
-    def edge_i(self) -> list[int]:
-        return self._ei.tolist()
-
-    @cached_property
-    def edge_j(self) -> list[int]:
-        return self._ej.tolist()
 
     def bottleneck_weight(self, level: int) -> AsymptoticExponent:
         """Level's weight exponent: its smallest (p, q) label."""
         return AsymptoticExponent(*self.level_pq[level][0])
+
+    def _level_edges(self, level: int):
+        """The edges of one level as pairs of Python ints."""
+        lo, hi = self.level_start[level], self.level_start[level + 1]
+        return zip(self.edge_i[lo:hi].tolist(), self.edge_j[lo:hi].tolist())
 
     def connecting_level(self, A: frozenset, B: frozenset) -> int:
         """First level at which edges at or above it join A to B."""
         n = len(self.keys)
         parent = list(range(n + 2))
         src, dst = n, n + 1
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        for root, members in ((src, A), (dst, B)):
-            for x in members:
-                x, r = find(x), find(root)
-                if x != r:
-                    parent[x] = r
-        if find(src) == find(dst):
+        for x, y in chain(((a, src) for a in A), ((b, dst) for b in B)):
+            parent[_find(parent, x)] = _find(parent, y)
+        if _find(parent, src) == _find(parent, dst):
             raise ValueError("A and B intersect")
-        ei, ej, start = self._ei, self._ej, self.level_start
-        for level in range(len(start) - 1):
-            lo, hi = start[level], start[level + 1]
-            for x, y in zip(ei[lo:hi].tolist(), ej[lo:hi].tolist()):
-                while parent[x] != x:           # find, with path halving
-                    parent[x] = x = parent[parent[x]]
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x != y:
-                    parent[x] = y
-            if find(src) == find(dst):
+        for level in range(len(self.level_keys)):
+            for x, y in self._level_edges(level):
+                parent[_find(parent, x)] = _find(parent, y)
+            if _find(parent, src) == _find(parent, dst):
                 return level
         raise ValueError("A and B are disconnected")
 
@@ -842,47 +817,42 @@ class BottleneckTree:
         waiting are those of the largest key.
         """
         n = len(self.keys)
-        uf = _UnionFind(n)
-        top = list(self.keys)
+        parent = list(range(n))
+        top = self.keys.tolist()       # a root's key is its component's largest
         waiting: list[list[int] | None] = [[x] for x in range(n)]
         escape = [-1] * n
-        ei, ej, start = self._ei.tolist(), self._ej.tolist(), self.level_start
         for level in range(len(self.level_keys)):
-            for e in range(start[level], start[level + 1]):
-                r, s = uf.find(ei[e]), uf.find(ej[e])
+            for x, y in self._level_edges(level):
+                r, s = _find(parent, x), _find(parent, y)
                 if r == s:
                     continue
                 if top[r] > top[s]:
                     r, s = s, r
                 if top[r] < top[s]:
-                    for x in waiting[r]:
-                        escape[x] = level
+                    for z in waiting[r]:
+                        escape[z] = level
                 else:
                     if len(waiting[r]) > len(waiting[s]):
                         r, s = s, r
                     waiting[s].extend(waiting[r])
                 waiting[r] = None
-                uf.parent[r] = s
+                parent[r] = s
         return escape
 
     def witness_path(self, A: frozenset, B: frozenset, level: int) -> list[int]:
         """Shortest path from A to B using only edges whose heavier endpoint
-        has key at least ``level_keys[level]`` (breadth-first from A, each
-        state's moves in site order; see :func:`_level_bfs`)."""
-        n, sites = len(self.keys), self.space.graph.n_sites
-        ei, ej, site = self._moves
-        keep = np.maximum(self._keys[ei], self._keys[ej]) >= self.level_keys[level]
-        ei, ej, site = ei[keep], ej[keep], site[keep]
-        moves = np.full((n, sites), -1, dtype=np.int64)
-        moves[ei, site] = ej
-        moves[ej, site] = ei
-
-        def expand(level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            rows = moves[level]
-            keep = rows >= 0
-            return rows[keep], np.repeat(level, sites)[keep.ravel()]
-
-        return _level_bfs(n, A, B, expand)
+        has key at least ``level_keys[level]``: the edges of levels up to
+        ``level``, breadth-first from A with each state's moves in site order
+        (see :func:`_shortest_path`).  An edge's site is the one bit in which
+        its endpoints' masks differ."""
+        stop = self.level_start[level + 1]
+        ei, ej = self.edge_i[:stop], self.edge_j[:stop]
+        masks = self.space.masks
+        site = np.frexp((masks[ei] ^ masks[ej]).astype(np.float64))[1] - 1
+        tail = np.concatenate([ej, ei])
+        key = tail * self.space.graph.n_sites + np.tile(site, 2)
+        return _shortest_path(len(self.keys), tail, np.concatenate([ei, ej]), A, B,
+                              key=key)
 
 
 def psi_symbolic(space: ConfigurationSpace, A, B, alpha: Fraction) -> PsiSymbolic:

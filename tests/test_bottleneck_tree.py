@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from hcmeta.asymptotics import AsymptoticExponent
@@ -337,11 +338,12 @@ def test_tree_matches_python_reference(spec, relabelled):
     for alpha in (Fraction(2, 5), Fraction(1, 2), Fraction(0)):
         ref, tree = Reference(spc, alpha), BottleneckTree(spc, alpha)
         want = ref.tree
-        assert tree.keys == want.keys and tree.level_keys == want.level_keys
+        assert all(a.dtype == np.int64 for a in (tree.keys, tree.edge_i, tree.edge_j))
+        assert tree.keys.tolist() == want.keys and tree.level_keys == want.level_keys
         assert tree.level_pq == want.level_pq
-        assert (tree.edge_i, tree.edge_j) == (want.edge_i, want.edge_j)
+        assert (tree.edge_i.tolist(), tree.edge_j.tolist()) == (want.edge_i, want.edge_j)
         assert tree.level_start == want.level_start
-        assert all(type(k) is int for k in tree.keys + tree.level_keys + tree.edge_i)
+        assert all(type(k) is int for k in tree.level_keys + tree.level_start)
         assert tree.escape_levels() == ref.escape_levels()
         u, v = spc.u_state, spc.v_state
         pairs = [({u}, {v}), ({u}, dominance_sets(spc, u, alpha)[0])]
@@ -356,6 +358,24 @@ def test_tree_matches_python_reference(spec, relabelled):
             path = tree.witness_path(A, B, level)
             assert path == ref.witness_path(A, B, level)
             assert all(type(x) is int for x in path)
+
+
+def test_tree_keeps_each_datum_once():
+    spc = enumerate_space(build_family("ladder:6"))
+    alpha = Fraction(1, 2)
+    tree = BottleneckTree(spc, alpha)
+    u, v = spc.u_state, spc.v_state
+    A, B = frozenset({u}), frozenset(dominance_sets(spc, u, alpha)[0])
+    tree.witness_path(A, B, tree.connecting_level(A, B))
+    tree.escape_levels()
+    psi_symbolic(spc, {u}, {v}, alpha)
+    fields = vars(tree)
+    assert set(fields) == {"space", "keys", "level_keys", "level_pq",
+                           "edge_i", "edge_j", "level_start"}
+    assert (tree.edge_i.dtype, tree.edge_j.dtype) == (np.int64, np.int64)
+    long = {len(spc), len(tree.edge_i)}
+    assert not [name for name, value in fields.items()
+                if isinstance(value, list) and len(value) in long]
 
 
 GATE_CASES = [("torus:6x6", Fraction(7, 10)),

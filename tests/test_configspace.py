@@ -67,7 +67,8 @@ def test_weight_keys_exact_up_to_the_int64_bound():
     for alpha in (Fraction(2, 5), Fraction(7, 10), Fraction(1, b)):
         keys = spc.weight_keys(alpha)
         assert keys.dtype == np.int64 and keys.tolist() == python_keys(alpha)
-        assert BottleneckTree(spc, alpha).keys == python_keys(alpha)
+        tree_keys = BottleneckTree(spc, alpha).keys
+        assert tree_keys.dtype == np.int64 and tree_keys.tolist() == python_keys(alpha)
     for alpha, denominator in ((Fraction(1, b + 1), b + 1),
                                (Fraction(1, 2 ** 60), 2 ** 60),
                                (0.001, Fraction(0.001).denominator)):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +267,20 @@ def test_zero_conductance_edges_are_absent():
         (want.value, want.witness_path, want.bottleneck_edge)
 
 
+def test_isolated_interior_state_gets_zero_voltage():
+    # at lambda = 1e40, 42 of cycle:12's 1,068 conductances underflow to 0
+    # and cut some interior states off; u still reaches v
+    spc, par, net = _net("cycle:12", 1e40)
+    u, v = spc.u_state, spc.v_state
+    isolated = np.flatnonzero(net.conductance_matrix().sum(axis=1) == 0)
+    assert len(isolated) and u not in isolated and v not in isolated
+    w = voltage(net, {u}, {v})
+    assert (w.values[isolated] == 0).all() and w.harmonic_residual < 1e-10
+    ht = expected_hitting_time(net, u, {v})
+    assert 0 < ht.value < np.inf and ht.rel_gap <= 1e-12
+    assert np.isfinite(effective_resistance(net, {u}, {v}))
+
+
 def test_dense_tail_beyond_available_memory_refused(monkeypatch):
     from hcmeta import potential
 
@@ -275,10 +290,17 @@ def test_dense_tail_beyond_available_memory_refused(monkeypatch):
     u, v = spc.u_state, spc.v_state
     monkeypatch.setattr(potential, "_available_memory", lambda: 1000)
     refused = r"tail of L = \d+ nodes needs [\d,]+ bytes; 1,000 bytes are available"
-    with pytest.raises(CapExceeded, match=refused):
+    with pytest.raises(CapExceeded, match=refused) as info:
         effective_resistance(net, {u}, {v})
     with pytest.raises(CapExceeded, match=refused):
         expected_hitting_time(net, u, {v})
+    # exactly the tail's bytes available: the sparse front's store and pair
+    # arrays do not fit beside it
+    tail = re.search(r"tail of L = \d+ nodes needs ([\d,]+) bytes", str(info.value))
+    monkeypatch.setattr(potential, "_available_memory",
+                        lambda: int(tail.group(1).replace(",", "")))
+    with pytest.raises(CapExceeded, match=r"front of \d+ pivots needs [\d,]+ bytes"):
+        effective_resistance(net, {u}, {v})
 
 
 def test_voltage_residual_under_stiffness():
