@@ -14,7 +14,9 @@ and whose pi is summed over orbits (strong lumpability; Kemeny & Snell,
 *Finite Markov Chains*).  path:15 lumps from 1,597 states to 826 orbits,
 cycle:12 from 322 to 47, torus:4x6 from 18,995 to 659.  A voltage is read back
 on every state and its harmonic residual is taken on the full network, so
-the residual checks the lumping as well.
+the residual checks the lumping as well.  Orbits, residual and solves work
+on the edge arrays in numpy and load no scipy; only numeric Psi (csgraph)
+and :func:`green_by_visits` (an independent LU route) do.
 
 Every size runs one star-mesh (Kron) elimination (:func:`_eliminate`).  With
 A and B grounded it gives the effective conductance c(A, B) and, by
@@ -108,17 +110,6 @@ class ElectricNetwork:
     def edges(self):
         return zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_c.tolist())
 
-    def conductance_matrix(self) -> "scipy.sparse.csr_matrix":
-        import scipy.sparse as sp
-
-        n = len(self)
-        m = sp.coo_matrix(
-            (np.concatenate([self.edge_c, self.edge_c]),
-             (np.concatenate([self.edge_i, self.edge_j]),
-              np.concatenate([self.edge_j, self.edge_i]))),
-            shape=(n, n))
-        return m.tocsr()
-
     def with_scaled_edge(self, i: int, j: int, factor: float) -> "ElectricNetwork":
         """Copy of the network with conductance of edge (i, j) multiplied."""
         out = ElectricNetwork.__new__(ElectricNetwork)
@@ -179,6 +170,11 @@ def _lump(net: ElectricNetwork, *fixed: frozenset
     Snell, Finite Markov Chains).  Any subset of the symmetries gives exact
     orbits; the generators that fix the sets may generate less than the
     whole stabiliser, and then the lumping is only finer.
+
+    Components by min-label propagation over x ~ p(x), both directions, with
+    pointer jumping until no label changes (Shiloach & Vishkin 1982); orbits
+    are numbered in the order of their smallest states, as csgraph's
+    ``connected_components`` numbers them.
     """
     n = len(net)
     sets = [np.fromiter(s, dtype=np.int64) for s in fixed]
@@ -186,13 +182,15 @@ def _lump(net: ElectricNetwork, *fixed: frozenset
              if all(np.isin(p[s], s).all() for s in sets)]
     if not perms:
         return net, np.arange(n)
-    import scipy.sparse as sp
-    from scipy.sparse import csgraph
-
-    moves = sp.coo_matrix((np.ones(n * len(perms), dtype=np.int8),
-                           (np.tile(np.arange(n), len(perms)), np.concatenate(perms))),
-                          shape=(n, n))
-    k, orbit = csgraph.connected_components(moves, directed=False)
+    low, last = np.arange(n), None      # low[x]: least state known in x's orbit
+    while not np.array_equal(low, last):
+        last = low
+        for p in perms:
+            low = np.minimum(low, low[p])
+            low[p] = np.minimum(low[p], low)
+        low = low[low]
+    rank = np.cumsum(low == np.arange(n)) - 1
+    k, orbit = int(rank[-1]) + 1, rank[low]
     oi, oj = orbit[net.edge_i], orbit[net.edge_j]
     cross = oi != oj
     pair, which = np.unique(np.minimum(oi, oj)[cross] * k + np.maximum(oi, oj)[cross],
@@ -226,29 +224,27 @@ def voltage(net: ElectricNetwork, A, B) -> VoltageField:
     """Harmonic W with W=1 on A, W=0 on B; W(x) = Pr_x(T_A < T_B).
 
     W is solved on the orbit network of the symmetries that fix A and B
-    (:func:`_lump`) and read back on every state; the harmonic residual is
-    taken on the full network, so it checks the lumping too.  An interior
-    state with no edge of positive conductance (cut, or underflowed) has no
-    harmonic condition: it gets W = 0 and is left out of the residual.
+    (:func:`_lump`) and read back on every state; the harmonic residual,
+    max |W(x) - sum_y c_xy W(y) / c_x| by bincounts over both ends of the
+    edges, is taken on the full network, so it checks the lumping too.  An
+    interior state with no edge of positive conductance (cut, or
+    underflowed) has no harmonic condition: it gets W = 0 and is left out of
+    the residual.
     """
     A, B = frozenset(int(a) for a in A), frozenset(int(b) for b in B)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
     if A & B:
         raise ValueError("A and B must be disjoint")
-    C = net.conductance_matrix()
-    deg = np.asarray(C.sum(axis=1)).ravel()
-    interior = np.setdiff1d(np.flatnonzero(deg > 0), list(A | B))
+    n, ei, ej, c = len(net), net.edge_i, net.edge_j, net.edge_c
+    deg = np.bincount(ei, c, n) + np.bincount(ej, c, n)
+    interior = deg > 0
+    interior[list(A | B)] = False
     lumped, orbit = _lump(net, A, B)
     w = _star_mesh(lumped, _orbits(orbit, A), _orbits(orbit, B))[1][orbit]
-    return VoltageField(w, A, B, _harmonic_residual(C, deg, w, interior), len(lumped))
-
-
-def _harmonic_residual(C, deg, w, interior) -> float:
-    if not len(interior):
-        return 0.0
-    avg = (C[interior, :] @ w) / deg[interior]
-    return float(np.max(np.abs(w[interior] - avg)))
+    flow = np.bincount(ei, c * w[ej], n) + np.bincount(ej, c * w[ei], n)
+    residual = np.abs(w[interior] - flow[interior] / deg[interior]).max(initial=0.0)
+    return VoltageField(w, A, B, float(residual), len(lumped))
 
 
 def _star_mesh(net: ElectricNetwork, A: frozenset, B: frozenset

@@ -67,10 +67,20 @@ def ref_star_mesh_resistance(net, A, B) -> float:
     return 1.0 / (C[0, 1] * scale)
 
 
+def conductance_matrix(net) -> sp.csr_matrix:
+    """The symmetric CSR matrix of the conductances c(x, y)."""
+    n = len(net)
+    return sp.coo_matrix(
+        (np.concatenate([net.edge_c, net.edge_c]),
+         (np.concatenate([net.edge_i, net.edge_j]),
+          np.concatenate([net.edge_j, net.edge_i]))),
+        shape=(n, n)).tocsr()
+
+
 def ref_lu_voltage(net, A, B) -> np.ndarray:
     """W by a COLAMD-ordered LU of the row-normalised harmonic system."""
     n = len(net)
-    C = net.conductance_matrix()
+    C = conductance_matrix(net)
     deg = np.asarray(C.sum(axis=1)).ravel()
     interior = np.array([i for i in range(n) if i not in A and i not in B])
     P = sp.diags(1.0 / deg[interior]) @ C[interior, :]

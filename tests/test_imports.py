@@ -15,13 +15,25 @@ DEPENDENCIES = ("numpy", "scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.cs
 # loaded inside the functions that use them, never by an import of hcmeta
 LAZY = ("scipy.stats", "scipy.sparse", "scipy.linalg")
 
-SOLVE = ("from fractions import Fraction\n"
+SOLVE = ("import os\n"
+         "from fractions import Fraction\n"
          "from hcmeta import (ModelParams, build_network, effective_resistance,\n"
-         "                    enumerate_space, parse_graph_spec)\n"
-         "g = parse_graph_spec('cycle:6')\n"
+         "                    enumerate_space, escape_probability,\n"
+         "                    expected_hitting_time, green_function, parse_graph_spec,\n"
+         "                    voltage)\n"
+         "from hcmeta.cli import main\n"
+         "g = parse_graph_spec('ladder:4')\n"
          "spc = enumerate_space(g)\n"
          "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(1, 2))\n"
-         "effective_resistance(build_network(spc, par), [spc.u_state], [spc.v_state])")
+         "net = build_network(spc, par)\n"
+         "u, v = spc.u_state, spc.v_state\n"
+         "voltage(net, [u], [v])\n"
+         "effective_resistance(net, [u], [v])\n"
+         "expected_hitting_time(net, u, [v])\n"
+         "green_function(net, u, [v])\n"
+         "escape_probability(net, u, [v])\n"
+         "assert main(['hitting', '--graph', 'ladder:4', '--lambda', '100',\n"
+         "             '--alpha', '1/2', '-o', os.devnull]) == 0")
 EXACT = ("from fractions import Fraction\n"
          "from hcmeta import (build_gate, enumerate_space, no_trap_certificate,\n"
          "                    parse_graph_spec, psi_symbolic)\n"
@@ -79,9 +91,11 @@ def test_import_leaves_scipy_submodules_unloaded(module):
     assert not _lazy_loaded(_new_modules(f"import {module}"))
 
 
-def test_first_solve_loads_scipy_sparse_not_stats():
-    loaded = _lazy_loaded(_new_modules(SOLVE))
-    assert "scipy.sparse" in loaded and "scipy.stats" not in loaded
+def test_solve_path_loads_no_scipy():
+    # R, W, E[T] by both routes, the Green function and the escape
+    # probabilities (all lumped: ladder:4 has 24 symmetries) and CLI hitting
+    loaded = _new_modules(SOLVE)
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_exact_exponent_layer_loads_no_scipy():

@@ -5,11 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from hcmeta.configspace import ModelParams, enumerate_space
+from hcmeta import potential
 from hcmeta.graph import BipartiteGraph, automorphism_generators, build_family
 from hcmeta.potential import (_lump, build_network, effective_resistance,
                               expected_hitting_time, voltage)
+from test_elimination import conductance_matrix
 
 HALF = Fraction(1, 2)
 
@@ -132,3 +136,76 @@ def test_edited_network_keeps_only_its_own_symmetries():
     assert 0 < len(edited.symmetries) < len(net.symmetries)
     u, v = spc.u_state, spc.v_state
     _assert_same_solves(edited, frozenset({u}), frozenset({v}), u)
+
+
+# graph spec, then an optional edit: "relabelled" shuffles the sites, "scaled"
+# triples one edge at the empty state, which breaks the symmetries moving it
+LUMP_CASES = ["cycle:12", "path:15", "ladder:4", "torus:4x4", "hypercube:4",
+              "complete:2x3", "ladder:8/relabelled", "torus:4x4/scaled"]
+
+
+def _case_network(case: str, lam: float):
+    spec, _, edit = case.partition("/")
+    g = build_family(spec)
+    if edit == "relabelled":
+        g = relabel(g, 7)
+    spc = enumerate_space(g)
+    net = build_network(spc, ModelParams.for_graph(g, lam, alpha=HALF))
+    if edit == "scaled":
+        e = int(np.flatnonzero(net.edge_i == spc.empty_index)[0])
+        edited = net.with_scaled_edge(int(net.edge_i[e]), int(net.edge_j[e]), 3.0)
+        assert 0 < len(edited.symmetries) < len(net.symmetries)
+        net = edited
+    return spc, net
+
+
+def _fixed_sets(spc):
+    """(A, B), (B,) and ({empty}, B) for A = {u} and B = {v}."""
+    u, v, e = (frozenset({x}) for x in (spc.u_state, spc.v_state, spc.empty_index))
+    return [(u, v), (v,), (e, v)]
+
+
+@pytest.mark.parametrize("case", LUMP_CASES)
+def test_orbits_are_the_components_of_the_permutation_graph(case):
+    # the orbits and their numbering are those of csgraph's connected
+    # components of x ~ p(x) over the kept symmetries
+    spc, net = _case_network(case, 100.0)
+    n = len(net)
+    for fixed in _fixed_sets(spc):
+        perms = [p for p in net.symmetries
+                 if all(set(p[sorted(s)].tolist()) == s for s in fixed)]
+        assert perms
+        moves = sp.coo_matrix((np.ones(n * len(perms)),
+                               (np.tile(np.arange(n), len(perms)), np.concatenate(perms))),
+                              shape=(n, n))
+        k, want = csgraph.connected_components(moves, directed=False)
+        lumped, orbit = _lump(net, *fixed)
+        assert len(lumped) == k < n
+        assert orbit.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("case,lam", [(c, 100.0) for c in LUMP_CASES]
+                         + [("cycle:12", 1e40)])
+def test_harmonic_residual_matches_csr_matvec(monkeypatch, case, lam):
+    # the residual from the edge arrays against the CSR mat-vec one, over the
+    # interior states of positive degree; at 1e40 some states are isolated.
+    # A perturbed solve checks that a voltage that is not harmonic shows.
+    spc, net = _case_network(case, lam)
+    C = conductance_matrix(net)
+    deg = np.asarray(C.sum(axis=1)).ravel()
+    assert (deg == 0).any() == (lam > 1e30)
+    star_mesh = potential._star_mesh
+
+    def perturbed(lumped, A, B):
+        k, W = star_mesh(lumped, A, B)
+        return k, W + eps * np.sin(np.arange(len(W)))
+
+    monkeypatch.setattr(potential, "_star_mesh", perturbed)
+    for eps in (0.0, 1e-3):
+        for A, B in (f for f in _fixed_sets(spc) if len(f) == 2):
+            w = voltage(net, A, B)
+            interior = np.setdiff1d(np.flatnonzero(deg > 0), list(A | B))
+            avg = (C[interior, :] @ w.values) / deg[interior]
+            want = np.abs(w.values[interior] - avg).max()
+            assert abs(w.harmonic_residual - want) <= 1e-15
+            assert (want > 1e-6) == (eps > 0)
