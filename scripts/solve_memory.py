@@ -1,14 +1,15 @@
-"""Time and peak memory of the exact solve path at the size wall.
+"""Time and peak memory of the solve path and of numeric Psi at the size wall.
 
     python3 scripts/solve_memory.py [--output BENCH_solve_memory.json]
 
-Each instance runs in a fresh process started from this checkout's ``src``:
-enumerate, build the network at lambda = 100 and alpha = 1/2, then
-``voltage(u, v)`` and ``expected_hitting_time(u, {v})``, one call each.  The
-JSON output lists, per instance, the states, the orbits of the lumped
-voltage solve, the seconds of each call, the process's peak RSS, E_u[T_v] in
-steps (with its exact ``float.hex``) and the gap between the two E[T]
-routes.
+Each instance runs twice, each time in a fresh process started from this
+checkout's ``src``: enumerate and build the network at lambda = 100 and
+alpha = 1/2, then either ``voltage(u, v)`` and ``expected_hitting_time(u,
+{v})``, one call each, or ``critical_resistance(u, {v})`` alone.  The JSON
+output lists, per instance, the states, the orbits of the lumped voltage
+solve, the seconds of each call, each process's peak RSS, E_u[T_v] in steps
+(with its exact ``float.hex``), the gap between the two E[T] routes, and
+Psi(u, v) (with its ``float.hex``) with its bottleneck edge.
 """
 from __future__ import annotations
 
@@ -25,17 +26,22 @@ INSTANCES = ("ladder:12", "torus:4x6", "torus:4x8")
 LAMBDA = 100.0
 
 
-def measure(spec: str) -> dict:
-    """One instance, in this process."""
+def _network(spec: str):
     from fractions import Fraction
 
-    from hcmeta import (ModelParams, build_network, enumerate_space,
-                        expected_hitting_time, parse_graph_spec, voltage)
+    from hcmeta import ModelParams, build_network, enumerate_space, parse_graph_spec
 
-    t0 = time.perf_counter()
     g = parse_graph_spec(spec)
     spc = enumerate_space(g)
-    net = build_network(spc, ModelParams.for_graph(g, LAMBDA, alpha=Fraction(1, 2)))
+    return spc, build_network(spc, ModelParams.for_graph(g, LAMBDA, alpha=Fraction(1, 2)))
+
+
+def measure(spec: str) -> dict:
+    """The solve path on one instance, in this process."""
+    from hcmeta import expected_hitting_time, voltage
+
+    t0 = time.perf_counter()
+    spc, net = _network(spec)
     t1 = time.perf_counter()
     w = voltage(net, {spc.u_state}, {spc.v_state})
     t2 = time.perf_counter()
@@ -44,26 +50,50 @@ def measure(spec: str) -> dict:
     return {"graph": spec, "lambda": LAMBDA, "alpha": "1/2", "states": len(spc),
             "edges": net.n_edges, "orbits": w.orbits, "build_s": t1 - t0,
             "voltage_s": t2 - t1, "hitting_s": t3 - t2,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": _peak_rss_mb(),
             "E_steps": ht.value, "E_steps_hex": ht.value.hex(),
             "route_rel_gap": ht.rel_gap, "harmonic_residual": w.harmonic_residual}
+
+
+def measure_psi(spec: str) -> dict:
+    """Numeric Psi(u, v) on one instance, in this process."""
+    from hcmeta import critical_resistance
+
+    t0 = time.perf_counter()
+    spc, net = _network(spec)
+    t1 = time.perf_counter()
+    psi = critical_resistance(net, {spc.u_state}, {spc.v_state})
+    t2 = time.perf_counter()
+    return {"build_s": t1 - t0, "critical_resistance_s": t2 - t1,
+            "peak_rss_mb": _peak_rss_mb(), "psi": psi.value, "psi_hex": psi.value.hex(),
+            "bottleneck_edge": list(psi.bottleneck_edge),
+            "witness_states": len(psi.witness_path)}
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output", default="BENCH_solve_memory.json")
-    ap.add_argument("--one", help=argparse.SUPPRESS)    # worker: one instance
+    ap.add_argument("--one", help=argparse.SUPPRESS)    # worker: the solve path
+    ap.add_argument("--psi", help=argparse.SUPPRESS)    # worker: numeric Psi
     args = ap.parse_args(argv)
-    if args.one:
-        print(json.dumps(measure(args.one)))
+    if args.one or args.psi:
+        print(json.dumps(measure(args.one) if args.one else measure_psi(args.psi)))
         return 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+    def worker(flag: str, spec: str) -> dict:
+        proc = subprocess.run([sys.executable, os.path.abspath(__file__), flag, spec],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
     rows = []
     for spec in INSTANCES:
-        proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--one", spec],
-                              env=env, capture_output=True, text=True, check=True)
-        rows.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        rows.append(dict(worker("--one", spec), critical_resistance=worker("--psi", spec)))
         print(json.dumps(rows[-1]))
     with open(args.output, "w") as f:
         json.dump({"instances": rows}, f, indent=2)

@@ -14,9 +14,9 @@ and whose pi is summed over orbits (strong lumpability; Kemeny & Snell,
 *Finite Markov Chains*).  path:15 lumps from 1,597 states to 826 orbits,
 cycle:12 from 322 to 47, torus:4x6 from 18,995 to 659.  A voltage is read back
 on every state and its harmonic residual is taken on the full network, so
-the residual checks the lumping as well.  Orbits, residual and solves work
-on the edge arrays in numpy and load no scipy; only numeric Psi (csgraph)
-and :func:`green_by_visits` (an independent LU route) do.
+the residual checks the lumping as well.  Orbits, residual, solves and
+numeric Psi work on the edge arrays in numpy and load no scipy; only
+:func:`green_by_visits` (an independent LU route) does.
 
 Every size runs one star-mesh (Kron) elimination (:func:`_eliminate`).  With
 A and B grounded it gives the effective conductance c(A, B) and, by
@@ -31,9 +31,10 @@ v and towards the empty state, and the two routes agree to rounding (within
 1.1e-15 on the 2,135 orbits of path:17 for lambda = 1e2 ... 1e6).
 
 Critical (bottleneck) resistance is computed numerically by threshold
-connectivity over the conductances, and symbolically on a bottleneck tree: the
-edges sorted once by exact integer exponent keys, which answers every
-Psi(x, J^-(x)) of a space in a single union-find pass.
+connectivity over the conductances (min-label hooking with pointer jumping
+on the edges of one conductance band per bisection step), and symbolically
+on a bottleneck tree: the edges sorted once by exact integer exponent keys,
+which answers every Psi(x, J^-(x)) of a space in a single union-find pass.
 """
 from __future__ import annotations
 
@@ -589,20 +590,70 @@ class PsiResult:
     bottleneck_edge: tuple[int, int]
 
 
+def _components(root: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The partition ``root`` joined along the edges (i, j), as root labels.
+
+    ``root`` labels every state by a root (``root[root] == root``); it is
+    not changed.  Each round gathers the edges' endpoint roots and drops the
+    edges whose ends share one, hooks every larger root to its smallest
+    neighbouring root (``np.minimum.at``) and pointer-jumps until no label
+    changes (Shiloach & Vishkin 1982); the rounds repeat until no edge is
+    left.  Every component is labelled by its smallest root, so by its
+    smallest state when each root is the smallest state of its class (as in
+    ``np.arange(n)`` or an earlier result).
+
+    Rounds: a root that does not hook is smaller than all its neighbouring
+    roots, and they all hook.  It is merged if one of them hooks onto it;
+    there are at most as many merged roots as hooking ones.  If none does,
+    each hooks below it, so it hooks in the next round.  With r_t roots on
+    an edge in round t, then r_(t+1) <= merged + unmerged and r_(t+2) <=
+    merged, so r_t >= r_(t+1) + r_(t+2); also r_t > r_(t+1) (the largest
+    root hooks), and a last round has 2 roots.  So k rounds need Fibonacci
+    F(k + 2) <= n states: at most log_phi(n) = 1.44 log2(n) rounds.
+    """
+    root = root.copy()
+    a, b = root[i], root[j]
+    while True:
+        keep = a != b
+        a, b = a[keep], b[keep]
+        if not len(a):
+            break
+        hook = np.maximum(a, b)
+        np.minimum.at(root, hook, np.minimum(a, b))
+        # a hook chain runs through this round's hooked roots only
+        hooked = np.zeros(len(root), dtype=bool)
+        hooked[hook] = True
+        hook = np.flatnonzero(hooked)
+        while True:
+            up = root[hook]
+            jumped = root[up]
+            if np.array_equal(jumped, up):
+                break
+            root[hook] = jumped
+        a, b = root[a], root[b]
+    while True:                 # the states below earlier rounds' roots
+        jumped = root[root]
+        if np.array_equal(jumped, root):
+            return root
+        root = jumped
+
+
 def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     """Psi(A,B) = min over paths of max edge resistance (numeric).
 
     The bottleneck conductance c* is the largest c at which the edges with
     conductance >= c join A to B, found by bisection over the distinct
-    conductances with one connectivity labelling per step; edges with
-    conductance 0 (cut, or underflowed) are absent.  The bottleneck edge is
-    the edge at which Kruskal over the edges by descending conductance, ties
-    in edge order, first joins A to B: a union-find over the components
-    above c*, run on c*'s tie group only.  No bisection step sorts the
-    edges: each step's adjacency is a CSR built straight from ``edge_i``,
-    which is nondecreasing in every network (the kernel's CSR order, copies
-    from :meth:`ElectricNetwork.with_scaled_edge`, the sorted orbit pairs of
-    :func:`_lump`).
+    conductances; edges with conductance 0 (cut, or underflowed) are absent.
+    A step contracts only the band of edges between its level and the last
+    level seen not to join A to B, onto that level's component labels
+    (:func:`_components`), so an edge is relabelled about once per such
+    level.  The bottleneck edge is the edge at which Kruskal over the edges
+    by descending conductance, ties in edge order, first joins A to B: a
+    union-find over the components above c*, run on c*'s tie group only.
+    The witness path is searched over the edges in edge order, so it relies
+    on ``edge_i`` being nondecreasing, as it is in every network (the
+    kernel's CSR order, copies from :meth:`ElectricNetwork.with_scaled_edge`,
+    the sorted orbit pairs of :func:`_lump`).
     """
     A = frozenset(int(a) for a in A)
     B = frozenset(int(b) for b in B)
@@ -610,8 +661,6 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
         raise ValueError("A and B must be non-empty")
     if A & B:
         return PsiResult(0.0, [min(A & B)], (-1, -1))
-    import scipy.sparse as sp
-    from scipy.sparse import csgraph
 
     n = len(net)
     ei, ej, ec = net.edge_i, net.edge_j, net.edge_c
@@ -619,25 +668,19 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     levels = levels[levels > 0]
     a_list, b_list = list(A), list(B)
 
-    def labels_above(k: int) -> np.ndarray:
-        """Component labels of the edges of the k + 1 largest conductances."""
-        sel = ec >= levels[k]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ei[sel], minlength=n), out=indptr[1:])
-        adj = sp.csr_matrix((np.ones(indptr[-1]), ej[sel], indptr), shape=(n, n))
-        # weak components of the i < j edges: no symmetric copy needed
-        return csgraph.connected_components(adj, connection="weak")[1]
-
     def joined(lab: np.ndarray) -> bool:
         return bool(np.intersect1d(lab[a_list], lab[b_list]).size)
 
-    # Not joined at lo; joined at hi, where hi = len(levels) stands for
-    # "not yet seen joined".
+    # Not joined at lo, whose component labels are ``below``; joined at hi,
+    # where hi = len(levels) stands for "not yet seen joined".
     lo, hi = -1, len(levels)
     below = np.arange(n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lab = labels_above(mid)
+        band = ec >= levels[mid]
+        if lo >= 0:
+            band &= ec < levels[lo]
+        lab = _components(below, ei[band], ej[band])
         if joined(lab):
             hi = mid
         else:

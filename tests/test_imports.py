@@ -10,8 +10,8 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # what hcmeta imports of its dependencies; they may load modules of their own
-DEPENDENCIES = ("numpy", "scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph",
-                "scipy.linalg", "scipy.stats")
+DEPENDENCIES = ("numpy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+                "scipy.stats")
 # loaded inside the functions that use them, never by an import of hcmeta
 LAZY = ("scipy.stats", "scipy.sparse", "scipy.linalg")
 
@@ -48,8 +48,12 @@ BUILD = ("from fractions import Fraction\n"
          "spc = enumerate_space(g)\n"
          "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(1, 2))\n"
          "net = build_network(spc, par, build_kernel(spc, par))")
-CRITICAL = (BUILD + "\nfrom hcmeta import critical_resistance\n"
-            "critical_resistance(net, [spc.u_state], [spc.v_state])")
+CRITICAL = (BUILD + "\nimport os\n"
+            "from hcmeta import critical_resistance\n"
+            "from hcmeta.cli import main\n"
+            "critical_resistance(net, [spc.u_state], [spc.v_state])\n"
+            "assert main(['resistance', '--graph', 'ladder:4', '--lambda', '100',\n"
+            "             '--alpha', '1/2', '-o', os.devnull]) == 0")
 KS = ("from hcmeta import ks_exponential_test\n"
       "ks_exponential_test([0.5 + i / 100 for i in range(100)])")
 
@@ -108,9 +112,10 @@ def test_kernel_and_network_load_no_scipy():
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
-def test_critical_resistance_loads_scipy_sparse_not_stats():
-    loaded = _lazy_loaded(_new_modules(CRITICAL))
-    assert "scipy.sparse" in loaded and "scipy.stats" not in loaded
+def test_critical_resistance_loads_no_scipy():
+    # numeric Psi and CLI resistance (R, numeric and symbolic Psi)
+    loaded = _new_modules(CRITICAL)
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_ks_test_loads_scipy_stats():

@@ -3,6 +3,7 @@ against per-state reference loops kept here: every output must be equal,
 float for float."""
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.dynamics import build_kernel, simulate_hit
 from hcmeta.graph import BipartiteGraph, build_family
-from hcmeta.potential import (_lump, build_network, critical_resistance,
-                              expected_hitting_time, psi_symbolic)
+from hcmeta.potential import (_components, _lump, build_network,
+                              critical_resistance, expected_hitting_time,
+                              psi_symbolic)
 
 SPECS = ["cycle:8", "ladder:6", "torus:4x4", "hypercube:3", "complete:2x3",
          "random:4x4:0.4:3"]
@@ -176,23 +178,79 @@ def test_array_build_matches_loops(label, g):
     for _ in range(8):
         x, y, z, w = rng.sample(range(len(space)), 4)
         pairs += [({x}, {y}), ({x, z}, {y}), ({x, z, w}, {y})]
-    for A, B in pairs:
-        got = critical_resistance(net, A, B)
-        assert (got.value, got.witness_path, got.bottleneck_edge) == \
-            ref_critical(net, A, B)
+    for lam, alpha in [(50.0, Fraction(1, 2)), (50.0, Fraction(7, 10)),
+                       (1e6, Fraction(1, 2)), (1e6, Fraction(7, 10))]:
+        net = build_network(space, ModelParams.for_graph(g, lam, alpha))
+        # ref_critical keeps every edge; critical_resistance drops those of
+        # conductance 0, so none may have underflowed
+        assert (net.edge_c > 0).all()
+        for A, B in pairs:
+            got = critical_resistance(net, A, B)
+            assert (got.value, got.witness_path, got.bottleneck_edge) == \
+                ref_critical(net, A, B)
 
-    # critical_resistance builds its CSR from edge_i as it stands: every
-    # network must keep it nondecreasing
-    lumped, orbit = _lump(net, frozenset({u}), frozenset({v}))
-    bottleneck = ref_critical(net, {u}, {v})[2]
-    scaled = net.with_scaled_edge(*bottleneck, 1e-3)
-    for other, A, B in [(net, {u}, {v}), (scaled, {u}, {v}),
-                        (lumped, {int(orbit[u])}, {int(orbit[v])})]:
-        assert (np.diff(other.edge_i) >= 0).all()
-        got = critical_resistance(other, A, B)
-        assert (got.value, got.witness_path, got.bottleneck_edge) == \
-            ref_critical(other, A, B)
+        # critical_resistance's witness search relies on edge_i as it
+        # stands: every network must keep it nondecreasing
+        lumped, orbit = _lump(net, frozenset({u}), frozenset({v}))
+        bottleneck = ref_critical(net, {u}, {v})[2]
+        scaled = net.with_scaled_edge(*bottleneck, 1e-3)
+        for other, A, B in [(net, {u}, {v}), (scaled, {u}, {v}),
+                            (lumped, {int(orbit[u])}, {int(orbit[v])})]:
+            assert (np.diff(other.edge_i) >= 0).all()
+            got = critical_resistance(other, A, B)
+            assert (got.value, got.witness_path, got.bottleneck_edge) == \
+                ref_critical(other, A, B)
 
+
+def partition(labels) -> set[frozenset]:
+    classes = {}
+    for x, r in enumerate(labels):
+        classes.setdefault(r, set()).add(x)
+    return {frozenset(c) for c in classes.values()}
+
+
+def check_components(root, i, j):
+    """``_components(root, i, j)`` against a union-find over the classes of
+    ``root`` and the edges (i, j)."""
+    n = len(root)
+    uf = _UnionFind(n)
+    for x, y in chain(enumerate(root.tolist()), zip(i.tolist(), j.tolist())):
+        uf.union(x, y)
+    smallest = {}
+    for x in range(n):
+        smallest.setdefault(uf.find(x), x)
+    want = [smallest[uf.find(x)] for x in range(n)]
+    start = root.copy()
+    got = _components(root, i, j)
+    assert (root == start).all()
+    assert partition(got.tolist()) == partition(want)
+    assert (got[got] == got).all()                  # every label is a root
+    assert got.tolist() == want                     # its component's smallest state
+    return got
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_components_match_union_find(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 300))
+    none = np.empty(0, dtype=np.int64)
+    check_components(np.arange(n), none, none)
+    # a descending chain: one state joined per hook, labels passed down
+    chain_i = np.arange(n - 1, 0, -1)
+    check_components(np.arange(n), chain_i, chain_i - 1)
+    # a multigraph with repeated edges, both orientations and self-loops
+    m = int(rng.integers(1, 2 * n))
+    i, j = rng.integers(0, n, m), rng.integers(0, n, m)
+    loops = rng.integers(0, n, m // 4 + 1)
+    i, j = np.concatenate([i, j[:m // 2], loops]), np.concatenate([j, i[:m // 2], loops])
+    check_components(np.arange(n), i, j)
+    # from a non-trivial partition, as a bisection step starts from the last
+    # level's labels
+    first = rng.integers(0, n, (2, n // 3))
+    root = check_components(np.arange(n), *first)
+    assert (root != np.arange(n)).any()
+    check_components(root, i, j)
+    check_components(root, none, none)
 
 
 def test_running_sums_computed_only_by_their_readers():
