@@ -7,9 +7,10 @@ checkout's ``src``: enumerate and build the network at lambda = 100 and
 alpha = 1/2, then either ``voltage(u, v)`` and ``expected_hitting_time(u,
 {v})``, one call each, or ``critical_resistance(u, {v})`` alone.  The JSON
 output lists, per instance, the states, the orbits of the lumped voltage
-solve, the seconds of each call, each process's peak RSS, E_u[T_v] in steps
-(with its exact ``float.hex``), the gap between the two E[T] routes, and
-Psi(u, v) (with its ``float.hex``) with its bottleneck edge.
+solve and of the E[T] solve, the seconds of each call, each process's peak
+RSS, E_u[T_v] in steps by both routes (each with its exact ``float.hex``),
+the gap between the two E[T] routes, and Psi(u, v) (with its ``float.hex``)
+with its bottleneck edge.
 """
 from __future__ import annotations
 
@@ -51,7 +52,9 @@ def measure(spec: str) -> dict:
             "edges": net.n_edges, "orbits": w.orbits, "build_s": t1 - t0,
             "voltage_s": t2 - t1, "hitting_s": t3 - t2,
             "peak_rss_mb": _peak_rss_mb(),
+            "hitting_orbits": ht.orbits,
             "E_steps": ht.value, "E_steps_hex": ht.value.hex(),
+            "first_step": ht.first_step, "first_step_hex": ht.first_step.hex(),
             "route_rel_gap": ht.rel_gap, "harmonic_residual": w.harmonic_residual}
 
 

@@ -18,17 +18,23 @@ the residual checks the lumping as well.  Orbits, residual, solves and
 numeric Psi work on the edge arrays in numpy and load no scipy; only
 :func:`green_by_visits` (an independent LU route) does.
 
-Every size runs one star-mesh (Kron) elimination (:func:`_eliminate`).  With
-A and B grounded it gives the effective conductance c(A, B) and, by
-back-substitution, the voltage W, hence the Green route E_a[T_B] = R(a, B)
-sum_x pi(x) W_{a,B}(x).  With only B grounded and the mass pi carried, it is
-GTH state reduction, and back-substitution gives the first-step route
-E_x[T_B] for every x.  It only adds, multiplies and divides nonnegative
-numbers, so R, every W(x) and both E[T] routes keep entrywise relative
-accuracy however far the conductances spread (Grassmann, Taksar & Heyman
-1985): within 1e-12 of exact rational references up to lambda = 1e6, towards
-v and towards the empty state, and the two routes agree to rounding (within
-1.1e-15 on the 2,135 orbits of path:17 for lambda = 1e2 ... 1e6).
+Every size runs one star-mesh (Kron) elimination (:func:`_eliminate`), kept
+as a factor that serves several solves.  With A and B as its terminal
+groups it gives the effective conductance c(A, B); back-substitution on it
+gives the voltage W, hence the Green route E_a[T_B] = R(a, B) sum_x pi(x)
+W_{a,B}(x); and its forward sweep carries the mass pi to A.  With A = {a}
+and B grounded, that mass m_a is the first-step route, GTH state reduction:
+c(a, B) E_a[T_B] = m_a.  So one E[T] costs one lumping and one elimination.
+The factor only adds, multiplies and divides nonnegative numbers, so R,
+every W(x) and both E[T] routes keep entrywise relative accuracy however far
+the conductances spread (Grassmann, Taksar & Heyman 1985): within 1e-12 of
+exact rational references up to lambda = 1e6, towards v and towards the
+empty state, and the two routes agree to rounding (within 5.5e-16 on the
+2,135 orbits of path:17 for lambda = 1e2 ... 1e6).  As they share the
+factor, their gap checks the solves on it: W's inflow into B on the full
+network and pi . W against the forward pi sweep over c(a, B).  The checks
+that share no factor are the harmonic residual on the full network and
+:func:`green_by_visits`.
 
 Critical (bottleneck) resistance is computed numerically by threshold
 connectivity over the conductances (min-label hooking with pointer jumping
@@ -138,11 +144,19 @@ class ElectricNetwork:
         key = self.edge_i * n + self.edge_j
         order = np.argsort(key)
         key, c = key[order], self.edge_c[order]
+        # a mask's image is the OR of its bytes' images, each looked up in a
+        # table of the 256 images of the sites the byte holds
+        chunks = [((masks >> lo) & 0xFF).astype(np.uint8)
+                  for lo in range(0, self.space.graph.n_sites, 8)]
+        byte = np.arange(256, dtype=np.int64)
         out = []
         for perm in automorphism_generators(self.space.graph):
             image = np.zeros_like(masks)
-            for site, to in enumerate(perm):
-                image |= ((masks >> site) & 1) << to
+            for k, chunk in enumerate(chunks):
+                table = np.zeros(256, dtype=np.int64)
+                for bit, to in enumerate(perm[8 * k:8 * k + 8]):
+                    table |= ((byte >> bit) & 1) << to
+                image |= table[chunk]
             p = np.searchsorted(masks, image)       # images are independent sets
             i, j = p[self.edge_i], p[self.edge_j]
             moved = np.minimum(i, j) * n + np.maximum(i, j)
@@ -218,6 +232,8 @@ class VoltageField:
     source: frozenset[int]              # value 1
     ground: frozenset[int]              # value 0
     harmonic_residual: float            # on the full network
+    conductance: float                  # c(A, B) from the factor
+    mass: float                         # pi carried to A by the factor's sweep
     orbits: int | None = None           # nodes of the network solved
 
 
@@ -225,7 +241,9 @@ def voltage(net: ElectricNetwork, A, B) -> VoltageField:
     """Harmonic W with W=1 on A, W=0 on B; W(x) = Pr_x(T_A < T_B).
 
     W is solved on the orbit network of the symmetries that fix A and B
-    (:func:`_lump`) and read back on every state; the harmonic residual,
+    (:func:`_lump`) and read back on every state.  The same elimination
+    gives ``conductance``, c(A, B), and ``mass``, the pi mass its forward
+    sweep carries to A, which is sum_x pi(x) W(x).  The harmonic residual,
     max |W(x) - sum_y c_xy W(y) / c_x| by bincounts over both ends of the
     edges, is taken on the full network, so it checks the lumping too.  An
     interior state with no edge of positive conductance (cut, or
@@ -242,33 +260,106 @@ def voltage(net: ElectricNetwork, A, B) -> VoltageField:
     interior = deg > 0
     interior[list(A | B)] = False
     lumped, orbit = _lump(net, A, B)
-    w = _star_mesh(lumped, _orbits(orbit, A), _orbits(orbit, B))[1][orbit]
+    conductance, w, mass = _star_mesh(lumped, _orbits(orbit, A), _orbits(orbit, B))
+    w = w[orbit]
     flow = np.bincount(ei, c * w[ej], n) + np.bincount(ej, c * w[ei], n)
     residual = np.abs(w[interior] - flow[interior] / deg[interior]).max(initial=0.0)
-    return VoltageField(w, A, B, float(residual), len(lumped))
+    return VoltageField(w, A, B, float(residual), conductance, mass, len(lumped))
 
 
 def _star_mesh(net: ElectricNetwork, A: frozenset, B: frozenset
-               ) -> tuple[float, np.ndarray]:
-    """The effective conductance c(A, B) and the voltage W (1 on A, 0 on B)
-    from one :func:`_eliminate`."""
-    K, W = _eliminate(net, (A, B), (1.0, 0.0))
-    return float(K[0, 1]), W
+               ) -> tuple[float, np.ndarray, float]:
+    """The effective conductance c(A, B), the voltage W (1 on A, 0 on B) and
+    the pi mass carried to A, sum_x pi(x) W(x), from one :func:`_eliminate`."""
+    f = _eliminate(net, (A, B))
+    return (float(f.conductances()[0, 1]), f.solve((1.0, 0.0)),
+            float(f.carry(net.pi)[0]))
 
 
-def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+@dataclass
+class _Factor:
+    """One star-mesh elimination, kept for its solves (see :func:`_eliminate`).
+
+    ``node`` is every state's node, of ``nodes``, and conductances and
+    masses are held in units of ``scale``.  ``steps`` lists the front's
+    levels in pivot order, each as its pivots ``ps``, their neighbours
+    ``nb`` slot by slot, each slot's pivot ``seg``, the shares p = c_sj /
+    c_s and the pivot degrees ``cs``.  ``order`` lists the tail's nodes in pivot order, the groups
+    last; row k of ``D`` past k holds tail pivot k's conductances at its
+    elimination and ``c[k]`` their sum, and ``D[L:, L:]`` off its diagonal
+    the reduced conductances among the groups.
+    """
+    node: np.ndarray
+    nodes: int
+    scale: float
+    steps: list
+    order: list
+    D: np.ndarray
+    c: np.ndarray
+
+    def conductances(self) -> np.ndarray:
+        """The reduced conductances among the groups (zero diagonal)."""
+        L = len(self.c)
+        K = self.D[L:, L:] * self.scale
+        np.fill_diagonal(K, 0.0)
+        return K
+
+    def _sweep(self, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mass of every node when it is eliminated, by node for the front
+        and in tail order, starting from ``mass`` per state: eliminating s
+        adds p_sj m_s to m_j."""
+        md = np.bincount(self.node, weights=mass / self.scale, minlength=self.nodes)
+        for ps, nb, seg, p, _ in self.steps:
+            np.add.at(md, nb, p * md[ps][seg])
+        dm, D, c = md[self.order], self.D, self.c
+        for start in range(0, len(c), PANEL):
+            end = min(start + PANEL, len(c))
+            pm = dm[start:end]
+            for k in range(end - start):
+                pm[k + 1:] += D[start + k, start + k + 1:end] / c[start + k] * pm[k]
+            dm[end:] += (D[start:end, end:] / c[start:end, None]).T @ pm
+        return md, dm
+
+    def carry(self, mass: np.ndarray) -> np.ndarray:
+        """The mass that ``mass`` (per state) carries to each group."""
+        return self._sweep(mass)[1][len(self.c):] * self.scale
+
+    def solve(self, top, mass: np.ndarray | None = None) -> np.ndarray:
+        """x on every state: x = top[k] on group k, and back-substitution
+        x(s) = (m_s + sum_j c_sj x(j)) / c_s over s's neighbours at its
+        elimination, with the masses m carried from ``mass`` (none: 0)."""
+        D, c, L = self.D, self.c, len(self.c)
+        if mass is None:
+            md, dm = np.zeros(self.nodes), np.zeros(len(self.order))
+        else:
+            md, dm = self._sweep(mass)
+        xd = np.zeros(len(self.order))
+        xd[L:] = top
+        for k in range(L - 1, -1, -1):
+            xd[k] = (dm[k] + D[k, k + 1:] @ xd[k + 1:]) / c[k]
+        x = np.zeros(len(md))
+        x[self.order] = xd
+        for ps, nb, seg, p, cs in reversed(self.steps):
+            h = np.divide(md[ps], cs, out=np.zeros(len(ps)), where=cs > 0)  # 0: cut off
+            x[ps] = h + np.bincount(seg, weights=p * x[nb], minlength=len(ps))
+        return x[self.node]
+
+
+def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     """Star-mesh (Kron) elimination of every node outside the terminal groups.
 
     Group k contracts to node k; node len(groups) + i is the i-th other node.
     Eliminating s adds c_is c_sj / c_s to c_ij for every pair of its
-    neighbours and, with a carried mass m, c_is m_s / c_s to m_i.
-    Back-substitution in reverse order gives x(s) = (m_s + sum_j c_sj x(j))
-    / c_s over s's neighbours at its elimination, with x = top[k] on group
-    k.  With no mass and top (1, 0) on (A, B), x is the voltage W.  With
-    mass pi and top 0 on B, x(s) is E_s[T_B] in steps, for every s: the
-    first-step equation times pi(s) reads c_s E_s = pi(s) + sum_y c_sy E_y
-    (GTH state reduction; Grassmann, Taksar & Heyman 1985).
+    neighbours.  The factor keeps each pivot's shares p_sj = c_sj / c_s and
+    degree c_s, so one elimination serves every solve on the same groups
+    (:class:`_Factor`): a forward sweep carries a mass m, adding p_sj m_s to
+    m_j, to the groups, and back-substitution in reverse order gives x(s) =
+    (m_s + sum_j c_sj x(j)) / c_s, with x = top[k] on group k.  With no mass
+    and top (1, 0) on (A, B), x is the voltage W.  With mass pi and top 0 on
+    B, x(s) is E_s[T_B] in steps, for every s: the first-step equation times
+    pi(s) reads c_s E_s = pi(s) + sum_y c_sy E_y (GTH state reduction;
+    Grassmann, Taksar & Heyman 1985).  With groups ({a}, B), the mass pi
+    carried to a is m_a = sum_x pi(x) W(x), and c(a, B) E_a[T_B] = m_a.
 
     The front runs minimum degree on the sparse pattern, a set of
     neighbours per node (George & Liu 1989): the live node of smallest
@@ -289,9 +380,8 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
     product (U/c)^T U.  Degrees are row sums of off-diagonal conductances
     taken at the pivot, so no diagonal is formed or read.  Every operation
     adds, multiplies or divides nonnegative numbers, so the reduced
-    conductances and every x(s) keep entrywise relative accuracy.
-
-    Returns the reduced conductances among the groups (zero diagonal) and x.
+    conductances, every carried mass and every x(s) keep entrywise relative
+    accuracy.
     """
     t = len(groups)
     n = len(net)
@@ -309,8 +399,6 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
     ptr = np.concatenate([[0], np.cumsum(np.bincount(ei, minlength=m))]).tolist()
     cols = ej[np.argsort(ei, kind="stable")].tolist()
     adj = [set(cols[a:b]) for a, b in zip(ptr, ptr[1:])]
-    md = np.zeros(m) if mass is None else np.bincount(node, weights=mass / scale,
-                                                      minlength=m)
     deg = np.fromiter(map(len, adj), np.int64, m)
     done = 4 * m                # above any live degree: never a pivot
     deg[:t] = done
@@ -353,8 +441,8 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
                           f"{front_need:,} bytes more")
     pos = np.full(m, -1, dtype=np.int64)
     pos[order] = np.arange(len(order))
-    work = np.zeros(2 * size)           # D, then room for each trailing product
-    D = work[:size].reshape(len(order), len(order))
+    D = np.zeros((len(order), len(order)))
+    work = np.empty(size)               # room for each trailing product
     # c_ij of every pivot's row and column, at the rank of i * m + j in key
     nbc = np.fromiter(chain.from_iterable(nbl for _, nbl in front), np.int64, sum(dk))
     prow = np.repeat(np.array([s for s, _ in front], dtype=np.int64), dk)
@@ -377,9 +465,6 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
         w = val[np.searchsorted(key, ps[seg] * m + nb)]
         cs = np.bincount(seg, weights=w, minlength=len(piv))
         p = np.divide(w, cs[seg], out=np.zeros_like(w), where=cs[seg] > 0)
-        h = np.divide(md[ps], cs, out=np.zeros(len(ps)), where=cs > 0)  # 0: cut off
-        if mass is not None:
-            np.add.at(md, nb, w * h[seg])
         # every ordered pair (a, b) of distinct slots of one pivot: slot a
         # pairs with its pivot's slots in order, skipping itself
         partners = d[seg] - 1
@@ -388,12 +473,11 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
             (np.cumsum(d) - d)[seg] - np.cumsum(partners) + partners, partners)
         b += b >= a
         add(nb[a], nb[b], w[a] * p[b])
-        steps.append((ps, nb, seg, p, h))
-    dm = md[order]
+        steps.append((ps, nb, seg, p, cs))
     c = np.zeros(L)
     for start in range(0, L, PANEL):
         end = min(start + PANEL, L)
-        P, pm = D[start:end, start:end], dm[start:end]
+        P = D[start:end, start:end]
         # U[k]: pivot k's row past the panel when it is eliminated, which is
         # its row in D plus the share F[k, k'] of each earlier pivot's U[k']
         U = D[start:end, end:].copy()
@@ -405,24 +489,12 @@ def _eliminate(net: ElectricNetwork, groups, top, mass: np.ndarray | None = None
             f = row / ck
             F[k + 1:, k] = f
             P[k + 1:, k + 1:] += np.multiply.outer(f, row)
-            pm[k + 1:] += f * pm[k]
         D[start:end, end:] = U
         S = U / c[start:end, None]
         left = len(order) - end
-        SU = work[size:size + left * left].reshape(left, left)
+        SU = work[:left * left].reshape(left, left)
         D[end:, end:] += np.matmul(S.T, U, out=SU)
-        dm[end:] += S.T @ pm
-    x = np.zeros(m)
-    xd = np.zeros(len(order))
-    xd[L:] = top
-    for k in range(L - 1, -1, -1):
-        xd[k] = (dm[k] + D[k, k + 1:] @ xd[k + 1:]) / c[k]
-    x[order] = xd
-    for ps, nb, seg, p, h in reversed(steps):
-        x[ps] = h + np.bincount(seg, weights=p * x[nb], minlength=len(ps))
-    K = D[L:, L:] * scale
-    np.fill_diagonal(K, 0.0)
-    return K, x[node]
+    return _Factor(node, m, scale, steps, order, D, c)
 
 
 def _available_memory() -> int:
@@ -462,7 +534,8 @@ def effective_resistance(net: ElectricNetwork, A, B) -> float:
     if not A or not B or (A & B):
         raise ValueError("A and B must be non-empty and disjoint")
     lumped, orbit = _lump(net, A, B)
-    return _resistance(_star_mesh(lumped, _orbits(orbit, A), _orbits(orbit, B))[0])
+    K = _eliminate(lumped, (_orbits(orbit, A), _orbits(orbit, B))).conductances()
+    return _resistance(float(K[0, 1]))
 
 
 def escape_probability(net: ElectricNetwork, a: int, B) -> tuple[float, float]:
@@ -535,26 +608,35 @@ def green_by_visits(net: ElectricNetwork, a: int, B) -> np.ndarray:
 
 @dataclass
 class HittingTimeResult:
-    """E_a[T_B] in steps by both routes, each entrywise accurate at every
-    size; ``rel_gap``, their relative difference, is rounding."""
+    """E_a[T_B] in steps by both routes, read from one elimination, each
+    entrywise accurate at every size; ``rel_gap``, their relative
+    difference, is rounding.  It compares the back-substituted W (its inflow
+    into B on the full network, and pi . W) with the forward pi sweep of the
+    same factor over its c(a, B), so it checks the solves on the factor, not
+    the factor itself."""
     value: float                 # Green-sum route: R(a,B) * sum pi W
-    first_step: float            # c_x E_x = pi_x + sum_y c_xy E_y route
+    first_step: float            # c(a,B) E_a = pi mass carried to a route
     rel_gap: float
-    orbits: int | None = None    # nodes of the Green route's voltage solve
+    orbits: int | None = None    # nodes of the voltage solve
 
     def continuous(self, params: ModelParams) -> float:
         return self.value / params.gamma
 
 
 def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
-    """E_a[T_B] in discrete steps, computed by two independent routes.
+    """E_a[T_B] in discrete steps, by two routes on one voltage solve.
 
-    The Green route is R(a, B) sum_x pi(x) W(x) from one voltage solve, the
-    elimination of the orbit network of the symmetries that fix a and B.
-    The first-step route solves c_x E_x = pi(x) + sum_y c_xy E_y outside B
-    by the elimination of the orbit network of the symmetries that fix B,
-    with only B grounded and mass pi.  Both keep entrywise relative accuracy
-    at every size, and agree to rounding.
+    One :func:`voltage` call eliminates the orbit network of the symmetries
+    that fix a and B once, with a and B as the terminal groups.  The Green
+    route is R(a, B) sum_x pi(x) W(x), with W back-substituted on that
+    factor and read back on every state, and R from W's inflow into B on the
+    full network.  The first-step route is GTH state reduction: the same
+    factor's forward sweep carries the mass pi to a, and with B grounded and
+    a eliminated last, c(a, B) E_a[T_B] = m_a (Bovier & den Hollander,
+    *Metastability*, 2015, ch. 7).  Both keep entrywise relative accuracy at
+    every size, and agree to rounding.  The checks that share no factor are
+    the voltage's harmonic residual on the full network and
+    :func:`green_by_visits`.
     """
     a = int(a)
     B = frozenset(int(b) for b in B)
@@ -562,10 +644,7 @@ def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
         return HittingTimeResult(0.0, 0.0, 0.0)
     r, field = _green_weights(net, a, B)
     green_route = r * float(net.pi @ field.values)
-
-    lumped, orbit = _lump(net, B)
-    E = _eliminate(lumped, (_orbits(orbit, B),), (0.0,), mass=lumped.pi)[1]
-    first_step = float(E[orbit[a]])
+    first_step = field.mass / field.conductance
     gap = abs(green_route - first_step) / max(abs(green_route), abs(first_step), 1e-300)
     return HittingTimeResult(green_route, first_step, gap, field.orbits)
 
@@ -574,10 +653,10 @@ def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
 # Critical (bottleneck) resistance
 # ----------------------------------------------------------------------------
 
-def _find(parent: list[int], x: int) -> int:
-    """Root of x in the union-find forest ``parent``, halving the path.  The
-    union of x's and y's trees is ``parent[_find(parent, x)] = _find(parent,
-    y)``."""
+def _find(parent, x: int) -> int:
+    """Root of x in the union-find forest ``parent`` (a list, or a dict over
+    the elements in play), halving the path.  The union of x's and y's trees
+    is ``parent[_find(parent, x)] = _find(parent, y)``."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
@@ -687,14 +766,17 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
             lo, below = mid, lab
     if hi == len(levels):
         raise ValueError("A and B are disconnected")
-    # Kruskal over c*'s tie group, on the components above c*
-    lab = below.tolist()
-    parent = list(range(n + 2))
-    src, dst = n, n + 1
-    for x, y in chain(((lab[a], src) for a in A), ((lab[b], dst) for b in B)):
+    # Kruskal over c*'s tie group, on the components above c*: a union-find
+    # over the labels of A, B and the tie edges' ends only
+    tie = np.flatnonzero(ec == levels[hi])
+    la, lb = below[a_list].tolist(), below[b_list].tolist()
+    ti, tj = below[ei[tie]].tolist(), below[ej[tie]].tolist()
+    src, dst = -1, -2
+    parent = {x: x for x in chain(la, lb, ti, tj, (src, dst))}
+    for x, y in chain(((x, src) for x in la), ((y, dst) for y in lb)):
         parent[_find(parent, x)] = _find(parent, y)
-    for e in np.flatnonzero(ec == levels[hi]).tolist():
-        parent[_find(parent, lab[int(ei[e])])] = _find(parent, lab[int(ej[e])])
+    for e, x, y in zip(tie.tolist(), ti, tj):
+        parent[_find(parent, x)] = _find(parent, y)
         if _find(parent, src) == _find(parent, dst):
             break
     c_star = float(ec[e])

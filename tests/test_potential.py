@@ -259,7 +259,7 @@ def test_zero_conductance_edges_are_absent():
         with pytest.raises(ValueError, match="A and B are disconnected"):
             solve(cut, {u}, {v})
     # u is cut off: its pivot row sums to 0, and x(u) is its h = 0
-    E = potential._eliminate(cut, ({v},), (0.0,), mass=cut.pi)[1]
+    E = potential._eliminate(cut, ({v},)).solve((0.0,), mass=cut.pi)
     assert E[u] == 0.0 and np.isfinite(E).all()
     # a zero edge elsewhere is no bottleneck: Psi(v, empty) keeps its value
     want = critical_resistance(net, {v}, {spc.empty_index})

@@ -197,8 +197,8 @@ def test_harmonic_residual_matches_csr_matvec(monkeypatch, case, lam):
     star_mesh = potential._star_mesh
 
     def perturbed(lumped, A, B):
-        k, W = star_mesh(lumped, A, B)
-        return k, W + eps * np.sin(np.arange(len(W)))
+        k, W, m = star_mesh(lumped, A, B)
+        return k, W + eps * np.sin(np.arange(len(W))), m
 
     monkeypatch.setattr(potential, "_star_mesh", perturbed)
     for eps in (0.0, 1e-3):
