@@ -556,7 +556,8 @@ def _gate_from_families(g: BipartiteGraph, fam_a, fam_b) -> tuple[list, int]:
     coinciding transitions collapse, and the collapsed set is the object the
     sharp prefactor and the uniform-passage law live on.  Pairs run over B
     in order, then over the members of A that B extends by one site, in A's
-    order; that fixes the order of the transitions.
+    order; that fixes the order of the transitions.  No transition at all is
+    refused with ``ValueError``: the sharp prefactor 1/count does not exist.
     """
     u_mask_all = _site_mask(g.u_sites)
     nbr = {site: g.neighbor_mask(site) for site in set().union(*fam_b)}
@@ -583,6 +584,9 @@ def _gate_from_families(g: BipartiteGraph, fam_a, fam_b) -> tuple[list, int]:
                 low = extra & -extra
                 transitions[(y | low, y)] = None
                 extra ^= low
+    if not transitions:
+        raise ValueError(f"the critical gate is empty: no transition joins the "
+                         f"{len(fam_a)} sets of family A to the {len(fam_b)} of family B")
     out = list(transitions)
     return out, len(out)
 
@@ -774,7 +778,8 @@ def _check_torus_gate_families(g: BipartiteGraph, analysis: CriticalAnalysis,
 
     if {_site_mask(a_set) for a_set in fam_a} != \
             {l_cells_to_mask(c) for c in expected_a}:
-        raise AssertionError("torus family A does not match tilted rectangles")
+        raise ValueError("torus family A does not match the tilted "
+                         f"({ell - 1} x {ell}) rectangles on this torus")
     # Every B must be an L-plane rectangle plus one cell on a longer side:
     # equivalently not collinear when ell = 2; in general: bounding box of the
     # B-shape is ell x (ell-1)+1 with the extra cell adjacent along a long side.
@@ -784,7 +789,7 @@ def _check_torus_gate_families(g: BipartiteGraph, analysis: CriticalAnalysis,
     for b_set in fam_b:
         b = _site_mask(b_set)
         if not any(b & ~c == 0 for c in squares):
-            raise AssertionError(
+            raise ValueError(
                 "torus family B member does not extend to a tilted square "
                 "(extra element not on a longer side)")
 

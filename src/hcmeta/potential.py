@@ -79,9 +79,10 @@ __all__ = [
 
 # The elimination's minimum-degree front ends once the smallest live degree
 # reaches this share of the live nodes; the dense tail runs in panels of
-# PANEL pivots.
+# PANEL pivots, and each panel's trailing product in blocks of BLOCK columns.
 DENSE_SWITCH = 0.05
-PANEL = 32
+PANEL = 64
+BLOCK = 256
 # bytes per neighbour pair that a level of the front holds at its peak: ten
 # int64 or float64 arrays (the pair's two slots, both nodes, both factors
 # and their product, and the keys and ranks of the sparse update)
@@ -118,7 +119,10 @@ class ElectricNetwork:
         return zip(self.edge_i.tolist(), self.edge_j.tolist(), self.edge_c.tolist())
 
     def with_scaled_edge(self, i: int, j: int, factor: float) -> "ElectricNetwork":
-        """Copy of the network with conductance of edge (i, j) multiplied."""
+        """Copy of the network with conductance of edge (i, j) multiplied.
+
+        The copy keeps those of the symmetries that map the edge onto itself
+        (all of them when ``factor`` is 1)."""
         out = ElectricNetwork.__new__(ElectricNetwork)
         out.space, out.params, out.kernel = self.space, self.params, self.kernel
         out.pi = self.pi
@@ -129,21 +133,20 @@ class ElectricNetwork:
         if not hit.any():
             raise ValueError(f"no edge between {i} and {j}")
         out.edge_c[hit] *= factor
+        out.symmetries = [p for p in self.symmetries
+                          if factor == 1 or {p[a], p[b]} == {a, b}]
         return out
 
     @cached_property
     def symmetries(self) -> list[np.ndarray]:
         """State permutations p (state x to state p[x]) induced by the graph's
-        :func:`automorphism_generators`, kept when they preserve pi and every
-        conductance, so that each is an automorphism of this chain (a copy
-        from :meth:`with_scaled_edge` may keep fewer).  A lumped network has
-        none."""
+        :func:`automorphism_generators`.  Each maps U onto U and V onto V, so
+        it keeps pi and every conductance: it is an automorphism of this
+        chain.  A copy from :meth:`with_scaled_edge` may keep fewer, and a
+        lumped network has none."""
         if self.space is None:
             return []
-        masks, n = self.space.masks, len(self)
-        key = self.edge_i * n + self.edge_j
-        order = np.argsort(key)
-        key, c = key[order], self.edge_c[order]
+        masks = self.space.masks
         # a mask's image is the OR of its bytes' images, each looked up in a
         # table of the 256 images of the sites the byte holds
         chunks = [((masks >> lo) & 0xFF).astype(np.uint8)
@@ -157,13 +160,7 @@ class ElectricNetwork:
                 for bit, to in enumerate(perm[8 * k:8 * k + 8]):
                     table |= ((byte >> bit) & 1) << to
                 image |= table[chunk]
-            p = np.searchsorted(masks, image)       # images are independent sets
-            i, j = p[self.edge_i], p[self.edge_j]
-            moved = np.minimum(i, j) * n + np.maximum(i, j)
-            at = np.minimum(np.searchsorted(key, moved), len(key) - 1)
-            if ((self.pi[p] == self.pi).all() and (key[at] == moved).all()
-                    and (c[at] == self.edge_c).all()):
-                out.append(p)
+            out.append(np.searchsorted(masks, image))   # images are independent sets
         return out
 
 
@@ -284,10 +281,11 @@ class _Factor:
     masses are held in units of ``scale``.  ``steps`` lists the front's
     levels in pivot order, each as its pivots ``ps``, their neighbours
     ``nb`` slot by slot, each slot's pivot ``seg``, the shares p = c_sj /
-    c_s and the pivot degrees ``cs``.  ``order`` lists the tail's nodes in pivot order, the groups
-    last; row k of ``D`` past k holds tail pivot k's conductances at its
-    elimination and ``c[k]`` their sum, and ``D[L:, L:]`` off its diagonal
-    the reduced conductances among the groups.
+    c_s and the pivot degrees ``cs``.  ``order`` lists the tail's nodes in
+    pivot order, the groups last.  Only the upper triangle of ``D`` is
+    meaningful: row k of ``D`` past k holds tail pivot k's conductances at
+    its elimination and ``c[k]`` their sum, and ``D[L:, L:]`` above its
+    diagonal the reduced conductances among the groups.
     """
     node: np.ndarray
     nodes: int
@@ -300,9 +298,8 @@ class _Factor:
     def conductances(self) -> np.ndarray:
         """The reduced conductances among the groups (zero diagonal)."""
         L = len(self.c)
-        K = self.D[L:, L:] * self.scale
-        np.fill_diagonal(K, 0.0)
-        return K
+        K = np.triu(self.D[L:, L:], 1) * self.scale
+        return K + K.T
 
     def _sweep(self, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The mass of every node when it is eliminated, by node for the front
@@ -370,18 +367,23 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     earlier pivot whose clique held it; the pivots of a level touch neither
     each other's rows nor masses, so their values are eliminated together.
     The nodes left (terminals last) are finished in panels of ``PANEL``
-    pivots of a dense array.  Before any value is computed, the elimination
-    is refused with :class:`CapExceeded` when the dense array, its trailing
+    pivots of a dense array ``D`` that holds each conductance once, above
+    its diagonal (c_jk = c_kj): the scatter into it keeps the upper entry of
+    every pair, and the tail writes below the diagonal only inside the
+    diagonal squares of its panels and column blocks, where nothing reads.
+    Before any value is computed, the elimination is refused with
+    :class:`CapExceeded` when ``D``, one column block of its trailing
     product, the front's key/value store and the pair arrays of its largest
-    level need more memory than is available.  Inside a
-    panel a pivot updates only the panel's block, each panel row's part past
-    the panel gains the shares of the earlier pivots' parts (a unit
-    triangular solve that only adds), and the trailing block gets one
-    product (U/c)^T U.  Degrees are row sums of off-diagonal conductances
-    taken at the pivot, so no diagonal is formed or read.  Every operation
-    adds, multiplies or divides nonnegative numbers, so the reduced
-    conductances, every carried mass and every x(s) keep entrywise relative
-    accuracy.
+    level need more memory than is available.  Inside a panel, pivot k's row
+    past the panel first gains the shares of the panel's earlier pivots'
+    rows, which are final; then k's degree is its row sum past the diagonal,
+    and k updates the later panel rows inside the panel.  The trailing block
+    then gets the product (U/c)^T U of the panel's rows U past the panel, on
+    its upper trapezoid only, in column blocks of ``BLOCK`` columns; no
+    buffer holds the whole product.  No diagonal is formed or read.  Every
+    operation adds, multiplies or divides nonnegative numbers, so the
+    reduced conductances, every carried mass and every x(s) keep entrywise
+    relative accuracy.
     """
     t = len(groups)
     n = len(net)
@@ -423,7 +425,6 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
         front.append((s, nbl))
     order = [s for s in range(t, m) if adj[s] is not None] + list(range(t))
     L = len(order) - t
-    size = len(order) ** 2
     dk = [len(nbl) for _, nbl in front]
     levels = [[] for _ in range(max((level[s] + 1 for s, _ in front), default=0))]
     for s, nbl in front:
@@ -432,7 +433,8 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     # sum d(d - 1) pairs
     front_need = 2 * 16 * sum(dk) + FRONT_PAIR_BYTES * max(
         (sum(len(nbl) * (len(nbl) - 1) for _, nbl in piv) for piv in levels), default=0)
-    tail_need = 2 * 8 * size            # the dense array and its trailing product
+    N = len(order)
+    tail_need = 8 * (N + BLOCK) * N     # the dense array and one column block
     available = _available_memory()
     if front_need + tail_need > available:
         raise CapExceeded(f"the dense elimination tail of L = {L} nodes needs "
@@ -440,9 +442,8 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
                           f"and the sparse front of {len(front)} pivots needs "
                           f"{front_need:,} bytes more")
     pos = np.full(m, -1, dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    D = np.zeros((len(order), len(order)))
-    work = np.empty(size)               # room for each trailing product
+    pos[order] = np.arange(N)
+    D = np.zeros((N, N))
     # c_ij of every pivot's row and column, at the rank of i * m + j in key
     nbc = np.fromiter(chain.from_iterable(nbl for _, nbl in front), np.int64, sum(dk))
     prow = np.repeat(np.array([s for s, _ in front], dtype=np.int64), dk)
@@ -450,9 +451,12 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     val = np.zeros(len(key))
 
     def add(i, j, v):
-        """c_ij += v, in D between surviving nodes, in val otherwise."""
-        tail = (pos[i] >= 0) & (pos[j] >= 0)
-        np.add.at(D, (pos[i[tail]], pos[j[tail]]), v[tail])
+        """c_ij += v: above D's diagonal between surviving nodes (each pair
+        comes in both orders), in val otherwise."""
+        ri, rj = pos[i], pos[j]
+        tail = (ri >= 0) & (rj >= 0)
+        up = tail & (ri < rj)
+        np.add.at(D.reshape(-1), ri[up] * N + rj[up], v[up])
         np.add.at(val, np.searchsorted(key, i[~tail] * m + j[~tail]), v[~tail])
 
     add(ei, ej, np.concatenate([cc[keep], cc[keep]]))
@@ -477,23 +481,19 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     c = np.zeros(L)
     for start in range(0, L, PANEL):
         end = min(start + PANEL, L)
-        P = D[start:end, start:end]
-        # U[k]: pivot k's row past the panel when it is eliminated, which is
-        # its row in D plus the share F[k, k'] of each earlier pivot's U[k']
-        U = D[start:end, end:].copy()
-        F = np.zeros((end - start, end - start))
-        for k in range(end - start):
-            U[k] += F[k, :k] @ U[:k]
-            row = P[k, k + 1:]
-            c[start + k] = ck = row.sum() + U[k].sum()
-            f = row / ck
-            F[k + 1:, k] = f
-            P[k + 1:, k + 1:] += np.multiply.outer(f, row)
-        D[start:end, end:] = U
+        for k in range(start, end):
+            # row k past the panel gains c_kj c_jl / c_j from each earlier
+            # pivot j of the panel (c_jk = c_kj is in row j); then k's row
+            # is final, and k updates the later panel rows inside the panel
+            D[k, end:] += (D[start:k, k] / c[start:k]) @ D[start:k, end:]
+            row = D[k, k + 1:end]
+            c[k] = ck = D[k, k + 1:].sum()
+            D[k + 1:end, k + 1:end] += np.multiply.outer(row / ck, row)
+        U = D[start:end, end:]
         S = U / c[start:end, None]
-        left = len(order) - end
-        SU = work[:left * left].reshape(left, left)
-        D[end:, end:] += np.matmul(S.T, U, out=SU)
+        for lo in range(end, N, BLOCK):
+            hi = min(lo + BLOCK, N)
+            D[end:hi, lo:hi] += S[:, :hi - end].T @ U[:, lo - end:hi - end]
     return _Factor(node, m, scale, steps, order, D, c)
 
 

@@ -79,6 +79,19 @@ def test_gate_command(tmp_path):
     assert obj["hypotheses"]["uniqueness"] == "verified"
 
 
+@pytest.mark.parametrize("spec,why", [
+    # Q5: family A has 64 sets and no size-s* set extends one of them
+    ("doubled(torus:4x4)", "the critical gate is empty"),
+    ("torus:6x8", "torus family A does not match"),
+])
+def test_gate_refusals_exit_2(capsys, tmp_path, spec, why):
+    out = tmp_path / "gate.json"
+    assert main(["gate", "--graph", spec, "--alpha", "7/10", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and why in err
+    assert not out.exists()
+
+
 def test_enumerate_command(tmp_path):
     out = tmp_path / "enum.json"
     assert main(["enumerate", "--graph", "cycle:6", "-o", str(out)]) == 0

@@ -164,6 +164,117 @@ def test_sparse_front_and_dense_panels_agree(monkeypatch, switch, panel):
                 assert E[min(A)] == pytest.approx(ref_r * ref_mass, rel=1e-12)
 
 
+def ref_gth(net, groups, mass, pivots):
+    """Plain dense GTH on the full symmetric conductance matrix, one pivot at
+    a time in the order ``pivots`` (nodes numbered as :func:`_eliminate`
+    numbers them, the groups last), in units of the largest conductance:
+    pivot k adds c_ik c_kj / c_k to every pair i, j of its later neighbours,
+    in both triangles, and m_k c_jk / c_k to m_j.  Returns the reduced
+    conductances among the groups, the mass carried from ``mass`` to each
+    group, and a solve: x by back-substitution from x = top on the groups,
+    with the carried masses or none.  An update spans the square box of its
+    neighbours when they fill half of it (the zeros it adds change
+    nothing), and their index grid otherwise."""
+    n, t = len(net), len(groups)
+    node = np.full(n, -1, dtype=np.int64)
+    for k, grp in enumerate(groups):
+        node[list(grp)] = k
+    rest = np.flatnonzero(node < 0)
+    node[rest] = np.arange(t, t + len(rest))
+    scale = net.edge_c.max()
+    C = np.zeros((t + len(rest),) * 2)
+    np.add.at(C, (node[net.edge_i], node[net.edge_j]), net.edge_c / scale)
+    np.add.at(C, (node[net.edge_j], node[net.edge_i]), net.edge_c / scale)
+    np.fill_diagonal(C, 0.0)
+    pivots = np.asarray(pivots)
+    C = C[np.ix_(pivots, pivots)]
+    m = np.bincount(node, weights=mass / scale, minlength=len(C))[pivots]
+    L = len(rest)
+    c = np.zeros(L)
+    for k in range(L):
+        nz = np.flatnonzero(C[k, k + 1:]) + k + 1
+        if not len(nz):
+            continue                    # isolated: no harmonic condition, x = 0
+        c[k] = C[k, k + 1:].sum()
+        if 2 * len(nz) < nz[-1] + 1 - nz[0]:
+            box = np.ix_(nz, nz)
+        else:
+            nz = slice(nz[0], nz[-1] + 1)
+            box = (nz, nz)
+        share = C[nz, k] / c[k]
+        C[box] += np.multiply.outer(share, C[k, nz])
+        m[nz] += share * m[k]
+
+    def solve(top, with_mass: bool) -> np.ndarray:
+        x = np.zeros(len(C))
+        x[L:] = top
+        for k in range(L - 1, -1, -1):
+            if c[k] > 0:
+                x[k] = (m[k] * with_mass + C[k, k + 1:] @ x[k + 1:]) / c[k]
+        out = np.zeros(len(C))
+        out[pivots] = x
+        return out[node]
+    K = C[L:, L:] * scale
+    np.fill_diagonal(K, 0.0)
+    return K, m[L:] * scale, solve
+
+
+def _tail_case(case: str):
+    """The lumped network of u and v for "spec@lambda", "/scaled" tripling
+    one edge at the empty state, and its groups ({u}, {v}) as orbits."""
+    spec, _, lam = case.partition("@")
+    spec, _, edit = spec.partition("/")
+    spc, net = _net(build_family(spec), float(lam))
+    if edit == "scaled":
+        e = int(np.flatnonzero(net.edge_i == spc.empty_index)[0])
+        net = net.with_scaled_edge(int(net.edge_i[e]), int(net.edge_j[e]), 3.0)
+    A, B = frozenset({spc.u_state}), frozenset({spc.v_state})
+    lumped, orbit = potential._lump(net, A, B)
+    return lumped, (potential._orbits(orbit, A), potential._orbits(orbit, B))
+
+
+TAIL_CASES = ["path:15@1e2", "path:17@1e6", "cycle:12@1e40", "torus:4x4/scaled@1e2"]
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_tail_matches_per_pivot_dense_gth(case):
+    # the panels, the upper-triangle storage and the column-blocked trailing
+    # product against one pivot at a time on the full symmetric matrix, in
+    # the factor's own pivot order
+    net, groups = _tail_case(case)
+    f = potential._eliminate(net, groups)
+    assert len(f.c) > 0
+    pivots = np.concatenate([ps for ps, *_ in f.steps] + [f.order])
+    K, carried, solve = ref_gth(net, groups, net.pi, pivots)
+    assert K[0, 1] > 0
+    assert f.conductances() == pytest.approx(K, rel=1e-13, abs=0)
+    np.testing.assert_allclose(f.carry(net.pi), carried, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(f.solve((1.0, 0.0)), solve((1.0, 0.0), False),
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(f.solve((1.0, 0.0), mass=net.pi), solve((1.0, 0.0), True),
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("case", TAIL_CASES[:1] + TAIL_CASES[2:])
+@pytest.mark.parametrize("panel,block", [(64, 256), (5, 7)])
+def test_solves_read_only_the_upper_triangle(monkeypatch, case, panel, block):
+    # whatever lies below D's diagonal, every solve gives the same bytes
+    monkeypatch.setattr(potential, "PANEL", panel)
+    monkeypatch.setattr(potential, "BLOCK", block)
+    net, (A, B) = _tail_case(case)
+    for groups in ((A, B), (B,)):
+        f = potential._eliminate(net, groups)
+        top = (1.0, 0.0)[:len(groups)]
+
+        def outputs():
+            return [f.solve(top), f.solve(top, mass=net.pi), f.carry(net.pi),
+                    f.conductances()]
+        before = outputs()
+        f.D[np.tril_indices(len(f.D), -1)] = np.nan
+        after = outputs()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
 def test_disconnected_pair_raises():
     g = build_family("complete:1x1")
     spc, net = _net(g, 10.0)

@@ -184,6 +184,26 @@ def test_orbits_are_the_components_of_the_permutation_graph(case):
         assert orbit.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("case", LUMP_CASES)
+def test_kept_symmetries_preserve_pi_and_every_conductance(case):
+    # each kept permutation maps the edge set onto itself with the same
+    # conductances and keeps pi: an automorphism of the chain
+    spc, net = _case_network(case, 100.0)
+    n = len(net)
+    key = net.edge_i * n + net.edge_j
+    order = np.argsort(key)
+    key, c = key[order], net.edge_c[order]
+    assert net.symmetries
+    for p in net.symmetries:
+        assert np.array_equal(np.sort(p), np.arange(n))
+        assert (net.pi[p] == net.pi).all()
+        i, j = p[net.edge_i], p[net.edge_j]
+        moved = np.minimum(i, j) * n + np.maximum(i, j)
+        at = np.minimum(np.searchsorted(key, moved), len(key) - 1)
+        assert (key[at] == moved).all()
+        assert (c[at] == net.edge_c).all()
+
+
 @pytest.mark.parametrize("case,lam", [(c, 100.0) for c in LUMP_CASES]
                          + [("cycle:12", 1e40)])
 def test_harmonic_residual_matches_csr_matvec(monkeypatch, case, lam):
