@@ -8,7 +8,7 @@ alpha = 1/2, then either ``voltage(u, v)`` and ``expected_hitting_time(u,
 {v})``, one call each, or ``critical_resistance(u, {v})`` alone.  The JSON
 output lists, per instance, the states, the orbits of the lumped voltage
 solve and of the E[T] solve, the seconds of each call, each process's peak
-RSS, E_u[T_v] in steps by both routes (each with its exact ``float.hex``),
+RSS right after the build (``build_peak_rss_mb``) and at its end, E_u[T_v] in steps by both routes (each with its exact ``float.hex``),
 the gap between the two E[T] routes, and Psi(u, v) (with its ``float.hex``)
 with its bottleneck edge.
 """
@@ -46,12 +46,14 @@ def measure(spec: str) -> dict:
     t0 = time.perf_counter()
     spc, net = _network(spec)
     t1 = time.perf_counter()
+    build_rss = _peak_rss_mb()
     w = voltage(net, {spc.u_state}, {spc.v_state})
     t2 = time.perf_counter()
     ht = expected_hitting_time(net, spc.u_state, {spc.v_state})
     t3 = time.perf_counter()
     return {"graph": spec, "lambda": LAMBDA, "alpha": "1/2", "states": len(spc),
             "edges": net.n_edges, "orbits": w.orbits, "build_s": t1 - t0,
+            "build_peak_rss_mb": build_rss,
             "voltage_s": t2 - t1, "hitting_s": t3 - t2,
             "peak_rss_mb": _peak_rss_mb(),
             "hitting_orbits": ht.orbits,
@@ -67,9 +69,11 @@ def measure_psi(spec: str) -> dict:
     t0 = time.perf_counter()
     spc, net = _network(spec)
     t1 = time.perf_counter()
+    build_rss = _peak_rss_mb()
     psi = critical_resistance(net, {spc.u_state}, {spc.v_state})
     t2 = time.perf_counter()
-    return {"build_s": t1 - t0, "critical_resistance_s": t2 - t1,
+    return {"build_s": t1 - t0, "build_peak_rss_mb": build_rss,
+            "critical_resistance_s": t2 - t1,
             "peak_rss_mb": _peak_rss_mb(), "psi": psi.value, "psi_hex": psi.value.hex(),
             "bottleneck_edge": list(psi.bottleneck_edge),
             "witness_states": len(psi.witness_path)}

@@ -79,49 +79,67 @@ class _Uniforms:
 
 
 class TransitionKernel:
-    """CSR arrays of the Gibbs-sampler kernel.
+    """CSR arrays of the Gibbs-sampler kernel, built on first read.
 
     Off-diagonal entries: lambda_i/gamma for adding a particle at an empty,
     unblocked site i (lambda_bar on V), 1/gamma for removing one; the
     self-loop probability absorbs the rest of the row.  Row ``i`` holds its
     entries ``indptr[i]:indptr[i+1]`` in ascending site order: targets
-    ``indices`` and probabilities ``probs``.  Their running sums ``cum`` and
-    each row's total move probability ``p_move`` are computed on first use;
-    the sampler, the first-step system of ``green_by_visits``,
-    :meth:`self_loop` and :meth:`check_invariants` read them, building a
-    network does not.
+    ``indices`` and probabilities ``probs``.  The three arrays are built the
+    first time one of them is read, and their running sums ``cum`` and each
+    row's total move probability ``p_move`` the first time those are read;
+    the sampler, the first-step system of ``green_by_visits``, :meth:`row`,
+    :meth:`self_loop` and :meth:`check_invariants` read them.  A network
+    takes its edges from the space's removal pairs and reads none of them.
     """
 
     def __init__(self, space: ConfigurationSpace, params: ModelParams):
         self.space = space
         self.params = params
-        lam, lam_bar, gamma = params.lam, params.lam_bar, params.gamma
+
+    @functools.cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, probs)."""
+        lam, lam_bar, gamma = self.params.lam, self.params.lam_bar, self.params.gamma
         p_add_u = lam / gamma
         p_add_v = lam_bar / gamma
         p_rem = 1.0 / gamma
-        n = len(space)
-        u_sites = set(space.graph.u_sites)
+        n = len(self.space)
+        u_sites = set(self.space.graph.u_sites)
 
         # A state moves at a site in at most one way: a removal, or the
         # addition that a removal reverses.
         moves = []
         counts = np.zeros(n, dtype=np.int64)
-        for site, (occ, emp) in enumerate(space.removals()):
+        for site, (occ, emp) in enumerate(self.space.removals()):
             counts[occ] += 1
             counts[emp] += 1
             moves.append((occ, emp, p_rem))
             moves.append((emp, occ, p_add_u if site in u_sites else p_add_v))
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        self.indices = np.empty(self.indptr[-1], dtype=np.int64)
-        self.probs = np.empty(self.indptr[-1])
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        probs = np.empty(indptr[-1])
         # filled site by site in ascending order
-        fill = self.indptr[:-1].copy()
+        fill = indptr[:-1].copy()
         for states, targets, p in moves:
             at = fill[states]
-            self.indices[at] = targets
-            self.probs[at] = p
+            indices[at] = targets
+            probs[at] = p
             fill[states] = at + 1
+        return indptr, indices, probs
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._csr[1]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._csr[2]
 
     @functools.cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +199,21 @@ class TransitionKernel:
         return rows, self.indices, self.probs
 
     def check_invariants(self) -> dict[str, float]:
-        """Max row-sum deviation and max relative detailed-balance defect."""
-        row_dev = float(np.max(np.abs(self.p_move + (1.0 - self.p_move) - 1.0)))
+        """Max row-sum deviation and max relative detailed-balance defect.
+
+        The row sum adds ``p_move`` to a self-loop taken from the masks
+        alone: the rates a state cannot use, over gamma.  An occupied site
+        cannot add (lambda_i), an empty free site cannot remove (1), a
+        blocked site can do neither (1 + lambda_i)."""
+        space, params = self.space, self.params
+        masks = space.masks
+        stay = np.zeros(len(masks))
+        for site, nbr in enumerate(space.neighbor_masks):
+            lam = params.lam if (space.u_mask >> site) & 1 else params.lam_bar
+            occupied = (masks >> site) & 1 == 1
+            blocked = ~occupied & (masks & nbr != 0)
+            stay += np.where(occupied, lam, np.where(blocked, 1.0 + lam, 1.0))
+        row_dev = float(np.max(np.abs(self.p_move + stay / params.gamma - 1.0)))
         pi = self.space.stationary(self.params)
         n = len(self)
         rows, cols, probs = self.offdiag_coo()
@@ -307,6 +338,7 @@ def sample_crossover(kernel: TransitionKernel, start: int, targets,
     pool = contextlib.nullcontext()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
+        kernel.indptr           # built once here; the workers get it pickled
         pool = ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
                                    initargs=(run,))
     with pool as ex:

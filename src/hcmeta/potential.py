@@ -92,8 +92,15 @@ FRONT_PAIR_BYTES = 80
 class ElectricNetwork:
     """Conductance network over an enumerated configuration space.
 
-    A network lumped by :func:`_lump` has orbits of states for nodes and no
-    space, parameters or kernel.
+    Its edges are the space's removal pairs, one per undirected edge:
+    ``edge_i`` the emptied state, ``edge_j`` the occupied one, which is
+    always the larger index, and ``edge_c`` = pi(edge_i) lambda_site /
+    gamma, the conductance of the addition.  They are ordered by (emptied
+    state, site), the order of the kernel's CSR rows, so ``edge_i`` is
+    nondecreasing.  The kernel is kept for the sampler and
+    :func:`green_by_visits` and its CSR is not read here.  A network lumped
+    by :func:`_lump` has orbits of states for nodes and no space,
+    parameters or kernel.
     """
 
     def __init__(self, space: ConfigurationSpace, params: ModelParams,
@@ -102,11 +109,24 @@ class ElectricNetwork:
         self.params = params
         self.kernel = kernel if kernel is not None else build_kernel(space, params)
         self.pi = space.stationary(params)
-        rows, cols, probs = self.kernel.offdiag_coo()
-        up = np.flatnonzero(rows < cols)       # one record per undirected edge
-        self.edge_i = rows[up]
-        self.edge_j = cols[up]
-        self.edge_c = self.pi[self.edge_i] * probs[up]
+        # formed as the kernel forms its addition probabilities
+        p_add_u, p_add_v = params.lam / params.gamma, params.lam_bar / params.gamma
+        u_sites = set(space.graph.u_sites)
+        p_site = np.array([p_add_u if site in u_sites else p_add_v
+                           for site in range(space.graph.n_sites)])
+        pairs = space.removals()
+        # at most 62 sites fit a mask
+        site = np.repeat(np.arange(len(pairs), dtype=np.uint8),
+                         [len(emp) for _, emp in pairs])
+        emp = np.concatenate([emp for _, emp in pairs])
+        # each site's states ascend, so a stable sort keeps sites in order
+        order = np.argsort(emp, kind="stable")
+        self.edge_i = emp[order]
+        del emp
+        self.edge_j = np.concatenate([occ for occ, _ in pairs])[order]
+        del pairs
+        self.edge_c = self.pi[self.edge_i]
+        self.edge_c *= p_site[site[order]]
 
     def __len__(self) -> int:
         return len(self.pi)
@@ -730,9 +750,10 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     by descending conductance, ties in edge order, first joins A to B: a
     union-find over the components above c*, run on c*'s tie group only.
     The witness path is searched over the edges in edge order, so it relies
-    on ``edge_i`` being nondecreasing, as it is in every network (the
-    kernel's CSR order, copies from :meth:`ElectricNetwork.with_scaled_edge`,
-    the sorted orbit pairs of :func:`_lump`).
+    on ``edge_i`` being nondecreasing, as it is in every network (ordered
+    by (emptied state, site), copies from
+    :meth:`ElectricNetwork.with_scaled_edge`, the sorted orbit pairs of
+    :func:`_lump`).
     """
     A = frozenset(int(a) for a in A)
     B = frozenset(int(b) for b in B)

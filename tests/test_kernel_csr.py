@@ -12,8 +12,9 @@ from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.dynamics import build_kernel, simulate_hit
 from hcmeta.graph import BipartiteGraph, build_family
 from hcmeta.potential import (_components, _lump, build_network,
-                              critical_resistance, expected_hitting_time,
-                              psi_symbolic)
+                              critical_resistance, effective_resistance,
+                              escape_probability, expected_hitting_time,
+                              green_by_visits, psi_symbolic)
 
 SPECS = ["cycle:8", "ladder:6", "torus:4x4", "hypercube:3", "complete:2x3",
          "random:4x4:0.4:3"]
@@ -158,19 +159,22 @@ def test_array_build_matches_loops(label, g):
         want = np.searchsorted(space.masks, space.masks[want] ^ (1 << site))
         assert emp.dtype == want.dtype and emp.tobytes() == want.tobytes()
 
-    net = build_network(space, params, kernel)
     lw = np.array([(m & space.u_mask).bit_count() * np.log(params.lam)
                    + (m & space.v_mask).bit_count() * np.log(params.lam_bar)
                    for m in space.configs])
     w = np.exp(lw - lw.max())
-    assert net.pi.tolist() == (w / w.sum()).tolist()
     ei = [i for i, r in enumerate(ref) for t in r[0] if i < t]
     ej = [t for i, r in enumerate(ref) for t in r[0] if i < t]
-    ec = [net.pi[i] * p for i, r in enumerate(ref) for t, p in zip(r[0], r[1])
-          if i < t]
-    assert net.edge_i.tolist() == ei
-    assert net.edge_j.tolist() == ej
-    assert net.edge_c.tolist() == ec
+    # a network builds its edges from the removal pairs whether or not its
+    # kernel's CSR has been read (here it has)
+    for net in (build_network(space, params), build_network(space, params, kernel)):
+        assert net.pi.tolist() == (w / w.sum()).tolist()
+        ec = [net.pi[i] * p for i, r in enumerate(ref) for t, p in zip(r[0], r[1])
+              if i < t]
+        assert net.edge_i.dtype == net.edge_j.dtype == np.int64
+        assert net.edge_i.tolist() == ei
+        assert net.edge_j.tolist() == ej
+        assert net.edge_c.tolist() == ec
 
     rng = random.Random(label)
     u, v = space.u_state, space.v_state
@@ -262,15 +266,34 @@ def test_running_sums_computed_only_by_their_readers():
         u, v = space.u_state, space.v_state
         net = build_network(space, params, kernel)
         critical_resistance(net, {u}, {v})
+        effective_resistance(net, {u}, {v})
         expected_hitting_time(net, u, {v})
+        _lump(net, frozenset({u}), frozenset({v}))
+        scaled = net.with_scaled_edge(*critical_resistance(net, {u}, {v}).bottleneck_edge,
+                                      1e-3)
+        assert scaled.kernel is kernel
+        psi_symbolic(space, {u}, {v}, Fraction(1, 2))
+        assert "_csr" not in vars(kernel)
         assert "_sums" not in vars(kernel)
     simulate_hit(kernel, u, [v], seed=1)      # on ladder:6, the last input
+    assert "_csr" in vars(kernel)
     assert "_sums" in vars(kernel)
     ref = ref_kernel(space, params)
     for got, want in [(kernel.cum, [c for r in ref for c in r[2]]),
                       (kernel.p_move, [r[3] for r in ref])]:
         want = np.array(want)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    readers = [lambda k, net: k.offdiag_coo(),
+               lambda k, net: k.row(u),
+               lambda k, net: green_by_visits(net, u, {v}),
+               lambda k, net: escape_probability(net, u, {v})]
+    for read in readers:
+        kernel = build_kernel(space, params)
+        net = build_network(space, params, kernel)
+        assert "_csr" not in vars(kernel)
+        read(kernel, net)
+        assert "_csr" in vars(kernel)
 
 
 def test_witness_paths_do_not_depend_on_the_callers_container():
@@ -301,6 +324,20 @@ def test_detailed_balance_defect_matches_entrywise_scan():
                 f, b = pi[i] * p, pi[j] * kernel.prob(j, i)
                 db = max(db, abs(f - b) / max(f, b))
     assert kernel.check_invariants()["detailed_balance_rel"] == db
+
+
+def test_row_sum_defect_catches_a_scaled_entry():
+    g = relabel(build_family("ladder:4"), 3)
+    space = enumerate_space(g)
+    for lam, alpha in [(1e3, Fraction(1, 2)), (1e6, Fraction(7, 10))]:
+        params = ModelParams.for_graph(g, lam, alpha)
+        kernel = build_kernel(space, params)
+        assert kernel.check_invariants()["row_sum_dev"] < 1e-12
+        # removals and additions alike: the smallest entry is 1/gamma
+        for k in range(len(kernel.probs)):
+            bad = build_kernel(space, params)
+            bad.probs[k] *= 1.5
+            assert bad.check_invariants()["row_sum_dev"] > 1e-12
 
 
 def test_cap_refusal_names_cap_plus_one():
