@@ -2,19 +2,25 @@
 
     python3 scripts/solve_memory.py [--output BENCH_solve_memory.json]
 
-Each instance runs twice, each time in a fresh process started from this
-checkout's ``src``: enumerate and build the network at lambda = 100 and
-alpha = 1/2, then either ``voltage(u, v)`` and ``expected_hitting_time(u,
-{v})``, one call each, or ``critical_resistance(u, {v})`` alone.  The JSON
-output lists, per instance, the states, the orbits of the lumped voltage
-solve and of the E[T] solve, the seconds of each call, each process's peak
-RSS right after the build (``build_peak_rss_mb``) and at its end, E_u[T_v] in steps by both routes (each with its exact ``float.hex``),
-the gap between the two E[T] routes, and Psi(u, v) (with its ``float.hex``)
-with its bottleneck edge.
+Each instance runs three times, each time in a fresh process started from
+this checkout's ``src``: enumerate and build the network at lambda = 100
+and alpha = 1/2, then either ``voltage(u, v)`` and ``expected_hitting_time(u,
+{v})``, one call each, or ``critical_resistance(u, {v})`` alone; or, with no
+network, the exact-exponent layer at alpha = 1/2: build the
+``BottleneckTree``, then ``psi_symbolic(u, J(u))`` and
+``no_trap_certificate``, one call each.  The JSON output lists, per
+instance, the states, the orbits of the lumped voltage solve and of the
+E[T] solve, the seconds of each call, each process's peak RSS right after
+the build (``build_peak_rss_mb``) and at its end, E_u[T_v] in steps by both
+routes (each with its exact ``float.hex``), the gap between the two E[T]
+routes, Psi(u, v) (with its ``float.hex``) with its bottleneck edge, the
+no-trap status and count of checked states, and the first 16 hex digits of
+the SHA-256 of the tree's escape levels as int64 bytes.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -79,6 +85,36 @@ def measure_psi(spec: str) -> dict:
             "witness_states": len(psi.witness_path)}
 
 
+def measure_tree(spec: str) -> dict:
+    """The exact-exponent layer at alpha = 1/2 on one instance, in this
+    process."""
+    from fractions import Fraction
+
+    import numpy as np
+
+    from hcmeta import (dominance_sets, enumerate_space, no_trap_certificate,
+                        parse_graph_spec, psi_symbolic)
+    from hcmeta.potential import BottleneckTree
+
+    alpha = Fraction(1, 2)
+    spc = enumerate_space(parse_graph_spec(spec))
+    u = spc.u_state
+    j_u = dominance_sets(spc, u, alpha)[0]
+    t0 = time.perf_counter()
+    tree = BottleneckTree(spc, alpha)
+    t1 = time.perf_counter()
+    sym = psi_symbolic(spc, {u}, j_u, alpha)
+    t2 = time.perf_counter()
+    rep = no_trap_certificate(spc, alpha)
+    t3 = time.perf_counter()
+    escape = np.array(tree.escape_levels(), dtype=np.int64)
+    return {"tree_s": t1 - t0, "psi_symbolic_s": t2 - t1, "no_trap_s": t3 - t2,
+            "no_trap_status": rep.status, "no_trap_checked": rep.checked,
+            "psi_weight": str(sym.bottleneck_weight.value(alpha)),
+            "peak_rss_mb": _peak_rss_mb(),
+            "escape_sha256": hashlib.sha256(escape.tobytes()).hexdigest()[:16]}
+
+
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -88,9 +124,11 @@ def main(argv=None) -> int:
     ap.add_argument("--output", default="BENCH_solve_memory.json")
     ap.add_argument("--one", help=argparse.SUPPRESS)    # worker: the solve path
     ap.add_argument("--psi", help=argparse.SUPPRESS)    # worker: numeric Psi
+    ap.add_argument("--tree", help=argparse.SUPPRESS)   # worker: exact exponents
     args = ap.parse_args(argv)
-    if args.one or args.psi:
-        print(json.dumps(measure(args.one) if args.one else measure_psi(args.psi)))
+    if args.one or args.psi or args.tree:
+        print(json.dumps(measure(args.one) if args.one else
+                         measure_psi(args.psi) if args.psi else measure_tree(args.tree)))
         return 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -102,7 +140,8 @@ def main(argv=None) -> int:
 
     rows = []
     for spec in INSTANCES:
-        rows.append(dict(worker("--one", spec), critical_resistance=worker("--psi", spec)))
+        rows.append(dict(worker("--one", spec), critical_resistance=worker("--psi", spec),
+                         bottleneck_tree=worker("--tree", spec)))
         print(json.dumps(rows[-1]))
     with open(args.output, "w") as f:
         json.dump({"instances": rows}, f, indent=2)

@@ -36,11 +36,11 @@ network and pi . W against the forward pi sweep over c(a, B).  The checks
 that share no factor are the harmonic residual on the full network and
 :func:`green_by_visits`.
 
-Critical (bottleneck) resistance is computed numerically by threshold
-connectivity over the conductances (min-label hooking with pointer jumping
-on the edges of one conductance band per bisection step), and symbolically
-on a bottleneck tree: the edges sorted once by exact integer exponent keys,
-which answers every Psi(x, J^-(x)) of a space in a single union-find pass.
+Critical (bottleneck) resistance is computed numerically over conductance
+bands, and symbolically on a bottleneck tree (the edges sorted once by exact
+integer exponent keys), both by threshold connectivity (:func:`_components`):
+Psi(A, B) bisects over the bands or levels, and one sweep over the levels
+answers every Psi(x, J^-(x)) of a space.
 """
 from __future__ import annotations
 
@@ -567,9 +567,8 @@ def escape_probability(net: ElectricNetwork, a: int, B) -> tuple[float, float]:
         raise ValueError("a must not belong to B")
     r = effective_resistance(net, {a}, B)
     formula = 1.0 / (net.pi[a] * r)
-    wf = voltage(net, B, {a})
-    dec = sum(p * wf.values[t] for t, p in zip(*net.kernel.row(a)))
-    return formula, dec
+    wf = voltage(net, B, {a})           # the step a -> y has K(a, y) = c(a, y) / pi(a)
+    return formula, _inflow(net, wf.values, frozenset({a})) / float(net.pi[a])
 
 
 # ----------------------------------------------------------------------------
@@ -673,10 +672,10 @@ def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
 # Critical (bottleneck) resistance
 # ----------------------------------------------------------------------------
 
-def _find(parent, x: int) -> int:
-    """Root of x in the union-find forest ``parent`` (a list, or a dict over
-    the elements in play), halving the path.  The union of x's and y's trees
-    is ``parent[_find(parent, x)] = _find(parent, y)``."""
+def _find(parent: dict, x: int) -> int:
+    """Root of x in the union-find forest ``parent`` (a dict over the
+    elements in play), halving the path.  The union of x's and y's trees is
+    ``parent[_find(parent, x)] = _find(parent, y)``."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
@@ -695,9 +694,10 @@ def _components(root: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     ``root`` labels every state by a root (``root[root] == root``); it is
     not changed.  Each round gathers the edges' endpoint roots and drops the
     edges whose ends share one, hooks every larger root to its smallest
-    neighbouring root (``np.minimum.at``) and pointer-jumps until no label
-    changes (Shiloach & Vishkin 1982); the rounds repeat until no edge is
-    left.  Every component is labelled by its smallest root, so by its
+    neighbouring root (``np.minimum.at``) and pointer-jumps the roots hooked
+    so far until none changes (Shiloach & Vishkin 1982); the rounds repeat
+    until no edge is left, and one last jump relabels the other states.
+    Every component is labelled by its smallest root, so by its
     smallest state when each root is the smallest state of its class (as in
     ``np.arange(n)`` or an earlier result).
 
@@ -712,29 +712,53 @@ def _components(root: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     root = root.copy()
     a, b = root[i], root[j]
+    hooked = np.zeros(len(root), dtype=bool)
     while True:
         keep = a != b
         a, b = a[keep], b[keep]
         if not len(a):
-            break
+            return root[root]
         hook = np.maximum(a, b)
         np.minimum.at(root, hook, np.minimum(a, b))
-        # a hook chain runs through this round's hooked roots only
-        hooked = np.zeros(len(root), dtype=bool)
+        # a hook chain runs through the roots hooked so far only
         hooked[hook] = True
-        hook = np.flatnonzero(hooked)
+        hook = hooked.nonzero()[0]
         while True:
             up = root[hook]
             jumped = root[up]
-            if np.array_equal(jumped, up):
+            if (jumped == up).all():
                 break
             root[hook] = jumped
         a, b = root[a], root[b]
-    while True:                 # the states below earlier rounds' roots
-        jumped = root[root]
-        if np.array_equal(jumped, root):
-            return root
-        root = jumped
+
+
+def _first_join(n: int, count: int, edges, A: list, B: list
+                ) -> tuple[int, np.ndarray]:
+    """The first of ``count`` levels whose edges, with those of the levels
+    before it, join A to B, and the labels of the n states just below it.
+
+    ``edges(lo, hi)`` gives the edges (i, j) of levels lo .. hi - 1.  A
+    bisection step joins only the levels after the last one seen not to
+    join A to B onto that level's labels (:func:`_components`), so an edge
+    is relabelled about once per such level.
+    """
+    # Not joined through level lo, whose labels are ``below``; joined
+    # through hi, where hi = count stands for "not yet seen joined".
+    lo, hi = -1, count
+    below = np.arange(n)
+    A, B = np.array(A, dtype=np.int64), np.array(B, dtype=np.int64)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lab = _components(below, *edges(lo + 1, mid + 1))
+        in_a = np.zeros(n, dtype=bool)
+        in_a[lab[A]] = True
+        if in_a[lab[B]].any():
+            hi = mid
+        else:
+            lo, below = mid, lab
+    if hi == count:
+        raise ValueError("A and B are disconnected")
+    return hi, below
 
 
 def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
@@ -742,11 +766,9 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
 
     The bottleneck conductance c* is the largest c at which the edges with
     conductance >= c join A to B, found by bisection over the distinct
-    conductances; edges with conductance 0 (cut, or underflowed) are absent.
-    A step contracts only the band of edges between its level and the last
-    level seen not to join A to B, onto that level's component labels
-    (:func:`_components`), so an edge is relabelled about once per such
-    level.  The bottleneck edge is the edge at which Kruskal over the edges
+    conductances (:func:`_first_join`, one conductance band per step);
+    edges with conductance 0 (cut, or underflowed) are absent.  The
+    bottleneck edge is the edge at which Kruskal over the edges
     by descending conductance, ties in edge order, first joins A to B: a
     union-find over the components above c*, run on c*'s tie group only.
     The witness path is searched over the edges in edge order, so it relies
@@ -768,25 +790,11 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     levels = levels[levels > 0]
     a_list, b_list = list(A), list(B)
 
-    def joined(lab: np.ndarray) -> bool:
-        return bool(np.intersect1d(lab[a_list], lab[b_list]).size)
+    def band(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        sel = (ec >= levels[hi - 1]) & (ec < (levels[lo - 1] if lo else np.inf))
+        return ei[sel], ej[sel]
 
-    # Not joined at lo, whose component labels are ``below``; joined at hi,
-    # where hi = len(levels) stands for "not yet seen joined".
-    lo, hi = -1, len(levels)
-    below = np.arange(n)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        band = ec >= levels[mid]
-        if lo >= 0:
-            band &= ec < levels[lo]
-        lab = _components(below, ei[band], ej[band])
-        if joined(lab):
-            hi = mid
-        else:
-            lo, below = mid, lab
-    if hi == len(levels):
-        raise ValueError("A and B are disconnected")
+    hi, below = _first_join(n, len(levels), band, a_list, b_list)
     # Kruskal over c*'s tie group, on the components above c*: a union-find
     # over the labels of A, B and the tie edges' ends only
     tie = np.flatnonzero(ec == levels[hi])
@@ -886,8 +894,8 @@ class BottleneckTree:
     tie); and the edges ``edge_i[e], edge_j[e]`` (int64, occupied side
     first) of level k for ``level_start[k] <= e < level_start[k+1]``.
     Building costs one stable sort of the edges by level (a radix sort on
-    int16 levels); each query is a single union-find pass over the levels,
-    which reads the edges as Python ints one level at a time.
+    int16 levels); a query joins whole levels, each a contiguous slice of
+    the edge arrays, with :func:`_components`.
     """
 
     def __init__(self, space: ConfigurationSpace, alpha: Fraction):
@@ -926,60 +934,48 @@ class BottleneckTree:
         """Level's weight exponent: its smallest (p, q) label."""
         return AsymptoticExponent(*self.level_pq[level][0])
 
-    def _level_edges(self, level: int):
-        """The edges of one level as pairs of Python ints."""
-        lo, hi = self.level_start[level], self.level_start[level + 1]
-        return zip(self.edge_i[lo:hi].tolist(), self.edge_j[lo:hi].tolist())
+    def _edges(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The edges of levels lo .. hi - 1, a contiguous slice."""
+        start, stop = self.level_start[lo], self.level_start[hi]
+        return self.edge_i[start:stop], self.edge_j[start:stop]
 
     def connecting_level(self, A: frozenset, B: frozenset) -> int:
         """First level at which edges at or above it join A to B."""
-        n = len(self.keys)
-        parent = list(range(n + 2))
-        src, dst = n, n + 1
-        for x, y in chain(((a, src) for a in A), ((b, dst) for b in B)):
-            parent[_find(parent, x)] = _find(parent, y)
-        if _find(parent, src) == _find(parent, dst):
+        if A & B:
             raise ValueError("A and B intersect")
-        for level in range(len(self.level_keys)):
-            for x, y in self._level_edges(level):
-                parent[_find(parent, x)] = _find(parent, y)
-            if _find(parent, src) == _find(parent, dst):
-                return level
-        raise ValueError("A and B are disconnected")
+        return _first_join(len(self.keys), len(self.level_keys), self._edges,
+                           list(A), list(B))[0]
 
     def escape_levels(self) -> list[int]:
         """For every state x, the level of Psi(x, J^-(x)), where J^-(x) holds
         the states of strictly larger key; -1 when J^-(x) is empty.
 
-        One Kruskal pass: each component keeps its largest key and the states
-        holding it, which still wait for a larger one.  A merge at level k
-        settles the waiting states of the side with the smaller maximum; on
-        equal maxima both sides keep waiting.  The configuration graph is
-        connected (every state reaches the empty one), so the states left
-        waiting are those of the largest key.
+        One sweep: each level's edges join the components below it, and
+        each root keeps its component's largest key.  A state settles at
+        the first level where that key exceeds its own, so on equal maxima
+        both sides keep waiting.  The configuration graph is connected
+        (every state reaches the empty one), so the states left waiting are
+        those of the largest key.
         """
-        n = len(self.keys)
-        parent = list(range(n))
-        top = self.keys.tolist()       # a root's key is its component's largest
-        waiting: list[list[int] | None] = [[x] for x in range(n)]
-        escape = [-1] * n
+        keys = self.keys
+        root = np.arange(len(keys))
+        top = keys.copy()           # a root's entry: its component's largest key
+        escape = np.full(len(keys), -1, dtype=np.int64)
+        waiting = root[:0]          # the waiting states some edge has reached
         for level in range(len(self.level_keys)):
-            for x, y in self._level_edges(level):
-                r, s = _find(parent, x), _find(parent, y)
-                if r == s:
-                    continue
-                if top[r] > top[s]:
-                    r, s = s, r
-                if top[r] < top[s]:
-                    for z in waiting[r]:
-                        escape[z] = level
-                else:
-                    if len(waiting[r]) > len(waiting[s]):
-                        r, s = s, r
-                    waiting[s].extend(waiting[r])
-                waiting[r] = None
-                parent[r] = s
-        return escape
+            i, j = self._edges(level, level + 1)
+            joined = _components(root, i, j)
+            ends = np.concatenate([i, j])
+            r = root[ends]
+            np.maximum.at(top, joined[r], top[r])
+            root = joined
+            # a state no edge has reached is alone, so cannot settle; a
+            # waiting state may be listed once per edge at it
+            waiting = np.concatenate([waiting, ends[escape[ends] < 0]])
+            settles = top[root[waiting]] > keys[waiting]
+            escape[waiting[settles]] = level
+            waiting = waiting[~settles]
+        return escape.tolist()
 
     def witness_path(self, A: frozenset, B: frozenset, level: int) -> list[int]:
         """Shortest path from A to B using only edges whose heavier endpoint

@@ -378,6 +378,19 @@ def test_tree_keeps_each_datum_once():
                 if isinstance(value, list) and len(value) in long]
 
 
+def test_intersecting_sets_are_refused():
+    spc = enumerate_space(build_family("cycle:8"))
+    alpha = Fraction(2, 5)
+    tree = BottleneckTree(spc, alpha)
+    u, v, n = spc.u_state, spc.v_state, len(spc)
+    # the last pair shares a state that is neither set's smallest nor largest
+    for A, B in [({u}, {u}), ({u, v}, {v}), ({0, 5, n - 1}, {3, 5, 9})]:
+        with pytest.raises(ValueError, match="A and B intersect"):
+            tree.connecting_level(frozenset(A), frozenset(B))
+        with pytest.raises(ValueError, match="A and B intersect"):
+            psi_symbolic(spc, A, B, alpha)
+
+
 GATE_CASES = [("torus:6x6", Fraction(7, 10)),
               ("hypercube:4", Fraction(1, 2)),
               ("doubled(torus:5x5)", Fraction(7, 10)),

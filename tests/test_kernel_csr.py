@@ -273,6 +273,7 @@ def test_running_sums_computed_only_by_their_readers():
                                       1e-3)
         assert scaled.kernel is kernel
         psi_symbolic(space, {u}, {v}, Fraction(1, 2))
+        escape_probability(net, u, {v})
         assert "_csr" not in vars(kernel)
         assert "_sums" not in vars(kernel)
     simulate_hit(kernel, u, [v], seed=1)      # on ladder:6, the last input
@@ -286,8 +287,7 @@ def test_running_sums_computed_only_by_their_readers():
 
     readers = [lambda k, net: k.offdiag_coo(),
                lambda k, net: k.row(u),
-               lambda k, net: green_by_visits(net, u, {v}),
-               lambda k, net: escape_probability(net, u, {v})]
+               lambda k, net: green_by_visits(net, u, {v})]
     for read in readers:
         kernel = build_kernel(space, params)
         net = build_network(space, params, kernel)
