@@ -486,28 +486,54 @@ def seed_set(seed_type: str, k: int) -> frozenset[tuple[int, int]]:
     return out
 
 
-def _find_nested_progression(cells_from: frozenset, cells_to: frozenset,
-                             cost_fn, delta_fn) -> list[frozenset] | None:
-    """Nested progression adding one cell at a time, each prefix optimal."""
-    if not cells_from <= cells_to:
-        return None
-    path = [cells_from]
+class _Budget:
+    """A node count shared by the searches of one question."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def tick(self) -> bool:
+        self.used += 1
+        return self.used <= self.limit
+
+
+def _grow(start, pool, size: int, cost_fn, delta_fn,
+          budget: _Budget | None = None) -> tuple[list[frozenset] | None, bool]:
+    """Depth-first search for a nested growth of ``start`` to ``size``
+    members, one member of ``pool`` at a time, every set optimal.
+
+    Members are tried in ``pool``'s order, skipping those already in the
+    set; a set is kept when ``cost_fn(set) == delta_fn(len(set))`` and the
+    first path found is returned.  Each set entered below ``size`` costs a
+    tick of ``budget``, and the search stops at the first tick past it.
+    Returns (sets from ``start``, or None, exhausted).
+    """
+    path = [frozenset(start)]
+    exhausted = False
 
     def rec(cur: frozenset) -> bool:
-        if cur == cells_to:
+        nonlocal exhausted
+        if len(cur) == size:
             return True
-        size = len(cur) + 1
-        target = delta_fn(size)
-        for cell in sorted(cells_to - cur):
-            nxt = cur | {cell}
-            if cost_fn(nxt) == target:
-                path.append(frozenset(nxt))
-                if rec(frozenset(nxt)):
+        if budget is not None and not budget.tick():
+            exhausted = True
+            return False
+        want = delta_fn(len(cur) + 1)
+        for a in pool:
+            if a in cur:
+                continue
+            nxt = cur | {a}
+            if cost_fn(nxt) == want:
+                path.append(nxt)
+                if rec(nxt):
                     return True
                 path.pop()
+                if exhausted:
+                    return False
         return False
 
-    return path if rec(cells_from) else None
+    return (path if rec(path[0]) else None), exhausted
 
 
 _PROGRESSION_KINDS = {
@@ -534,8 +560,8 @@ def connecting_progression(kind: str, ell: int) -> list[frozenset]:
         raise ValueError(f"kind {kind!r} needs ell >= {min_ell}")
     a = seed_set(t_from, ell + k_from)
     b = seed_set(t_to, ell + k_to)
-    path = _find_nested_progression(a, b, vertex_boundary, doubled_torus_delta)
-    if path is None:
+    path, _ = _grow(a, sorted(b), len(b), vertex_boundary, doubled_torus_delta)
+    if path is None or path[-1] != b:
         raise AssertionError(f"no nested isoperimetric progression for {kind}/{ell}")
     return path
 
@@ -563,8 +589,9 @@ def doubled_torus_numbering(length: int) -> list[tuple[int, int]]:
     ell = 1
     while len(cells) < length:
         if ell == 1:
-            step = _find_nested_progression(seed_set("I", 0), seed_set("IIIa", 0),
-                                            vertex_boundary, doubled_torus_delta)
+            b = seed_set("IIIa", 0)
+            step, _ = _grow(start, sorted(b), len(b), vertex_boundary,
+                            doubled_torus_delta)
             if step is None:
                 raise AssertionError("level-1 chain broke")
             extend(step)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,8 @@ from .configspace import (CapExceeded, ConfigurationSpace, ModelParams,
 from .graph import BipartiteGraph, GraphValidationError
 from .isoperimetry import (
     IsoperimetricProfile,
+    _Budget,
+    _grow,
     _orient,
     brute_force_profile,
     doubled_torus_delta,
@@ -36,7 +39,6 @@ __all__ = [
     "CriticalGate",
     "HypothesisStatus",
     "HypothesisReport",
-    "SearchBudgets",
     "critical_analysis",
     "torus_critical_size",
     "doubled_torus_critical_size",
@@ -169,8 +171,7 @@ def default_s_tilde_bound(alpha: Fraction, family: str | None = None) -> int:
     return int(math.ceil(8 / (alpha * alpha))) + 1
 
 
-def profile_function(g: BipartiteGraph, alpha: Fraction,
-                     budget: int = 10_000_000):
+def profile_function(g: BipartiteGraph, alpha: Fraction):
     """(delta_fn, bound, family) for a graph: closed form when the family has
     one, else a brute-force profile over the whole V part."""
     fam = g.meta.get("family")
@@ -183,7 +184,7 @@ def profile_function(g: BipartiteGraph, alpha: Fraction,
         return (lambda s: hypercube_delta(d, s)), len(g.v_sites), fam
     # cycles: the tree-like closed form covers s < girth/2 only, and the
     # resettling size can sit past that window; V is small, so exhaust it.
-    prof = brute_force_profile(g, len(g.v_sites), budget=budget)
+    prof = brute_force_profile(g, len(g.v_sites))
     return prof.delta, prof.s_max, fam
 
 
@@ -229,87 +230,55 @@ class HypothesisReport:
                 "hypotheses": {k: v.status for k, v in self.statuses.items()}}
 
 
-@dataclass
-class SearchBudgets:
-    numbering_nodes: int = 200_000
-    progression_nodes: int = 200_000
-    profile_budget: int = 10_000_000
-
-
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
+# Node budgets of the searches behind the hypotheses and the gate, and the
+# largest space check_hypotheses enumerates for its no-trap certificate.
+NUMBERING_NODES = 200_000
+PROGRESSION_NODES = 200_000
+GATE_SEARCH_NODES = 500_000
+NO_TRAP_STATE_CAP = 100_000
 
 
 def find_isoperimetric_numbering(g: BipartiteGraph, delta_fn, length: int,
                                  start: int | None = None,
-                                 budget: int = 200_000):
+                                 budget: int = NUMBERING_NODES):
     """DFS for a numbering whose every prefix is optimal.
+
+    The nested growth of :func:`_grow` over the V sites in order, from the
+    empty set to ``length`` sites.  A ``start`` forces the first site: a
+    growth to one site from ``[start]`` alone, then the growth on from it.
+    Both share one budget of ``budget`` nodes, so the forced step costs the
+    same root tick as any other.
 
     Returns (numbering, exhausted): numbering is None on failure; exhausted
     tells whether the search ran out of budget rather than out of options.
     """
-    v_sites = list(g.v_sites)
     b = _Budget(budget)
-    prefix: list[int] = []
-    exhausted = False
-
-    def rec() -> bool:
-        nonlocal exhausted
-        if len(prefix) == length:
-            return True
-        if not b.tick():
-            exhausted = True
-            return False
-        want = delta_fn(len(prefix) + 1)
-        pool = [start] if (start is not None and not prefix) else v_sites
-        for a in pool:
-            if a in prefix:
-                continue
-            if set_cost(g, prefix + [a]) == want:
-                prefix.append(a)
-                if rec():
-                    return True
-                prefix.pop()
-                if exhausted:
-                    return False
-        return False
-
-    ok = rec()
-    return (list(prefix) if ok else None), exhausted
+    cost = partial(set_cost, g)
+    head, exhausted = [frozenset()], False
+    if start is not None:
+        head, exhausted = _grow((), [start], min(length, 1), cost, delta_fn, b)
+    if head is None:
+        return None, exhausted
+    path, exhausted = _grow(head[-1], g.v_sites, length, cost, delta_fn, b)
+    if path is None:
+        return None, exhausted
+    sets = head + path[1:]
+    return [next(iter(y - x)) for x, y in zip(sets, sets[1:])], False
 
 
 def _find_progression_down(g, delta_fn, target: frozenset, budget: int):
     """Isoperimetric progression empty -> target with sizes <= |target|.
 
-    Tries nested (inside the target) first; falls back to a general +-1 walk
-    over optimal sets of size at most |target|.
+    First the nested growth inside the target (:func:`_grow` over its sites
+    in sorted order); when there is none, a breadth-first +-1 walk over the
+    optimal sets of size at most |target|, on the same budget.  That walk
+    may pass through other optimal sets of the target's size, which the
+    gate's walk (:func:`_reaches_c`) may not.  Returns (path or None,
+    exhausted).
     """
     b = _Budget(budget)
-    path: list[frozenset] = []
-
-    def rec_nested(cur: frozenset) -> bool:
-        if cur == target:
-            return True
-        if not b.tick():
-            return False
-        want = delta_fn(len(cur) + 1)
-        for a in sorted(target - cur):
-            nxt = cur | {a}
-            if set_cost(g, nxt) == want:
-                path.append(nxt)
-                if rec_nested(nxt):
-                    return True
-                path.pop()
-        return False
-
-    path = [frozenset()]
-    if rec_nested(frozenset()):
+    path, _ = _grow((), sorted(target), len(target), partial(set_cost, g), delta_fn, b)
+    if path is not None:
         return path, False
     # General search (BFS over optimal sets, sizes bounded by |target|).
     limit = len(target)
@@ -365,12 +334,12 @@ def _find_progression_up(g, delta_fn, start: frozenset, size_to: int,
 
 
 def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None,
-                    profile: IsoperimetricProfile | None, budgets: SearchBudgets):
+                    profile: IsoperimetricProfile | None = None):
     """(delta_fn, analysis, kappa): the profile of :func:`profile_function`,
     replaced by ``profile`` on a graph with no closed form; its critical
     analysis; and kappa, ceil(1/alpha) - 1 by default, checked to lie in
     [0, 1/alpha)."""
-    delta_fn, bound, fam = profile_function(g, alpha, budgets.profile_budget)
+    delta_fn, bound, fam = profile_function(g, alpha)
     if profile is not None and fam not in ("torus", "doubled-torus", "hypercube"):
         delta_fn, bound = profile.delta, profile.s_max
     analysis = critical_analysis(delta_fn, alpha, bound, n_u=len(g.u_sites))
@@ -382,10 +351,7 @@ def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None,
 
 
 def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
-                     budgets: SearchBudgets | None = None,
-                     kappa: int | None = None,
-                     profile: IsoperimetricProfile | None = None,
-                     no_trap_state_cap: int = 100_000) -> HypothesisReport:
+                     kappa: int | None = None) -> HypothesisReport:
     """Statuses for the structural hypotheses behind the crossover laws.
 
     stability: |U| < (1+alpha)|V| so the packed V-configuration dominates.
@@ -400,19 +366,19 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
     the resettling size without dipping below s*.
     no_trap: certificate that no intermediate state has the escape scale of
     the packed-U state (evaluated when the space has at most
-    ``no_trap_state_cap`` states).
+    ``NO_TRAP_STATE_CAP`` states; a larger one is exhausted-budget).
 
     stability, uniqueness and profile_values are decided exactly from the
-    profile.  The numbering and progression statuses go through the family
-    closed form when one exists (torus spiral, hypercube weight-order,
-    doubled-torus seed chain; machine-verified constructions at the lattice
-    level), and otherwise through bounded search with honest
-    exhausted-budget status.
+    profile of :func:`profile_function`.  The numbering and progression
+    statuses go through the family closed form when one exists (torus
+    spiral, hypercube weight-order, doubled-torus seed chain;
+    machine-verified constructions at the lattice level), and otherwise
+    through searches of at most ``NUMBERING_NODES`` and
+    ``PROGRESSION_NODES`` nodes each, with honest exhausted-budget status.
     """
     alpha = Fraction(alpha)
-    budgets = budgets or SearchBudgets()
     fam = g.meta.get("family")
-    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa, profile, budgets)
+    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa)
     s_star, s_tilde = analysis.s_star, analysis.s_tilde
     st: dict[str, HypothesisStatus] = {}
 
@@ -430,15 +396,14 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
         st["numbering_all_starts"] = HypothesisStatus("closed-form", ev)
     else:
         num, exhausted = find_isoperimetric_numbering(
-            g, delta_fn, min(s_tilde, len(g.v_sites)), budget=budgets.numbering_nodes)
+            g, delta_fn, min(s_tilde, len(g.v_sites)))
         st["numbering"] = HypothesisStatus(
             "verified" if num else ("exhausted-budget" if exhausted else "refuted"),
             evidence=num)
         all_ok, any_exhausted, failures = True, False, []
         for a in g.v_sites:
             numa, exh = find_isoperimetric_numbering(
-                g, delta_fn, min(s_tilde, len(g.v_sites)), start=a,
-                budget=budgets.numbering_nodes)
+                g, delta_fn, min(s_tilde, len(g.v_sites)), start=a)
             if numa is None:
                 all_ok = False
                 failures.append(a)
@@ -463,8 +428,7 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
                                     "numbering prefixes realize both progressions")
     else:
         try:
-            prof = profile or brute_force_profile(
-                g, min(s_tilde, len(g.v_sites)), budget=budgets.profile_budget)
+            prof = brute_force_profile(g, min(s_tilde, len(g.v_sites)))
             fam_a = [frozenset(w) for w in prof.complete_witnesses(s_star - 1)]
             fam_c = [frozenset(w) for w in prof.complete_witnesses(
                 min(s_star + kappa, prof.s_max))]
@@ -475,20 +439,20 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
             ok, exhausted = True, False
             for a_set in fam_a:
                 p, exh = _find_progression_down(g, delta_fn, a_set,
-                                                budgets.progression_nodes)
+                                                PROGRESSION_NODES)
                 ok &= p is not None
                 exhausted |= exh
             for c_set in fam_c:
                 p, exh = _find_progression_up(g, delta_fn, c_set,
                                               min(s_tilde, len(g.v_sites)),
-                                              s_star, budgets.progression_nodes)
+                                              s_star, PROGRESSION_NODES)
                 ok &= p is not None
                 exhausted |= exh
             st["progressions"] = HypothesisStatus(
                 "verified" if ok else ("exhausted-budget" if exhausted else "refuted"))
 
     try:
-        space = enumerate_space(g, cap=no_trap_state_cap)
+        space = enumerate_space(g, cap=NO_TRAP_STATE_CAP)
     except CapExceeded as exc:
         st["no_trap"] = HypothesisStatus("exhausted-budget", str(exc))
     else:
@@ -661,10 +625,8 @@ def _doubled_gate(g: BipartiteGraph, alpha: Fraction, kappa: int,
             if kappa == 1:
                 ok = _site_mask(b_set) in one_short_c
             else:
-                p, _ = _find_progression_up(
-                    g, doubled_torus_delta, b_set, s_star + kappa, s_star,
-                    budget=500_000, target_filter=lambda c: c in fam_c_set)
-                ok = p is not None
+                ok = _reaches_c(g, doubled_torus_delta, b_set, s_star, kappa,
+                                fam_c_set)
             if ok:
                 fam_b_set.add(b_set)
     fam_b = sorted(fam_b_set, key=sorted)
@@ -673,29 +635,49 @@ def _doubled_gate(g: BipartiteGraph, alpha: Fraction, kappa: int,
                         transitions, count, conditional_on_conjecture=True)
 
 
+def _reaches_c(g: BipartiteGraph, delta_fn, b_set: frozenset, s_star: int,
+               kappa: int, fam_c: set) -> bool:
+    """Whether an isoperimetric progression runs from ``b_set`` to a member
+    of ``fam_c`` through sizes s* .. s*+kappa: the breadth-first walk of
+    :func:`_find_progression_up`, which never expands a set of the top size.
+    A walk past ``GATE_SEARCH_NODES`` nodes is refused with ``CapExceeded``
+    rather than read as "no path", which would shrink family B silently."""
+    p, exhausted = _find_progression_up(g, delta_fn, b_set, s_star + kappa, s_star,
+                                        GATE_SEARCH_NODES,
+                                        target_filter=fam_c.__contains__)
+    if exhausted:
+        raise CapExceeded(f"the progression search from a B candidate towards "
+                          f"family C needs more than {GATE_SEARCH_NODES} nodes")
+    return p is not None
+
+
 def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
-               profile: IsoperimetricProfile | None = None,
-               budgets: SearchBudgets | None = None) -> CriticalGate:
+               profile: IsoperimetricProfile | None = None) -> CriticalGate:
     """Families A (optimal, size s*-1), C (optimal, size s*+kappa), B (size-s*
     optimal sets extending members of A by one site, with an isoperimetric
     progression to C through sizes strictly between s*-1 and s*+kappa), and
     the transition list with its exact count.
 
-    Generic graphs use complete brute-force witness enumeration (refusing on
-    truncation); the doubled torus uses the Pareto-seed characterization and
-    labels results conditional on the connecting-progressions conjecture.
+    Generic graphs use complete brute-force witness enumeration from
+    ``profile`` (by default a fresh one up to s*+kappa), refusing on
+    truncation with ``CapExceeded``; for kappa >= 2, B's progressions come
+    from one breadth-first search per candidate (:func:`_reaches_c`).  The
+    doubled torus uses the Pareto-seed characterization and labels results
+    conditional on the connecting-progressions conjecture.  s*+kappa above
+    |V| is refused with ``ValueError``: family C would not exist.
     """
     alpha = Fraction(alpha)
-    budgets = budgets or SearchBudgets()
     fam = g.meta.get("family")
-    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa, profile, budgets)
+    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa, profile)
     s_star = analysis.s_star
+    if s_star + kappa > len(g.v_sites):
+        raise ValueError(f"s*+kappa = {s_star + kappa} exceeds |V| = {len(g.v_sites)}: "
+                         f"no family C at alpha={alpha}")
 
     if fam == "doubled-torus":
         return _doubled_gate(g, alpha, kappa, analysis)
 
-    prof = profile or brute_force_profile(g, min(s_star + kappa, len(g.v_sites)),
-                                          budget=budgets.profile_budget)
+    prof = profile or brute_force_profile(g, s_star + kappa)
     if fam == "torus":
         # a torus too small for the critical sizes has wrap-assisted optima
         # below s*+kappa; the lattice analysis does not apply there
@@ -706,11 +688,11 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
                     f"Delta({s}) = {prof.delta(s)} on this torus vs lattice "
                     f"{delta_fn(s)}")
     fam_a = [frozenset(w) for w in prof.complete_witnesses(s_star - 1)]
-    fam_c = [frozenset(w) for w in prof.complete_witnesses(
-        min(s_star + kappa, prof.s_max))]
+    fam_c = [frozenset(w) for w in prof.complete_witnesses(s_star + kappa)]
     a_masks = {_site_mask(a_set) for a_set in fam_a}
     # for kappa <= 1: the masks that are, or are one site short of, a member of C
     reach_c = {_site_mask(c_set) for c_set in fam_c} if kappa == 0 else _one_short(fam_c)
+    c_sets = set(fam_c)
     fam_b = []
     for w in prof.complete_witnesses(s_star):
         b = _site_mask(w)
@@ -719,7 +701,7 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
         if kappa <= 1:
             ok = b in reach_c
         else:
-            ok = _witness_reachable(frozenset(w), prof, s_star, kappa)
+            ok = _reaches_c(g, prof.delta, frozenset(w), s_star, kappa, c_sets)
         if ok:
             fam_b.append(frozenset(w))
     transitions, count = _gate_from_families(g, fam_a, fam_b)
@@ -727,34 +709,6 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
     if fam == "torus":
         _check_torus_gate_families(g, analysis, fam_a, fam_b)
     return CriticalGate(s_star, kappa, fam_a, fam_b, fam_c, transitions, count)
-
-
-def _witness_reachable(b_set: frozenset, prof: IsoperimetricProfile,
-                       s_star: int, kappa: int) -> bool:
-    """BFS through complete witness layers from b_set to any size s*+kappa set,
-    intermediate sizes strictly below s*+kappa and at least s*."""
-    layers = {s: {frozenset(w) for w in prof.complete_witnesses(s)}
-              for s in range(s_star, s_star + kappa + 1)}
-    target = layers[s_star + kappa]
-    seen = {b_set}
-    frontier = [b_set]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for s2 in (len(cur) - 1, len(cur) + 1):
-                if not (s_star <= s2 <= s_star + kappa):
-                    continue
-                for cand in layers[s2]:
-                    if len(cand ^ cur) != 1 or cand in seen:
-                        continue
-                    if s2 == s_star + kappa:
-                        if cand in target:
-                            return True
-                        continue
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return False
 
 
 def _check_torus_gate_families(g: BipartiteGraph, analysis: CriticalAnalysis,
@@ -920,7 +874,7 @@ def no_trap_certificate(space: ConfigurationSpace, alpha: Fraction) -> NoTrapRep
     lu = tree.connecting_level(frozenset({u}), frozenset(j_u))
     escape = np.array(tree.escape_levels())
     level_pq = tree.level_pq
-    q_u = space.weight_exponent(space.configs[u]) / tree.bottleneck_weight(lu)
+    q_u = space.weight_exponent(int(space.masks[u])) / tree.bottleneck_weight(lu)
     # Compare values p + q*alpha (as integer keys): the bottleneck VALUE is
     # unambiguous even when its (p, q) label is tied.  Strict inequality
     # certifies, so only the states at or above u's value, and those with no
@@ -937,7 +891,7 @@ def no_trap_certificate(space: ConfigurationSpace, alpha: Fraction) -> NoTrapRep
             continue
         # Equal values with unambiguous equal labels expose a genuine trap;
         # equal values with mixed labels are an alpha-genericity failure.
-        q_x = (space.weight_exponent(space.configs[x])
+        q_x = (space.weight_exponent(int(space.masks[x]))
                / tree.bottleneck_weight(lx))
         if (len(level_pq[lx]) > 1 or len(level_pq[lu]) > 1
                 or q_x.as_tuple() != q_u.as_tuple()):

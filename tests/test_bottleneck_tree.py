@@ -22,8 +22,7 @@ from hcmeta.asymptotics import AsymptoticExponent
 from hcmeta.configspace import enumerate_space
 from hcmeta.graph import build_family
 from hcmeta.isoperimetry import brute_force_profile
-from hcmeta.metastability import (_witness_reachable, build_gate, dominance_sets,
-                                  no_trap_certificate)
+from hcmeta.metastability import build_gate, dominance_sets, no_trap_certificate
 from hcmeta.potential import BottleneckTree, psi_symbolic
 from test_kernel_csr import _UnionFind, relabel
 
@@ -247,10 +246,34 @@ class Reference:
             elif kappa == 1:
                 ok = any((b_set | {x}) in fam_c for x in set(g.v_sites) - b_set)
             else:
-                ok = _witness_reachable(b_set, prof, s_star, kappa)
+                ok = Reference.witness_reachable(b_set, prof, s_star, kappa)
             if ok:
                 out.append(b_set)
         return out
+
+    @staticmethod
+    def witness_reachable(b_set, prof, s_star, kappa) -> bool:
+        """Breadth-first search through the complete witness layers from
+        b_set to any set of size s*+kappa, the sizes between at least s*."""
+        layers = {s: {frozenset(w) for w in prof.complete_witnesses(s)}
+                  for s in range(s_star, s_star + kappa + 1)}
+        seen = {b_set}
+        frontier = [b_set]
+        while frontier:
+            nxt = []
+            for cur in frontier:
+                for s2 in (len(cur) - 1, len(cur) + 1):
+                    if not s_star <= s2 <= s_star + kappa:
+                        continue
+                    for cand in layers[s2]:
+                        if len(cand ^ cur) != 1 or cand in seen:
+                            continue
+                        if s2 == s_star + kappa:
+                            return True
+                        seen.add(cand)
+                        nxt.append(cand)
+            frontier = nxt
+        return False
 
     @staticmethod
     def gate_transitions(g, fam_a, fam_b) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hcmeta import metastability
 from hcmeta.cli import main
 
 
@@ -79,16 +80,35 @@ def test_gate_command(tmp_path):
     assert obj["hypotheses"]["uniqueness"] == "verified"
 
 
-@pytest.mark.parametrize("spec,why", [
+GATE_REFUSALS = [
     # Q5: family A has 64 sets and no size-s* set extends one of them
-    ("doubled(torus:4x4)", "the critical gate is empty"),
-    ("torus:6x8", "torus family A does not match"),
-])
-def test_gate_refusals_exit_2(capsys, tmp_path, spec, why):
+    ("doubled(torus:4x4)", "7/10", "the critical gate is empty"),
+    ("torus:6x8", "7/10", "torus family A does not match"),
+    # s* = 1 and kappa = 3 on graphs with three V sites: no family C
+    ("cycle:6", "3/10", "s*+kappa = 4 exceeds |V| = 3"),
+    ("path:6", "3/10", "s*+kappa = 4 exceeds |V| = 3"),
+    ("complete:2x3", "3/10", "s*+kappa = 4 exceeds |V| = 3"),
+]
+
+
+@pytest.mark.parametrize("spec,alpha,why", GATE_REFUSALS,
+                         ids=[f"{spec}-{why}" for spec, _, why in GATE_REFUSALS])
+def test_gate_refusals_exit_2(capsys, tmp_path, spec, alpha, why):
     out = tmp_path / "gate.json"
-    assert main(["gate", "--graph", spec, "--alpha", "7/10", "-o", str(out)]) == 2
+    assert main(["gate", "--graph", spec, "--alpha", alpha, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and why in err
+    assert not out.exists()
+
+
+def test_gate_exhausted_search_exits_3(capsys, tmp_path, monkeypatch):
+    # kappa = 2: the B-to-C progression search refuses rather than shrink B
+    monkeypatch.setattr(metastability, "_find_progression_up",
+                        lambda *args, **kwargs: (None, True))
+    out = tmp_path / "gate.json"
+    assert main(["gate", "--graph", "random:6x6:0.5:1", "--alpha", "2/5",
+                 "-o", str(out)]) == 3
+    assert f"{metastability.GATE_SEARCH_NODES} nodes" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from hcmeta import metastability
 from hcmeta.asymptotics import AsymptoticExponent
 from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.graph import build_family
 from hcmeta.isoperimetry import (brute_force_profile, doubled_torus_delta,
                                  torus_delta)
-from hcmeta.metastability import (build_gate, check_hypotheses,
+from hcmeta.metastability import (_find_progression_up, build_gate, check_hypotheses,
                                   critical_analysis, crossover_prediction,
                                   dominance_sets, doubled_torus_critical_size,
                                   find_isoperimetric_numbering, gate_statistics,
@@ -142,6 +143,38 @@ def test_find_isoperimetric_numbering_budget():
     assert num is None and exhausted
 
 
+# (graph, length, start) -> (numbering, exhausted) at budgets 1, 2 and 3.  A
+# forced start costs its own node, and the V sites are tried in order.
+PINNED_NUMBERINGS = [
+    ("complete:2x3", 2, None, [(None, True), ([2, 3], False), ([2, 3], False)]),
+    ("complete:2x3", 2, 2, [(None, True), ([2, 3], False), ([2, 3], False)]),
+    ("complete:2x3", 2, 3, [(None, True), ([3, 2], False), ([3, 2], False)]),
+    ("complete:2x3", 2, 4, [(None, True), ([4, 2], False), ([4, 2], False)]),
+    ("complete:2x3", 3, None, [(None, True), (None, True), ([2, 3, 4], False)]),
+    ("complete:2x3", 3, 2, [(None, True), (None, True), ([2, 3, 4], False)]),
+    ("complete:2x3", 3, 3, [(None, True), (None, True), ([3, 2, 4], False)]),
+    ("complete:2x3", 3, 4, [(None, True), (None, True), ([4, 2, 3], False)]),
+    ("path:6", 1, 3, [(None, False)] * 3),
+    ("path:6", 2, None, [(None, True), ([5, 4], False), ([5, 4], False)]),
+    ("path:6", 2, 3, [(None, False)] * 3),
+    ("path:6", 2, 4, [(None, False)] * 3),
+    ("path:6", 2, 5, [(None, True), ([5, 4], False), ([5, 4], False)]),
+    ("path:6", 3, None, [(None, True), (None, True), ([5, 4, 3], False)]),
+    ("path:6", 3, 4, [(None, False)] * 3),
+    ("path:6", 3, 5, [(None, True), (None, True), ([5, 4, 3], False)]),
+]
+
+
+@pytest.mark.parametrize("spec,length,start,want", PINNED_NUMBERINGS,
+                         ids=[f"{r[0]}-{r[1]}-{r[2]}" for r in PINNED_NUMBERINGS])
+def test_find_isoperimetric_numbering_pinned(spec, length, start, want):
+    g = build_family(spec)
+    delta_fn = profile_function(g, HALF)[0]
+    got = [find_isoperimetric_numbering(g, delta_fn, length, start=start, budget=b)
+           for b in (1, 2, 3)]
+    assert got == want
+
+
 @pytest.mark.parametrize("spec,alpha,count", [
     ("cycle:6", HALF, 6),                      # 2n
     ("cycle:8", HALF, 8),
@@ -233,6 +266,32 @@ def test_gate_refuses_truncated_witnesses():
         build_gate(g, Fraction(7, 10), profile=prof)
 
 
+def test_gate_walk_ends_at_the_top_size():
+    # From {4} on cycle:8 the walk meets size 2 only at {4, 5} and {4, 7}.
+    # {5, 6} lies beyond {4, 5} -> {5}, but a set of the top size is an end
+    # of the walk, never a step on it.
+    g = build_family("cycle:8")
+    prof = brute_force_profile(g, 2)
+
+    def walk(fam_c):
+        return _find_progression_up(g, prof.delta, frozenset({4}), 2, 1, 100,
+                                    target_filter=fam_c.__contains__)
+
+    assert walk({frozenset({5, 6})}) == (None, False)
+    assert walk({frozenset({4, 5})}) == ([frozenset({4}), frozenset({4, 5})], False)
+
+
+@pytest.mark.parametrize("spec,alpha", [("random:6x6:0.5:1", Fraction(2, 5)),
+                                        ("doubled(torus:8x8)", Fraction(3, 10))])
+def test_gate_refuses_an_exhausted_progression_search(monkeypatch, spec, alpha):
+    # kappa >= 2 on the witness route and on the doubled-torus route: a walk
+    # out of nodes is no answer, and must not drop its B candidate silently
+    monkeypatch.setattr(metastability, "_find_progression_up",
+                        lambda *args, **kwargs: (None, True))
+    with pytest.raises(CapExceeded, match=f"{metastability.GATE_SEARCH_NODES} nodes"):
+        build_gate(build_family(spec), alpha)
+
+
 def test_gate_transitions_are_valid_configurations():
     g = build_family("torus:6x6")
     gate = build_gate(g, Fraction(7, 10))
@@ -302,6 +361,8 @@ def test_no_trap_cycle_at_half_and_path_inconclusive():
     assert no_trap_certificate(spc, HALF).checked == 16
     spc = enumerate_space(build_family("path:6"))
     assert no_trap_certificate(spc, HALF).status == "inconclusive"
+    # the certificate reads the mask array, not a list of every state
+    assert "configs" not in spc.__dict__
 
 
 def test_no_trap_torus_at_half():
