@@ -15,7 +15,9 @@ the build (``build_peak_rss_mb``) and at its end, E_u[T_v] in steps by both
 routes (each with its exact ``float.hex``), the gap between the two E[T]
 routes, Psi(u, v) (with its ``float.hex``) with its bottleneck edge, the
 no-trap status and count of checked states, and the first 16 hex digits of
-the SHA-256 of the tree's escape levels as int64 bytes.
+the SHA-256 of the tree's escape levels as int64 bytes.  Under ``gates`` it
+lists ``build_gate`` on each of ``GATE_INSTANCES``, once, in a fresh
+process: its seconds, the process's peak RSS, and the gate count.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # path:19 (5,545 orbits, a dense tail of L = 2,914) is the row its dense
 # elimination tail dominates
 INSTANCES = ("ladder:12", "torus:4x6", "path:19", "torus:4x8")
+# the paper's example, and a doubled torus whose gate walk runs at kappa = 3
+GATE_INSTANCES = {"torus:6x6": "7/10", "doubled(torus:10x10)": "3/10"}
 LAMBDA = 100.0
 
 
@@ -115,6 +119,21 @@ def measure_tree(spec: str) -> dict:
             "escape_sha256": hashlib.sha256(escape.tobytes()).hexdigest()[:16]}
 
 
+def measure_gate(spec: str) -> dict:
+    """``build_gate`` on one of ``GATE_INSTANCES``, in this process."""
+    from fractions import Fraction
+
+    from hcmeta import build_gate, parse_graph_spec
+
+    g = parse_graph_spec(spec)
+    t0 = time.perf_counter()
+    gate = build_gate(g, Fraction(GATE_INSTANCES[spec]))
+    t1 = time.perf_counter()
+    return {"graph": spec, "alpha": GATE_INSTANCES[spec], "kappa": gate.kappa,
+            "build_gate_s": t1 - t0, "peak_rss_mb": _peak_rss_mb(),
+            "gate_count": gate.count}
+
+
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -125,10 +144,12 @@ def main(argv=None) -> int:
     ap.add_argument("--one", help=argparse.SUPPRESS)    # worker: the solve path
     ap.add_argument("--psi", help=argparse.SUPPRESS)    # worker: numeric Psi
     ap.add_argument("--tree", help=argparse.SUPPRESS)   # worker: exact exponents
+    ap.add_argument("--gate", help=argparse.SUPPRESS)   # worker: build_gate
     args = ap.parse_args(argv)
-    if args.one or args.psi or args.tree:
+    if args.one or args.psi or args.tree or args.gate:
         print(json.dumps(measure(args.one) if args.one else
-                         measure_psi(args.psi) if args.psi else measure_tree(args.tree)))
+                         measure_psi(args.psi) if args.psi else
+                         measure_tree(args.tree) if args.tree else measure_gate(args.gate)))
         return 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -143,8 +164,12 @@ def main(argv=None) -> int:
         rows.append(dict(worker("--one", spec), critical_resistance=worker("--psi", spec),
                          bottleneck_tree=worker("--tree", spec)))
         print(json.dumps(rows[-1]))
+    gates = []
+    for spec in GATE_INSTANCES:
+        gates.append(worker("--gate", spec))
+        print(json.dumps(gates[-1]))
     with open(args.output, "w") as f:
-        json.dump({"instances": rows}, f, indent=2)
+        json.dump({"instances": rows, "gates": gates}, f, indent=2)
         f.write("\n")
     return 0
 

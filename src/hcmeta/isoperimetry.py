@@ -536,6 +536,67 @@ def _grow(start, pool, size: int, cost_fn, delta_fn,
     return (path if rec(path[0]) else None), exhausted
 
 
+def _walk(g: BipartiteGraph, delta_fn, starts, lo: int, hi: int, budget: _Budget,
+          stop=None) -> tuple[dict[int, int | None], int | None, bool]:
+    """Breadth-first search from ``starts`` over the optimal sets of sizes
+    ``lo`` .. ``hi``, one V site added or removed per move.
+
+    Sets are bitmasks of site ids.  Moves are tried in ``g.v_sites`` order,
+    and the walk enters a set it has not seen when its size lies in
+    lo .. hi and its cost |N(A)| - |A| equals ``delta_fn(|A|)``.  The starts
+    are seen but never tested, whatever their size or cost.  Each expanded
+    set costs one tick of ``budget``, and the walk stops at the first tick
+    past it, or at the first entered set that ``stop`` accepts.
+
+    Moves are symmetric and every constraint sits on a set, so a walk out of
+    a family reaches exactly the sets from which such moves, through those
+    sizes, reach the family.
+
+    Returns (parent, found, exhausted).  ``parent`` maps every seen set to
+    the set it was entered from (a start to None): its keys are the visited
+    sets, and a path to any of them runs back along it.  ``found`` is the set
+    ``stop`` accepted, or None.
+    """
+    bits = [1 << a for a in g.v_sites]
+    nbr = [g.neighbor_mask(a) for a in g.v_sites]
+    want = {s: delta_fn(s) for s in range(lo, hi + 1)}
+    parent: dict[int, int | None] = dict.fromkeys(starts)
+    frontier = list(parent)
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            if not budget.tick():
+                return parent, None, True
+            size = cur.bit_count()
+            if size - 1 < lo and size + 1 > hi:
+                continue
+            members = [k for k, bit in enumerate(bits) if cur & bit]
+            # N(cur) without one member: the ORs of the members before it
+            # and of those after it; ``after`` ends as N(cur)
+            before, after, drop = [0], 0, {}
+            for k in members:
+                before.append(before[-1] | nbr[k])
+            for pos in reversed(range(len(members))):
+                drop[members[pos]] = before[pos] | after
+                after |= nbr[members[pos]]
+            # at the top size or above, only removals can stay in range
+            for k in members if size + 1 > hi else range(len(bits)):
+                bit = bits[k]
+                s = size - 1 if cur & bit else size + 1
+                cand = cur ^ bit
+                if not lo <= s <= hi or cand in parent:
+                    continue
+                cover = drop[k] if cur & bit else after | nbr[k]
+                if cover.bit_count() - s != want[s]:
+                    continue
+                parent[cand] = cur
+                if stop is not None and stop(cand):
+                    return parent, cand, False
+                nxt.append(cand)
+        frontier = nxt
+    return parent, None, False
+
+
 _PROGRESSION_KINDS = {
     # kind: (from type, from radius offset, to type, to radius offset, min ell)
     "a": ("I", -1, "II", -2, 2),

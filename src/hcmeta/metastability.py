@@ -23,6 +23,7 @@ from .isoperimetry import (
     _Budget,
     _grow,
     _orient,
+    _walk,
     brute_force_profile,
     doubled_torus_delta,
     hypercube_delta,
@@ -74,7 +75,6 @@ class CriticalAnalysis:
     delta_s_star: int
     unique_max: bool
     tied_maximizers: list[int]
-    ell_star: int | None = None
     t_star: int | None = None            # |U| - s* - Delta(s*) when |U| known
 
     def as_json_obj(self) -> dict:
@@ -83,12 +83,11 @@ class CriticalAnalysis:
                 "delta_s_star": self.delta_s_star,
                 "unique_max": self.unique_max,
                 "tied_maximizers": self.tied_maximizers,
-                "ell_star": self.ell_star, "t_star": self.t_star}
+                "t_star": self.t_star}
 
 
 def critical_analysis(delta_fn, alpha: Fraction, bound: int,
-                      n_u: int | None = None,
-                      ell_star: int | None = None) -> CriticalAnalysis:
+                      n_u: int | None = None) -> CriticalAnalysis:
     """Exact s*, s~ and g* from a profile Delta(s) available on 0..bound.
 
     s* is the smallest maximizer of g(s) = Delta(s) - alpha(s-1) over
@@ -124,7 +123,7 @@ def critical_analysis(delta_fn, alpha: Fraction, bound: int,
     return CriticalAnalysis(alpha=alpha, s_star=s_star, g_star=g_star,
                             s_tilde=s_tilde, delta_s_star=int(deltas[s_star]),
                             unique_max=len(tied) == 1, tied_maximizers=tied,
-                            ell_star=ell_star, t_star=t_star)
+                            t_star=t_star)
 
 
 def torus_critical_size(alpha: Fraction) -> tuple[int, int, bool]:
@@ -266,79 +265,13 @@ def find_isoperimetric_numbering(g: BipartiteGraph, delta_fn, length: int,
     return [next(iter(y - x)) for x, y in zip(sets, sets[1:])], False
 
 
-def _find_progression_down(g, delta_fn, target: frozenset, budget: int):
-    """Isoperimetric progression empty -> target with sizes <= |target|.
-
-    First the nested growth inside the target (:func:`_grow` over its sites
-    in sorted order); when there is none, a breadth-first +-1 walk over the
-    optimal sets of size at most |target|, on the same budget.  That walk
-    may pass through other optimal sets of the target's size, which the
-    gate's walk (:func:`_reaches_c`) may not.  Returns (path or None,
-    exhausted).
-    """
-    b = _Budget(budget)
-    path, _ = _grow((), sorted(target), len(target), partial(set_cost, g), delta_fn, b)
-    if path is not None:
-        return path, False
-    # General search (BFS over optimal sets, sizes bounded by |target|).
-    limit = len(target)
-    seen = {frozenset()}
-    frontier = [(frozenset(), [frozenset()])]
-    while frontier:
-        nxt_frontier = []
-        for cur, trail in frontier:
-            if not b.tick():
-                return None, True
-            for a in g.v_sites:
-                for cand in ((cur | {a}) if a not in cur else (cur - {a}),):
-                    if len(cand) > limit or cand in seen:
-                        continue
-                    if set_cost(g, cand) != delta_fn(len(cand)):
-                        continue
-                    seen.add(cand)
-                    t2 = trail + [cand]
-                    if cand == target:
-                        return t2, False
-                    nxt_frontier.append((cand, t2))
-        frontier = nxt_frontier
-    return None, False
-
-
-def _find_progression_up(g, delta_fn, start: frozenset, size_to: int,
-                         size_min: int, budget: int, target_filter=None):
-    """Isoperimetric progression from start to a set of size size_to
-    (optionally restricted by target_filter), all sizes at least size_min."""
-    b = _Budget(budget)
-    seen = {start}
-    frontier = [(start, [start])]
-    while frontier:
-        nxt_frontier = []
-        for cur, trail in frontier:
-            if not b.tick():
-                return None, True
-            for a in g.v_sites:
-                cand = (cur | {a}) if a not in cur else (cur - {a})
-                if len(cand) < size_min or len(cand) > size_to or cand in seen:
-                    continue
-                if set_cost(g, cand) != delta_fn(len(cand)):
-                    continue
-                seen.add(cand)
-                t2 = trail + [cand]
-                if len(cand) == size_to:
-                    if target_filter is None or target_filter(cand):
-                        return t2, False
-                    continue
-                nxt_frontier.append((cand, t2))
-        frontier = nxt_frontier
-    return None, False
-
-
 def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None,
                     profile: IsoperimetricProfile | None = None):
     """(delta_fn, analysis, kappa): the profile of :func:`profile_function`,
     replaced by ``profile`` on a graph with no closed form; its critical
     analysis; and kappa, ceil(1/alpha) - 1 by default, checked to lie in
-    [0, 1/alpha)."""
+    [0, 1/alpha).  s*+kappa above |V| is refused with ``ValueError``:
+    family C would not exist."""
     delta_fn, bound, fam = profile_function(g, alpha)
     if profile is not None and fam not in ("torus", "doubled-torus", "hypercube"):
         delta_fn, bound = profile.delta, profile.s_max
@@ -347,6 +280,9 @@ def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None,
         kappa = math.ceil(1 / alpha) - 1
     if not (0 <= kappa < 1 / alpha):
         raise ValueError(f"kappa={kappa} outside [0, 1/alpha)")
+    if analysis.s_star + kappa > len(g.v_sites):
+        raise ValueError(f"s*+kappa = {analysis.s_star + kappa} exceeds "
+                         f"|V| = {len(g.v_sites)}: no family C at alpha={alpha}")
     return delta_fn, analysis, kappa
 
 
@@ -375,6 +311,11 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
     machine-verified constructions at the lattice level), and otherwise
     through searches of at most ``NUMBERING_NODES`` and
     ``PROGRESSION_NODES`` nodes each, with honest exhausted-budget status.
+    A progression up to an (s*-1)-set is the nested growth inside it
+    (:func:`_grow`), else a walk (:func:`_walk`) from the empty set to it on
+    the same budget; a progression on from an (s*+kappa)-set is a walk over
+    sizes s* .. s~ that stops at the first set of size s~.  s*+kappa above
+    |V| is refused with ``ValueError``.
     """
     alpha = Fraction(alpha)
     fam = g.meta.get("family")
@@ -438,15 +379,22 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
         if fam_a is not None:
             ok, exhausted = True, False
             for a_set in fam_a:
-                p, exh = _find_progression_down(g, delta_fn, a_set,
-                                                PROGRESSION_NODES)
-                ok &= p is not None
-                exhausted |= exh
+                # the nested growth inside the target first; else the walk,
+                # which may pass through other optimal sets of its size
+                b = _Budget(PROGRESSION_NODES)
+                path, _ = _grow((), sorted(a_set), len(a_set), partial(set_cost, g),
+                                delta_fn, b)
+                if path is None:
+                    _, found, exh = _walk(g, delta_fn, [0], 0, len(a_set), b,
+                                          stop=_site_mask(a_set).__eq__)
+                    ok &= found is not None
+                    exhausted |= exh
+            top = prof.s_max
             for c_set in fam_c:
-                p, exh = _find_progression_up(g, delta_fn, c_set,
-                                              min(s_tilde, len(g.v_sites)),
-                                              s_star, PROGRESSION_NODES)
-                ok &= p is not None
+                _, found, exh = _walk(g, delta_fn, [_site_mask(c_set)], s_star, top,
+                                      _Budget(PROGRESSION_NODES),
+                                      stop=lambda x: x.bit_count() == top)
+                ok &= found is not None
                 exhausted |= exh
             st["progressions"] = HypothesisStatus(
                 "verified" if ok else ("exhausted-budget" if exhausted else "refuted"))
@@ -498,17 +446,6 @@ def _site_mask(sites) -> int:
     for site in sites:
         mask |= 1 << site
     return mask
-
-
-def _one_short(fam_c) -> set[int]:
-    """Masks of the sets one site short of a member of ``fam_c``: a set
-    extends by one site to a member of C exactly when its mask is here."""
-    out = set()
-    for c_set in fam_c:
-        c = _site_mask(c_set)
-        for site in c_set:
-            out.add(c ^ (1 << site))
-    return out
 
 
 def _gate_from_families(g: BipartiteGraph, fam_a, fam_b) -> tuple[list, int]:
@@ -582,73 +519,84 @@ def _doubled_gate(g: BipartiteGraph, alpha: Fraction, kappa: int,
                   analysis: CriticalAnalysis) -> CriticalGate:
     """Doubled-torus gate from the Pareto-seed characterization.
 
-    The B family relies on the connecting-progressions conjecture, so the
-    gate is labeled conditional_on_conjecture, as the sharp estimate is.
+    Families A and C are every torus placement of their seeds, and B comes
+    from the walk back from C (:func:`_family_b`); all three are sorted by
+    members.  Refused with ``ValueError``: a closed-form s* that is not the
+    profile's argmax; a kappa other than |C| - s*, since the seed family C
+    has one size; and a torus too small for the lattice analysis, where a
+    placement of family A or C costs other than the lattice Delta of its
+    size.  The B family relies on the connecting-progressions conjecture,
+    so the gate is labeled conditional_on_conjecture, as the sharp estimate
+    is.
     """
     m, n = g.meta["dims"]
     ell, s_star, case, _ = doubled_torus_critical_size(alpha)
     if s_star != analysis.s_star:
-        raise AssertionError("closed form and argmax disagree on s*")
-    blue = {(i, j): m * n + (i * n + j) for i in range(m) for j in range(n)}
-
-    def to_sites(cells) -> frozenset:
-        return frozenset(blue[c] for c in cells)
-
+        raise ValueError(f"the doubled-torus closed form gives s* = {s_star}, the "
+                         f"profile's argmax {analysis.s_star} at alpha={alpha}")
     if case == 2:
         seeds_a = [seed_set("IV", ell - 1)]
         seeds_c = [seed_set("I", ell)]
     else:
         seeds_a = [seed_set("II", ell - 2)]
         seeds_c = [seed_set("IIIa", ell - 1), seed_set("IIIb", ell - 1)]
-    fam_a_cells = set()
-    for s in seeds_a:
-        fam_a_cells |= _dihedral_placements(s, (m, n))
-    fam_c_cells = set()
-    for s in seeds_c:
-        fam_c_cells |= _dihedral_placements(s, (m, n))
-    fam_a = [to_sites(c) for c in sorted(fam_a_cells, key=sorted)]
-    fam_c_set = {to_sites(c) for c in fam_c_cells}
+    if s_star + kappa != len(seeds_c[0]):
+        raise ValueError(f"kappa={kappa}, but the doubled-torus family C has size "
+                         f"{len(seeds_c[0])} = s*+{len(seeds_c[0]) - s_star} at "
+                         f"alpha={alpha}")
+    blue = {(i, j): m * n + (i * n + j) for i in range(m) for j in range(n)}
 
-    delta_b = doubled_torus_delta(s_star)
-    one_short_c = _one_short(fam_c_set)
-    fam_b_set = set()
-    v_all = set(g.v_sites)
-    for a_set in fam_a:
-        cand_sites = set()
-        for site in a_set:
-            for u_nbr in g.adjacency[site]:
-                cand_sites.update(g.adjacency[u_nbr])
-        for b_site in (cand_sites & v_all) - a_set:
-            b_set = a_set | {b_site}
-            if set_cost(g, b_set) != delta_b:
-                continue
-            if kappa == 1:
-                ok = _site_mask(b_set) in one_short_c
-            else:
-                ok = _reaches_c(g, doubled_torus_delta, b_set, s_star, kappa,
-                                fam_c_set)
-            if ok:
-                fam_b_set.add(b_set)
-    fam_b = sorted(fam_b_set, key=sorted)
+    def placements(seeds) -> list[frozenset]:
+        sets = {frozenset(blue[c] for c in cells)
+                for seed in seeds for cells in _dihedral_placements(seed, (m, n))}
+        return sorted(sets, key=sorted)
+
+    fam_a, fam_c = placements(seeds_a), placements(seeds_c)
+    for name, family in (("A", fam_a), ("C", fam_c)):
+        for sites in family:
+            got, want = set_cost(g, sites), doubled_torus_delta(len(sites))
+            if got != want:
+                raise ValueError(
+                    f"doubled torus too small for the critical gate at alpha={alpha}: "
+                    f"a placement of family {name} costs {got} on this torus vs "
+                    f"lattice {want}")
+    fam_b = sorted((frozenset(_sites(b)) for b in
+                    _family_b(g, doubled_torus_delta, fam_a, fam_c, s_star, kappa)),
+                   key=sorted)
     transitions, count = _gate_from_families(g, fam_a, fam_b)
-    return CriticalGate(s_star, kappa, fam_a, fam_b, sorted(fam_c_set, key=sorted),
-                        transitions, count, conditional_on_conjecture=True)
+    return CriticalGate(s_star, kappa, fam_a, fam_b, fam_c, transitions, count,
+                        conditional_on_conjecture=True)
 
 
-def _reaches_c(g: BipartiteGraph, delta_fn, b_set: frozenset, s_star: int,
-               kappa: int, fam_c: set) -> bool:
-    """Whether an isoperimetric progression runs from ``b_set`` to a member
-    of ``fam_c`` through sizes s* .. s*+kappa: the breadth-first walk of
-    :func:`_find_progression_up`, which never expands a set of the top size.
-    A walk past ``GATE_SEARCH_NODES`` nodes is refused with ``CapExceeded``
-    rather than read as "no path", which would shrink family B silently."""
-    p, exhausted = _find_progression_up(g, delta_fn, b_set, s_star + kappa, s_star,
-                                        GATE_SEARCH_NODES,
-                                        target_filter=fam_c.__contains__)
+def _sites(mask: int):
+    """The sites of a bitmask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _family_b(g: BipartiteGraph, delta_fn, fam_a, fam_c, s_star: int,
+              kappa: int) -> set[int]:
+    """Masks of family B: the optimal size-s* sets that extend a member of A
+    by one site and go on to a member of C through optimal sets of sizes
+    s* .. s*+kappa-1.
+
+    One walk back from C over those sizes (:func:`_walk`) finds them all:
+    moves are symmetric and every constraint sits on a set, so the walk
+    reaches a set exactly when that set reaches C.  kappa = 0 reaches C
+    itself, and kappa = 1 the optimal sets one site short of C.  A walk past
+    ``GATE_SEARCH_NODES`` nodes is refused with ``CapExceeded`` rather than
+    read as "no path", which would shrink B silently.
+    """
+    reached, _, exhausted = _walk(g, delta_fn, [_site_mask(c) for c in fam_c],
+                                  s_star, s_star + kappa - 1, _Budget(GATE_SEARCH_NODES))
     if exhausted:
-        raise CapExceeded(f"the progression search from a B candidate towards "
-                          f"family C needs more than {GATE_SEARCH_NODES} nodes")
-    return p is not None
+        raise CapExceeded(f"the walk back from family C needs more than "
+                          f"{GATE_SEARCH_NODES} nodes")
+    a_masks = {_site_mask(a_set) for a_set in fam_a}
+    return {b for b in reached if b.bit_count() == s_star
+            and any((b ^ (1 << site)) in a_masks for site in _sites(b))}
 
 
 def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
@@ -658,21 +606,20 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
     progression to C through sizes strictly between s*-1 and s*+kappa), and
     the transition list with its exact count.
 
-    Generic graphs use complete brute-force witness enumeration from
-    ``profile`` (by default a fresh one up to s*+kappa), refusing on
-    truncation with ``CapExceeded``; for kappa >= 2, B's progressions come
-    from one breadth-first search per candidate (:func:`_reaches_c`).  The
-    doubled torus uses the Pareto-seed characterization and labels results
-    conditional on the connecting-progressions conjecture.  s*+kappa above
-    |V| is refused with ``ValueError``: family C would not exist.
+    B comes from one breadth-first walk back from C (:func:`_family_b`) on
+    a budget of ``GATE_SEARCH_NODES`` nodes; a walk that runs out is refused
+    with ``CapExceeded``.  Generic graphs take A and C from a complete
+    brute-force witness enumeration, ``profile`` (by default a fresh one up
+    to s*+kappa), refusing on truncation with ``CapExceeded``, and list B in
+    the witnesses' colex order.  The doubled torus uses the Pareto-seed
+    characterization and labels results conditional on the
+    connecting-progressions conjecture (:func:`_doubled_gate`).  s*+kappa
+    above |V| is refused with ``ValueError``: family C would not exist.
     """
     alpha = Fraction(alpha)
     fam = g.meta.get("family")
     delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa, profile)
     s_star = analysis.s_star
-    if s_star + kappa > len(g.v_sites):
-        raise ValueError(f"s*+kappa = {s_star + kappa} exceeds |V| = {len(g.v_sites)}: "
-                         f"no family C at alpha={alpha}")
 
     if fam == "doubled-torus":
         return _doubled_gate(g, alpha, kappa, analysis)
@@ -689,21 +636,9 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
                     f"{delta_fn(s)}")
     fam_a = [frozenset(w) for w in prof.complete_witnesses(s_star - 1)]
     fam_c = [frozenset(w) for w in prof.complete_witnesses(s_star + kappa)]
-    a_masks = {_site_mask(a_set) for a_set in fam_a}
-    # for kappa <= 1: the masks that are, or are one site short of, a member of C
-    reach_c = {_site_mask(c_set) for c_set in fam_c} if kappa == 0 else _one_short(fam_c)
-    c_sets = set(fam_c)
-    fam_b = []
-    for w in prof.complete_witnesses(s_star):
-        b = _site_mask(w)
-        if not any((b ^ (1 << site)) in a_masks for site in w):
-            continue
-        if kappa <= 1:
-            ok = b in reach_c
-        else:
-            ok = _reaches_c(g, prof.delta, frozenset(w), s_star, kappa, c_sets)
-        if ok:
-            fam_b.append(frozenset(w))
+    b_masks = _family_b(g, prof.delta, fam_a, fam_c, s_star, kappa)
+    fam_b = [frozenset(w) for w in prof.complete_witnesses(s_star)
+             if _site_mask(w) in b_masks]
     transitions, count = _gate_from_families(g, fam_a, fam_b)
 
     if fam == "torus":
@@ -716,7 +651,7 @@ def _check_torus_gate_families(g: BipartiteGraph, analysis: CriticalAnalysis,
     """Torus cross-check: A = tilted (l*-1) x l* rectangles; every B is an A
     plus an extra site along one of the two longer sides."""
     m, n = g.meta["dims"]
-    ell = analysis.ell_star or torus_critical_size(analysis.alpha)[0]
+    ell = torus_critical_size(analysis.alpha)[0]
     if ell < 2:
         return
     rect = frozenset((a, b) for a in range(ell) for b in range(ell - 1))

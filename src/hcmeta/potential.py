@@ -672,15 +672,6 @@ def expected_hitting_time(net: ElectricNetwork, a: int, B) -> HittingTimeResult:
 # Critical (bottleneck) resistance
 # ----------------------------------------------------------------------------
 
-def _find(parent: dict, x: int) -> int:
-    """Root of x in the union-find forest ``parent`` (a dict over the
-    elements in play), halving the path.  The union of x's and y's trees is
-    ``parent[_find(parent, x)] = _find(parent, y)``."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 @dataclass
 class PsiResult:
     value: float
@@ -769,8 +760,9 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
     conductances (:func:`_first_join`, one conductance band per step);
     edges with conductance 0 (cut, or underflowed) are absent.  The
     bottleneck edge is the edge at which Kruskal over the edges
-    by descending conductance, ties in edge order, first joins A to B: a
-    union-find over the components above c*, run on c*'s tie group only.
+    by descending conductance, ties in edge order, first joins A to B: the
+    same search over c*'s tie group, one edge per level, on the components
+    above c*.
     The witness path is searched over the edges in edge order, so it relies
     on ``edge_i`` being nondecreasing, as it is in every network (ordered
     by (emptied state, site), copies from
@@ -795,19 +787,15 @@ def critical_resistance(net: ElectricNetwork, A, B) -> PsiResult:
         return ei[sel], ej[sel]
 
     hi, below = _first_join(n, len(levels), band, a_list, b_list)
-    # Kruskal over c*'s tie group, on the components above c*: a union-find
-    # over the labels of A, B and the tie edges' ends only
+    # c*'s tie group one edge per level, on the components above c*: the
+    # labels of A, B and the tie edges' ends, numbered 0 .. k-1
     tie = np.flatnonzero(ec == levels[hi])
-    la, lb = below[a_list].tolist(), below[b_list].tolist()
-    ti, tj = below[ei[tie]].tolist(), below[ej[tie]].tolist()
-    src, dst = -1, -2
-    parent = {x: x for x in chain(la, lb, ti, tj, (src, dst))}
-    for x, y in chain(((x, src) for x in la), ((y, dst) for y in lb)):
-        parent[_find(parent, x)] = _find(parent, y)
-    for e, x, y in zip(tie.tolist(), ti, tj):
-        parent[_find(parent, x)] = _find(parent, y)
-        if _find(parent, src) == _find(parent, dst):
-            break
+    ends = np.concatenate([below[a_list], below[b_list], below[ei[tie]], below[ej[tie]]])
+    labels, ends = np.unique(ends, return_inverse=True)
+    la, lb, ti, tj = np.split(ends, np.cumsum([len(A), len(B), len(tie)]))
+    first, _ = _first_join(len(labels), len(tie),
+                           lambda lo, hi: (ti[lo:hi], tj[lo:hi]), la, lb)
+    e = int(tie[first])
     c_star = float(ec[e])
     # with edge_i nondecreasing, a state's lower neighbours (it is the edge's
     # j) come before its upper ones (it is the edge's i) in edge order, so

@@ -414,18 +414,21 @@ def test_intersecting_sets_are_refused():
             psi_symbolic(spc, A, B, alpha)
 
 
-GATE_CASES = [("torus:6x6", Fraction(7, 10)),
-              ("hypercube:4", Fraction(1, 2)),
-              ("doubled(torus:5x5)", Fraction(7, 10)),
+GATE_CASES = [("torus:6x6", Fraction(7, 10), None),
+              ("hypercube:4", Fraction(1, 2), None),
+              ("doubled(torus:5x5)", Fraction(7, 10), None),
               # kappa = 2, and a size-s* witness that extends no member of A
-              ("random:6x6:0.5:1", Fraction(2, 5))]
+              ("random:6x6:0.5:1", Fraction(2, 5), None),
+              # every kappa in [0, 1/alpha)
+              *(("random:6x6:0.5:1", Fraction(2, 5), k) for k in range(3))]
 
 
-@pytest.mark.parametrize("spec,alpha", GATE_CASES,
-                         ids=[f"{spec}@{alpha}" for spec, alpha in GATE_CASES])
-def test_gate_matches_frozenset_reference(spec, alpha):
+@pytest.mark.parametrize("spec,alpha,kappa", GATE_CASES,
+                         ids=[f"{spec}@{alpha}" + ("" if k is None else f"-kappa{k}")
+                              for spec, alpha, k in GATE_CASES])
+def test_gate_matches_frozenset_reference(spec, alpha, kappa):
     g = build_family(spec)
-    gate = build_gate(g, alpha)
+    gate = build_gate(g, alpha, kappa=kappa)
     s_star, kappa = gate.s_star, gate.kappa
     prof = brute_force_profile(g, min(s_star + kappa, len(g.v_sites)))
     fam_a = [frozenset(w) for w in prof.complete_witnesses(s_star - 1)]

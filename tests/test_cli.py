@@ -81,30 +81,47 @@ def test_gate_command(tmp_path):
 
 
 GATE_REFUSALS = [
-    # Q5: family A has 64 sets and no size-s* set extends one of them
-    ("doubled(torus:4x4)", "7/10", "the critical gate is empty"),
-    ("torus:6x8", "7/10", "torus family A does not match"),
+    # Q5: a ball of radius 1 wraps onto itself, costing 6 against the lattice 8
+    ("doubled(torus:4x4)", "7/10", None, "doubled torus too small"),
+    ("torus:6x8", "7/10", None, "torus family A does not match"),
     # s* = 1 and kappa = 3 on graphs with three V sites: no family C
-    ("cycle:6", "3/10", "s*+kappa = 4 exceeds |V| = 3"),
-    ("path:6", "3/10", "s*+kappa = 4 exceeds |V| = 3"),
-    ("complete:2x3", "3/10", "s*+kappa = 4 exceeds |V| = 3"),
+    ("cycle:6", "3/10", None, "s*+kappa = 4 exceeds |V| = 3"),
+    ("path:6", "3/10", None, "s*+kappa = 4 exceeds |V| = 3"),
+    ("complete:2x3", "3/10", None, "s*+kappa = 4 exceeds |V| = 3"),
+    # the doubled-torus closed form's s* (11) is not the profile's argmax
+    ("doubled(torus:5x5)", "1/2", None, "the doubled-torus closed form gives s* = 11"),
+    # some placements of family C cost 9 against the lattice 10
+    ("doubled(torus:5x5)", "3/5", None, "a placement of family C costs 9"),
+    ("doubled(torus:8x8)", "3/10", None, "a placement of family C costs 14"),
+    # the seed family C has size 5 = s*+1 only
+    ("doubled(torus:5x5)", "7/10", 0, "kappa=0, but the doubled-torus family C has size 5"),
 ]
 
 
-@pytest.mark.parametrize("spec,alpha,why", GATE_REFUSALS,
-                         ids=[f"{spec}-{why}" for spec, _, why in GATE_REFUSALS])
-def test_gate_refusals_exit_2(capsys, tmp_path, spec, alpha, why):
+@pytest.mark.parametrize("spec,alpha,kappa,why", GATE_REFUSALS,
+                         ids=[f"{spec}-{why}" for spec, _, _, why in GATE_REFUSALS])
+def test_gate_refusals_exit_2(capsys, tmp_path, spec, alpha, kappa, why):
     out = tmp_path / "gate.json"
-    assert main(["gate", "--graph", spec, "--alpha", alpha, "-o", str(out)]) == 2
+    extra = [] if kappa is None else ["--kappa", str(kappa)]
+    assert main(["gate", "--graph", spec, "--alpha", alpha, *extra, "-o", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and why in err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["cycle:6", "path:6", "complete:2x3"])
+def test_critical_refuses_kappa_past_v_exit_2(capsys, tmp_path, spec):
+    out = tmp_path / "critical.json"
+    assert main(["critical", "--graph", spec, "--alpha", "3/10", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert "s*+kappa = 4 exceeds |V| = 3" in err
+    assert not out.exists()
+
+
 def test_gate_exhausted_search_exits_3(capsys, tmp_path, monkeypatch):
-    # kappa = 2: the B-to-C progression search refuses rather than shrink B
-    monkeypatch.setattr(metastability, "_find_progression_up",
-                        lambda *args, **kwargs: (None, True))
+    # kappa = 2: the walk back from C refuses rather than shrink B
+    monkeypatch.setattr(metastability, "_walk", lambda *args, **kwargs: ({}, None, True))
     out = tmp_path / "gate.json"
     assert main(["gate", "--graph", "random:6x6:0.5:1", "--alpha", "2/5",
                  "-o", str(out)]) == 3

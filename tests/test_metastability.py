@@ -6,9 +6,9 @@ from hcmeta import metastability
 from hcmeta.asymptotics import AsymptoticExponent
 from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.graph import build_family
-from hcmeta.isoperimetry import (brute_force_profile, doubled_torus_delta,
-                                 torus_delta)
-from hcmeta.metastability import (_find_progression_up, build_gate, check_hypotheses,
+from hcmeta.isoperimetry import (_Budget, _walk, brute_force_profile,
+                                 doubled_torus_delta, torus_delta)
+from hcmeta.metastability import (_site_mask, build_gate, check_hypotheses,
                                   critical_analysis, crossover_prediction,
                                   dominance_sets, doubled_torus_critical_size,
                                   find_isoperimetric_numbering, gate_statistics,
@@ -267,27 +267,32 @@ def test_gate_refuses_truncated_witnesses():
 
 
 def test_gate_walk_ends_at_the_top_size():
-    # From {4} on cycle:8 the walk meets size 2 only at {4, 5} and {4, 7}.
-    # {5, 6} lies beyond {4, 5} -> {5}, but a set of the top size is an end
-    # of the walk, never a step on it.
+    # The walk back from C on cycle:8 with s* = 1 and kappa = 1 runs over
+    # size 1 only.  From {5, 6} it reaches {5} and {6}, but never {4}: the
+    # way there, {5} -> {4, 5} -> {4}, steps through a set of C's size,
+    # which is an end of a progression, never a step on it.  From {4, 5} it
+    # reaches {4} at once.
     g = build_family("cycle:8")
     prof = brute_force_profile(g, 2)
 
     def walk(fam_c):
-        return _find_progression_up(g, prof.delta, frozenset({4}), 2, 1, 100,
-                                    target_filter=fam_c.__contains__)
+        reached, found, exhausted = _walk(g, prof.delta, [_site_mask(c) for c in fam_c],
+                                          1, 1, _Budget(100))
+        assert (found, exhausted) == (None, False)
+        return reached
 
-    assert walk({frozenset({5, 6})}) == (None, False)
-    assert walk({frozenset({4, 5})}) == ([frozenset({4}), frozenset({4, 5})], False)
+    reached = walk([{5, 6}])
+    assert _site_mask({4}) not in reached and set(reached) == {
+        _site_mask(c) for c in ({5, 6}, {5}, {6})}
+    assert _site_mask({4}) in walk([{4, 5}])
 
 
 @pytest.mark.parametrize("spec,alpha", [("random:6x6:0.5:1", Fraction(2, 5)),
-                                        ("doubled(torus:8x8)", Fraction(3, 10))])
+                                        ("doubled(torus:10x10)", Fraction(3, 10))])
 def test_gate_refuses_an_exhausted_progression_search(monkeypatch, spec, alpha):
     # kappa >= 2 on the witness route and on the doubled-torus route: a walk
-    # out of nodes is no answer, and must not drop its B candidate silently
-    monkeypatch.setattr(metastability, "_find_progression_up",
-                        lambda *args, **kwargs: (None, True))
+    # out of nodes is no answer, and must not drop B's members silently
+    monkeypatch.setattr(metastability, "_walk", lambda *args, **kwargs: ({}, None, True))
     with pytest.raises(CapExceeded, match=f"{metastability.GATE_SEARCH_NODES} nodes"):
         build_gate(build_family(spec), alpha)
 
