@@ -1,12 +1,13 @@
 """Time and peak memory of the solve path and of numeric Psi at the size wall.
 
-    python3 scripts/solve_memory.py [--output BENCH_solve_memory.json]
+    python3 scripts/solve_memory.py [--output BENCH_solve_memory.json] [SPEC ...]
 
-Each instance runs three times, each time in a fresh process started from
-this checkout's ``src``: enumerate and build the network at lambda = 100
-and alpha = 1/2, then either ``voltage(u, v)`` and ``expected_hitting_time(u,
-{v})``, one call each, or ``critical_resistance(u, {v})`` alone; or, with no
-network, the exact-exponent layer at alpha = 1/2: build the
+With no SPEC, each of ``INSTANCES`` runs three times, each time in a fresh
+process started from this checkout's ``src``: enumerate and build the
+network at lambda = 100 and alpha = 1/2, then either ``voltage(u, v)`` and
+``expected_hitting_time(u, {v})``, one call each, or
+``critical_resistance(u, {v})`` alone; or, with no network, the
+exact-exponent layer at alpha = 1/2: build the
 ``BottleneckTree``, then ``psi_symbolic(u, J(u))`` and
 ``no_trap_certificate``, one call each.  The JSON output lists, per
 instance, the states, the orbits of the lumped voltage solve and of the
@@ -17,7 +18,9 @@ routes, Psi(u, v) (with its ``float.hex``) with its bottleneck edge, the
 no-trap status and count of checked states, and the first 16 hex digits of
 the SHA-256 of the tree's escape levels as int64 bytes.  Under ``gates`` it
 lists ``build_gate`` on each of ``GATE_INSTANCES``, once, in a fresh
-process: its seconds, the process's peak RSS, and the gate count.
+process: its seconds, the process's peak RSS, and the gate count.  With
+SPECs (graph specs such as ``path:19``), only their solve rows run, one
+fresh process each, and no gate.
 """
 from __future__ import annotations
 
@@ -141,6 +144,7 @@ def _peak_rss_mb() -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output", default="BENCH_solve_memory.json")
+    ap.add_argument("specs", nargs="*", help="instances whose solve rows alone run")
     ap.add_argument("--one", help=argparse.SUPPRESS)    # worker: the solve path
     ap.add_argument("--psi", help=argparse.SUPPRESS)    # worker: numeric Psi
     ap.add_argument("--tree", help=argparse.SUPPRESS)   # worker: exact exponents
@@ -160,12 +164,13 @@ def main(argv=None) -> int:
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     rows = []
-    for spec in INSTANCES:
-        rows.append(dict(worker("--one", spec), critical_resistance=worker("--psi", spec),
+    for spec in args.specs or INSTANCES:
+        rows.append(worker("--one", spec) if args.specs else
+                    dict(worker("--one", spec), critical_resistance=worker("--psi", spec),
                          bottleneck_tree=worker("--tree", spec)))
         print(json.dumps(rows[-1]))
     gates = []
-    for spec in GATE_INSTANCES:
+    for spec in () if args.specs else GATE_INSTANCES:
         gates.append(worker("--gate", spec))
         print(json.dumps(gates[-1]))
     with open(args.output, "w") as f:

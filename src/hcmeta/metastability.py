@@ -314,8 +314,9 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
     A progression up to an (s*-1)-set is the nested growth inside it
     (:func:`_grow`), else a walk (:func:`_walk`) from the empty set to it on
     the same budget; a progression on from an (s*+kappa)-set is a walk over
-    sizes s* .. s~ that stops at the first set of size s~.  s*+kappa above
-    |V| is refused with ``ValueError``.
+    sizes s* .. s~ that stops at the first set of size s~, and an
+    (s*+kappa)-set of size s~ (or |V|) is one already.  s*+kappa above |V|
+    is refused with ``ValueError``.
     """
     alpha = Fraction(alpha)
     fam = g.meta.get("family")
@@ -391,6 +392,8 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
                     exhausted |= exh
             top = prof.s_max
             for c_set in fam_c:
+                if len(c_set) == top:
+                    continue            # already at the resettling size
                 _, found, exh = _walk(g, delta_fn, [_site_mask(c_set)], s_star, top,
                                       _Budget(PROGRESSION_NODES),
                                       stop=lambda x: x.bit_count() == top)

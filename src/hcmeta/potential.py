@@ -30,7 +30,10 @@ every W(x) and both E[T] routes keep entrywise relative accuracy however far
 the conductances spread (Grassmann, Taksar & Heyman 1985): within 1e-12 of
 exact rational references up to lambda = 1e6, towards v and towards the
 empty state, and the two routes agree to rounding (within 5.5e-16 on the
-2,135 orbits of path:17 for lambda = 1e2 ... 1e6).  As they share the
+2,135 orbits of path:17 for lambda = 1e2 ... 1e6).  On cycle:12 at lambda =
+1e40, whose conductances span hundreds of decades, W, the pi-weighted
+solve, the carried mass and c(u, v) are within 3.8e-16 of an exact rational
+elimination of the same float network.  As they share the
 factor, their gap checks the solves on it: W's inflow into B on the full
 network and pi . W against the forward pi sweep over c(a, B).  The checks
 that share no factor are the harmonic residual on the full network and
@@ -302,10 +305,14 @@ class _Factor:
     levels in pivot order, each as its pivots ``ps``, their neighbours
     ``nb`` slot by slot, each slot's pivot ``seg``, the shares p = c_sj /
     c_s and the pivot degrees ``cs``.  ``order`` lists the tail's nodes in
-    pivot order, the groups last.  Only the upper triangle of ``D`` is
-    meaningful: row k of ``D`` past k holds tail pivot k's conductances at
-    its elimination and ``c[k]`` their sum, and ``D[L:, L:]`` above its
-    diagonal the reduced conductances among the groups.
+    pivot order, the groups last.  The tail runs in panels of
+    ``X.shape[1]`` pivots.  Only the upper triangle of ``D`` past the
+    panels' diagonal squares is meaningful: the rows of a panel past it
+    hold its pivots' conductances at their elimination and ``c`` their
+    degrees, and ``D[L:, L:]`` above its diagonal the reduced conductances
+    among the groups.  Rows start .. end of ``X`` hold the panel's
+    nonnegative inverse (I - T)^-1, T[r, k] = c_kr / c_k for the panel's
+    pivots k < r, in its first end - start columns.
     """
     node: np.ndarray
     nodes: int
@@ -314,12 +321,20 @@ class _Factor:
     order: list
     D: np.ndarray
     c: np.ndarray
+    X: np.ndarray
 
     def conductances(self) -> np.ndarray:
         """The reduced conductances among the groups (zero diagonal)."""
         L = len(self.c)
         K = np.triu(self.D[L:, L:], 1) * self.scale
         return K + K.T
+
+    def _panels(self):
+        """Each panel's start, end and inverse, in pivot order."""
+        L, P = len(self.c), self.X.shape[1]
+        for start in range(0, L, P):
+            end = min(start + P, L)
+            yield start, end, self.X[start:end, :end - start]
 
     def _sweep(self, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The mass of every node when it is eliminated, by node for the front
@@ -329,11 +344,8 @@ class _Factor:
         for ps, nb, seg, p, _ in self.steps:
             np.add.at(md, nb, p * md[ps][seg])
         dm, D, c = md[self.order], self.D, self.c
-        for start in range(0, len(c), PANEL):
-            end = min(start + PANEL, len(c))
-            pm = dm[start:end]
-            for k in range(end - start):
-                pm[k + 1:] += D[start + k, start + k + 1:end] / c[start + k] * pm[k]
+        for start, end, X in self._panels():
+            dm[start:end] = pm = X @ dm[start:end]
             dm[end:] += (D[start:end, end:] / c[start:end, None]).T @ pm
         return md, dm
 
@@ -344,7 +356,9 @@ class _Factor:
     def solve(self, top, mass: np.ndarray | None = None) -> np.ndarray:
         """x on every state: x = top[k] on group k, and back-substitution
         x(s) = (m_s + sum_j c_sj x(j)) / c_s over s's neighbours at its
-        elimination, with the masses m carried from ``mass`` (none: 0)."""
+        elimination, with the masses m carried from ``mass`` (none: 0).  A
+        panel takes x = X^T b at once, with b(s) = (m_s + sum_j c_sj x(j)) /
+        c_s over the neighbours past the panel."""
         D, c, L = self.D, self.c, len(self.c)
         if mass is None:
             md, dm = np.zeros(self.nodes), np.zeros(len(self.order))
@@ -352,8 +366,9 @@ class _Factor:
             md, dm = self._sweep(mass)
         xd = np.zeros(len(self.order))
         xd[L:] = top
-        for k in range(L - 1, -1, -1):
-            xd[k] = (dm[k] + D[k, k + 1:] @ xd[k + 1:]) / c[k]
+        for start, end, X in reversed(list(self._panels())):
+            xd[start:end] = X.T @ ((dm[start:end] + D[start:end, end:] @ xd[end:])
+                                   / c[start:end])
         x = np.zeros(len(md))
         x[self.order] = xd
         for ps, nb, seg, p, cs in reversed(self.steps):
@@ -393,15 +408,18 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     diagonal squares of its panels and column blocks, where nothing reads.
     Before any value is computed, the elimination is refused with
     :class:`CapExceeded` when ``D``, one column block of its trailing
-    product, the front's key/value store and the pair arrays of its largest
-    level need more memory than is available.  Inside a panel, pivot k's row
-    past the panel first gains the shares of the panel's earlier pivots'
-    rows, which are final; then k's degree is its row sum past the diagonal,
-    and k updates the later panel rows inside the panel.  The trailing block
-    then gets the product (U/c)^T U of the panel's rows U past the panel, on
-    its upper trapezoid only, in column blocks of ``BLOCK`` columns; no
-    buffer holds the whole product.  No diagonal is formed or read.  Every
-    operation adds, multiplies or divides nonnegative numbers, so the
+    product, the panel inverses ``X``, the front's key/value store and the
+    pair arrays of its largest level need more memory than is available.
+    A panel of P pivots is eliminated on its own rows only, the array W =
+    [its square of ``D`` | each row's sum past the panel | I_P] of P x
+    (2P+1), by :func:`_eliminate_panel`.  The identity ends as X = (I -
+    T)^-1, T[r, k] = c_kr / c_k, so the panel's rows past it at their
+    elimination are X R0, one product with their values R0 before the
+    panel.  The trailing block then gets the product (U/c)^T U of those
+    rows U, on its upper trapezoid only, in column blocks of ``BLOCK``
+    columns; no buffer holds the whole product.  No diagonal is formed or
+    read.  The factor keeps X, so its solves take one product per panel.
+    Every operation adds, multiplies or divides nonnegative numbers, so the
     reduced conductances, every carried mass and every x(s) keep entrywise
     relative accuracy.
     """
@@ -454,7 +472,8 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     front_need = 2 * 16 * sum(dk) + FRONT_PAIR_BYTES * max(
         (sum(len(nbl) * (len(nbl) - 1) for _, nbl in piv) for piv in levels), default=0)
     N = len(order)
-    tail_need = 8 * (N + BLOCK) * N     # the dense array and one column block
+    # the dense array, one column block and the panel inverses X
+    tail_need = 8 * ((N + BLOCK) * N + L * PANEL)
     available = _available_memory()
     if front_need + tail_need > available:
         raise CapExceeded(f"the dense elimination tail of L = {L} nodes needs "
@@ -499,22 +518,40 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
         add(nb[a], nb[b], w[a] * p[b])
         steps.append((ps, nb, seg, p, cs))
     c = np.zeros(L)
+    X = np.zeros((L, PANEL))
     for start in range(0, L, PANEL):
         end = min(start + PANEL, L)
-        for k in range(start, end):
-            # row k past the panel gains c_kj c_jl / c_j from each earlier
-            # pivot j of the panel (c_jk = c_kj is in row j); then k's row
-            # is final, and k updates the later panel rows inside the panel
-            D[k, end:] += (D[start:k, k] / c[start:k]) @ D[start:k, end:]
-            row = D[k, k + 1:end]
-            c[k] = ck = D[k, k + 1:].sum()
-            D[k + 1:end, k + 1:end] += np.multiply.outer(row / ck, row)
-        U = D[start:end, end:]
+        P = end - start
+        R0 = D[start:end, end:]
+        W = np.hstack([D[start:end, start:end], R0.sum(1)[:, None], np.eye(P)])
+        _eliminate_panel(W, c[start:end], 0, P)
+        X[start:end, :P] = W[:, P + 1:]
+        D[start:end, end:] = U = X[start:end, :P] @ R0
         S = U / c[start:end, None]
         for lo in range(end, N, BLOCK):
             hi = min(lo + BLOCK, N)
             D[end:hi, lo:hi] += S[:, :hi - end].T @ U[:, lo - end:hi - end]
-    return _Factor(node, m, scale, steps, order, D, c)
+    return _Factor(node, m, scale, steps, order, D, c, X)
+
+
+def _eliminate_panel(W: np.ndarray, c: np.ndarray, a: int, b: int) -> None:
+    """Eliminate pivots a .. b - 1 of a panel array W = [C | s | X], in place.
+
+    Row k of W holds past its diagonal pivot k's conductances to the later
+    pivots of the panel (C, upper triangle), its outside sum s and its row
+    of X; pivot k's degree c_k is the sum of its row from just past the
+    diagonal through s.  Halving: the first half is eliminated, then the
+    second half's rows gain (W[a:m, m:b] / c)^T W[a:m, m:] from it in one
+    product, then the second half is eliminated (Gustavson 1997; Toledo
+    1997).  The rows from b on gain these pivots' shares from the caller.
+    """
+    if b - a == 1:
+        c[a] = W[a, b:len(W) + 1].sum()
+        return
+    m = (a + b) // 2
+    _eliminate_panel(W, c, a, m)
+    W[m:b, m:] += (W[a:m, m:b] / c[a:m, None]).T @ W[a:m, m:]
+    _eliminate_panel(W, c, m, b)
 
 
 def _available_memory() -> int:
@@ -1062,7 +1099,9 @@ class VoltageBoundReport:
 def voltage_bound_check(net: ElectricNetwork, A, B, x: int,
                         y: int | None = None, slack: float = 1e-9
                         ) -> VoltageBoundReport:
-    """A priori voltage bounds, with kbar = |X|^4 in the Psi versions."""
+    """A priori voltage bounds, with kbar = |X|^4 in the Psi versions.
+
+    R(A, B) is read from the voltage's own elimination."""
     A = frozenset(int(a) for a in A)
     B = frozenset(int(b) for b in B)
     x = int(x)
@@ -1070,7 +1109,7 @@ def voltage_bound_check(net: ElectricNetwork, A, B, x: int,
         raise ValueError("x must avoid A and B")
     w = voltage(net, A, B)
     wx = float(w.values[x])
-    r_ab = effective_resistance(net, A, B)
+    r_ab = _resistance(w.conductance)
     r_xa = effective_resistance(net, {x}, A)
     r_xb = effective_resistance(net, {x}, B)
     kbar = float(len(net)) ** 4

@@ -9,7 +9,7 @@ from hcmeta import potential
 from hcmeta.configspace import ModelParams, enumerate_space
 from hcmeta.graph import build_family
 from hcmeta.potential import (build_network, effective_resistance,
-                              expected_hitting_time, voltage)
+                              expected_hitting_time, voltage, voltage_bound_check)
 from test_elimination import exact_references
 
 HALF = Fraction(1, 2)
@@ -43,6 +43,18 @@ def test_one_lump_and_one_factor_per_hitting_time(monkeypatch, spec):
     ht = expected_hitting_time(net, spc.u_state, {spc.v_state})
     assert len(lumps) == len(factors) == len(solves) == 1
     assert ht.rel_gap <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["cycle:8", "ladder:6"])
+def test_voltage_bound_check_eliminates_each_pair_once(monkeypatch, spec):
+    # the voltage between A and B, then R(x, A) and R(x, B); R(A, B) is
+    # read from the voltage's factor
+    spc, _, net = _net(spec, 100.0)
+    u, v = spc.u_state, spc.v_state
+    x = next(i for i in range(len(net)) if i not in (u, v))
+    factors = _counted(monkeypatch, "_eliminate")
+    assert voltage_bound_check(net, {u}, {v}, x).all_ok
+    assert len(factors) == 3
 
 
 CASES = [("cycle:12", 100.0), ("path:15", 100.0), ("ladder:4", 1e4),

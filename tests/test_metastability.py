@@ -128,6 +128,13 @@ def test_check_hypotheses_cycle_and_path():
     assert rep.statuses["no_trap"].status == "verified"
 
 
+def test_progressions_accept_family_c_at_the_resettling_size():
+    # s* = 1 and kappa = 1: family C's members have size s~ = 2 already
+    rep = check_hypotheses(build_family("path:6"), HALF)
+    assert (rep.analysis.s_star, rep.kappa, rep.analysis.s_tilde) == (1, 1, 2)
+    assert rep.statuses["progressions"].status == "verified"
+
+
 def test_check_hypotheses_generic_route():
     g = build_family("complete:2x3")
     rep = check_hypotheses(g, HALF)

@@ -286,8 +286,8 @@ def test_dense_tail_beyond_available_memory_refused(monkeypatch):
     from hcmeta import potential
 
     # cycle:12 lumps to 47 orbits: 16 (L + 2) bytes would fit in 1,000, the
-    # dense tail and one column block of its trailing product, 8 (L + 2)
-    # (L + 2 + BLOCK) bytes, do not
+    # dense tail, one column block of its trailing product and the panel
+    # inverses, 8 ((L + 2) (L + 2 + BLOCK) + L PANEL) bytes, do not
     spc, par, net = _net("cycle:12", 100.0)
     u, v = spc.u_state, spc.v_state
     monkeypatch.setattr(potential, "_available_memory", lambda: 1000)
