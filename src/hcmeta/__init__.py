@@ -17,8 +17,7 @@ from .isoperimetry import (IsoperimetricProfile, brute_force_profile,
 from .metastability import (CriticalAnalysis, CriticalGate, build_gate,
                             check_hypotheses, critical_analysis,
                             crossover_prediction, dominance_sets,
-                            gate_statistics, no_trap_certificate,
-                            standard_path)
+                            gate_statistics, no_trap_certificate)
 from .potential import (ElectricNetwork, build_network, critical_resistance,
                         effective_resistance, escape_probability,
                         expected_hitting_time, green_function,
@@ -40,7 +39,7 @@ __all__ = [
     "spiral_numbering", "torus_delta",
     "CriticalAnalysis", "CriticalGate", "build_gate", "check_hypotheses",
     "critical_analysis", "crossover_prediction", "dominance_sets",
-    "gate_statistics", "no_trap_certificate", "standard_path",
+    "gate_statistics", "no_trap_certificate",
     "ElectricNetwork", "build_network", "critical_resistance",
     "effective_resistance", "escape_probability", "expected_hitting_time",
     "green_function", "nash_williams_bounds", "psi_symbolic", "voltage",

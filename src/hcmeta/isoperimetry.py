@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +19,6 @@ from .graph import BipartiteGraph, GraphValidationError
 
 __all__ = [
     "IsoperimetricProfile",
-    "ProgressionFlags",
     "set_cost",
     "brute_force_profile",
     "closed_form_profile",
@@ -32,10 +30,8 @@ __all__ = [
     "harper_numbering",
     "hypercube_bipartite_numbering",
     "doubled_torus_numbering",
-    "doubled_torus_v_sites",
     "seed_set",
     "connecting_progression",
-    "progression_check",
     "vertex_boundary",
     "hypercube_vertex_boundary",
 ]
@@ -71,11 +67,9 @@ def set_cost(g: BipartiteGraph, sites) -> int:
 
 @dataclass
 class IsoperimetricProfile:
-    """Optimal cost per size with provenance and (optionally) all witnesses."""
+    """Optimal cost per size and (optionally) all witnesses."""
 
-    graph: BipartiteGraph | None
     deltas: list[int]                       # index s -> Delta(s)
-    provenance: list[str]                   # per entry: brute-force | closed-form tag
     witnesses: dict[int, list[tuple[int, ...]]] = field(default_factory=dict)
     witnesses_truncated: dict[int, bool] = field(default_factory=dict)
 
@@ -95,12 +89,6 @@ class IsoperimetricProfile:
                 f"witness list for s={s} is truncated or absent; "
                 f"completeness-dependent checks refuse")
         return self.witnesses[s]
-
-    def to_csv(self) -> str:
-        lines = ["s,delta,provenance,witness_count"]
-        for s, (d, p) in enumerate(zip(self.deltas, self.provenance)):
-            lines.append(f"{s},{d},{p},{len(self.witnesses.get(s, []))}")
-        return "\n".join(lines) + "\n"
 
 
 def brute_force_profile(g: BipartiteGraph, s_max: int,
@@ -157,9 +145,7 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
         witnesses[s] = [tuple(v[i] for i in row)
                         for row in _colex_members(hits[:witness_cap], s, nv).tolist()]
         truncated[s] = len(hits) > witness_cap
-    return IsoperimetricProfile(g, deltas, ["brute-force"] * (s_max + 1),
-                                witnesses, truncated)
-
+    return IsoperimetricProfile(deltas, witnesses, truncated)
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -665,173 +651,3 @@ def doubled_torus_numbering(length: int) -> list[tuple[int, int]]:
             extend(connecting_progression("d", ell))
         ell += 1
     return cells[:length]
-
-
-@dataclass
-class SeedNumbering:
-    """A Pareto optimal set on a doubled torus plus its outgoing connecting
-    progression to the next seed type (lattice cells and mapped V-sites)."""
-
-    seed_type: str
-    radius: int
-    cells: frozenset
-    v_sites: list[int]
-    progression_kind: str | None
-    progression: list[frozenset] | None
-
-
-_NEXT_KIND = {"I": "a", "II": "b", "IIIa": "c", "IIIb": "c", "IV": "d"}
-
-
-def seed_numbering_doubled_torus(g: BipartiteGraph, seed_type: str,
-                                 k: int) -> SeedNumbering:
-    """N^k(S) for a seed placed on a doubled torus, with the nested
-    isoperimetric progression to the next Pareto type when one is defined
-    at this level.
-
-    Refuses placements that would wrap; every emitted set's cost is verified
-    against the closed form (inside :func:`seed_set` and the progression
-    search).
-    """
-    cells = seed_set(seed_type, k)
-    sites = doubled_torus_v_sites(g, cells)
-    got = set_cost(g, sites)
-    want = doubled_torus_delta(len(cells))
-    if got != want:
-        raise AssertionError(f"torus placement cost {got} != closed form {want}")
-    kind = _NEXT_KIND[seed_type]
-    offsets = {"a": 1, "b": 2, "c": 1, "d": 1}
-    ell = k + offsets[kind]
-    prog = None
-    min_ell = _PROGRESSION_KINDS[kind][4]
-    if ell >= min_ell:
-        prog = connecting_progression(kind, ell)
-    return SeedNumbering(seed_type, k, cells, sites,
-                         kind if prog else None, prog)
-
-
-def conjecture_probe_connecting_progressions(part: str = "a") -> dict:
-    """Tiny-scale exhaustive probe of the connecting-progressions property.
-
-    Empirical only; the outcome is evidence, never fed into gate
-    construction as fact.  At the smallest level the intermediate sizes are
-    forced to grow one by one (strictly-between sizes leave no room to step
-    back), so every candidate progression is two additions; the probe checks
-    the endpoint is a Pareto set of the expected next type whose seed's
-    closed unit ball contains the starting seed.
-    """
-    if part == "a":
-        ell = 2
-        start_seed, start_k = "II", ell - 2
-        end_types, end_k = ("IIIa", "IIIb"), ell - 1
-    elif part == "b":
-        ell = 1
-        start_seed, start_k = "IV", ell - 1
-        end_types, end_k = ("I",), ell
-    else:
-        raise ValueError("part must be 'a' or 'b'")
-    window = range(-6, 7)
-    ends = set()
-    for t in end_types:
-        ends |= set(_placements_in_window(seed_set(t, end_k), window))
-    cells = [(x, y) for x in window for y in window]
-    checked = 0
-    violations = []
-    for b0 in [seed_set(start_seed, start_k)]:   # translations are equivalent
-        size0 = len(b0)
-        for c1 in cells:
-            if c1 in b0:
-                continue
-            b1 = b0 | {c1}
-            if vertex_boundary(b1) != doubled_torus_delta(size0 + 1):
-                continue
-            for c2 in cells:
-                if c2 in b1:
-                    continue
-                b2 = b1 | {c2}
-                if vertex_boundary(b2) != doubled_torus_delta(size0 + 2):
-                    continue
-                checked += 1
-                seed0 = _erosion(b0, start_k)
-                seed2 = _erosion(b2, end_k)
-                ok = (b2 in ends and b0 <= b1 <= b2
-                      and seed0 <= _ball(seed2, 1))
-                if not ok:
-                    violations.append((tuple(sorted(b0)), tuple(sorted(b2))))
-    return {"status": "checked", "checked": checked, "violations": violations,
-            "label": "empirical"}
-
-
-def _erosion(cells: frozenset, k: int) -> frozenset:
-    """The seed of a Pareto set N^k(S): cells whose k-ball stays inside."""
-    return frozenset(c for c in cells if _ball({c}, k) <= cells)
-
-
-def _placements_in_window(cells: frozenset, window) -> list[frozenset]:
-    out = set()
-    lo, hi = min(window), max(window)
-    for o in range(8):
-        pts = [_orient(p, o) for p in cells]
-        for dx in window:
-            for dy in window:
-                shifted = frozenset((p[0] + dx, p[1] + dy) for p in pts)
-                if all(lo <= p[0] <= hi and lo <= p[1] <= hi for p in shifted):
-                    out.add(shifted)
-    return sorted(out, key=sorted)
-
-
-def doubled_torus_v_sites(g: BipartiteGraph, cells, anchor: tuple[int, int] | None = None):
-    """Map lattice cells to blue-site ids of a doubled-torus graph.
-
-    Refuses when the placed cells would wrap around the torus.
-    """
-    meta = g.meta
-    if meta.get("family") != "doubled-torus":
-        raise GraphValidationError("needs a doubled-torus graph")
-    m, n = meta["dims"]
-    cells = list(cells)
-    min_i = min(c[0] for c in cells)
-    max_i = max(c[0] for c in cells)
-    min_j = min(c[1] for c in cells)
-    max_j = max(c[1] for c in cells)
-    if max_i - min_i + 1 > m or max_j - min_j + 1 > n:
-        raise ValueError("cell set wraps around the torus")
-    if anchor is None:
-        anchor = (-min_i, -min_j)
-    out = []
-    for (i, j) in cells:
-        ii, jj = (i + anchor[0]) % m, (j + anchor[1]) % n
-        out.append(m * n + (ii * n + jj))
-    return out
-
-
-# ----------------------------------------------------------------------------
-# Progression checking
-# ----------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProgressionFlags:
-    valid: bool
-    nested: bool
-    isoperimetric: bool
-    alpha_bounded: bool
-
-
-def progression_check(g: BipartiteGraph, progression, alpha: Fraction,
-                      s_star: int, profile) -> ProgressionFlags:
-    """Exact flags for a sequence of V-subsets.
-
-    ``profile`` supplies Delta(s) (an IsoperimetricProfile or a callable);
-    alpha-boundedness compares Delta(A_i) - alpha|A_i| <= Delta(s*) - alpha s*
-    in exact rational arithmetic.
-    """
-    sets = [frozenset(a) for a in progression]
-    delta_of = profile.delta if hasattr(profile, "delta") else profile
-    valid = all(len(sets[i] ^ sets[i + 1]) == 1 for i in range(len(sets) - 1))
-    nested = all(sets[i] <= sets[i + 1] for i in range(len(sets) - 1))
-    costs = [set_cost(g, a) for a in sets]
-    iso = all(c == delta_of(len(a)) for c, a in zip(costs, sets))
-    bound = Fraction(delta_of(s_star)) - alpha * s_star
-    alpha_bounded = all(Fraction(c) - alpha * len(a) <= bound
-                        for c, a in zip(costs, sets))
-    return ProgressionFlags(valid, nested, iso, alpha_bounded)

@@ -1,6 +1,6 @@
 """Critical size and gate machinery: g(s) maximization, hypothesis checking,
 gate families and transition counts, crossover predictions, dominance sets,
-no-trap certificates, standard paths, and gate passage statistics.
+no-trap certificates, and gate passage statistics.
 
 All order comparisons that feed metastability logic go through exact
 rational heights (p + q*alpha bookkeeping), never floating point.
@@ -17,7 +17,7 @@ import numpy as np
 from .asymptotics import AsymptoticExponent
 from .configspace import (CapExceeded, ConfigurationSpace, ModelParams,
                           enumerate_space)
-from .graph import BipartiteGraph, GraphValidationError
+from .graph import BipartiteGraph
 from .isoperimetry import (
     IsoperimetricProfile,
     _Budget,
@@ -51,9 +51,6 @@ __all__ = [
     "CrossoverPrediction",
     "no_trap_certificate",
     "NoTrapReport",
-    "standard_path",
-    "standard_path_exponent",
-    "StandardPath",
     "gate_statistics",
     "GateStats",
     "find_isoperimetric_numbering",
@@ -307,8 +304,13 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
     stability, uniqueness and profile_values are decided exactly from the
     profile of :func:`profile_function`.  The numbering and progression
     statuses go through the family closed form when one exists (torus
-    spiral, hypercube weight-order, doubled-torus seed chain;
-    machine-verified constructions at the lattice level), and otherwise
+    spiral, hypercube weight-order, doubled-torus seed chain), whose
+    numberings the tests check prefix by prefix: the spiral up to 6 sites
+    on torus:6x6 (``test_spiral_numbering_prefix_costs``), the Harper order
+    against :func:`hypercube_delta` on H_2 .. H_5
+    (``test_hypercube_recursion_matches_harper_boundary``), and
+    :func:`doubled_torus_numbering` up to 25 cells
+    (``test_doubled_torus_numbering_and_mapping``); otherwise they go
     through searches of at most ``NUMBERING_NODES`` and
     ``PROGRESSION_NODES`` nodes each, with honest exhausted-budget status.
     A progression up to an (s*-1)-set is the nested growth inside it
@@ -839,80 +841,6 @@ def no_trap_certificate(space: ConfigurationSpace, alpha: Fraction) -> NoTrapRep
     status = "refuted" if traps else ("inconclusive" if ties else "certified")
     return NoTrapReport(status == "certified", status, traps, ties, q_u,
                         int(others.sum()))
-
-
-# ----------------------------------------------------------------------------
-# Standard paths
-# ----------------------------------------------------------------------------
-
-@dataclass
-class StandardPath:
-    states: list[int]               # state indices along the path
-    backbone: list[int]             # positions within `states`
-    psi_normalized: AsymptoticExponent   # exponent of pi(u) Psi(path) / gamma
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-def _standard_masks(g: BipartiteGraph, numbering):
-    """Masks along the monotone path of a numbering, plus backbone positions."""
-    v_set = set(g.v_sites)
-    for a in numbering:
-        if a not in v_set:
-            raise GraphValidationError(f"numbering site {a} not in V")
-    if len(set(numbering)) != len(list(numbering)):
-        raise GraphValidationError("numbering has repeats")
-    mask = 0
-    for a in g.u_sites:
-        mask |= 1 << a
-    masks = [mask]
-    backbone = [0]
-    for a in numbering:
-        for nb in g.adjacency[a]:
-            if mask >> nb & 1:
-                mask ^= 1 << nb
-                masks.append(mask)
-        mask |= 1 << a
-        masks.append(mask)
-        backbone.append(len(masks) - 1)
-    return masks, backbone
-
-
-def standard_path_exponent(g: BipartiteGraph, numbering, alpha: Fraction
-                           ) -> AsymptoticExponent:
-    """Exponent of pi(u) Psi(path) / gamma for the standard path of a
-    numbering, computed from particle counts alone (no enumeration)."""
-    from .configspace import mask_counts
-
-    alpha = Fraction(alpha)
-    masks, _ = _standard_masks(g, numbering)
-    worst = None
-    worst_val = None
-    nu0, nv0 = mask_counts(g, masks[0])
-    prev_e = AsymptoticExponent.from_powers(nu0, nv0)
-    for m in masks[1:]:
-        nu, nv = mask_counts(g, m)
-        cur_e = AsymptoticExponent.from_powers(nu, nv)
-        top = prev_e if prev_e.value(alpha) >= cur_e.value(alpha) else cur_e
-        tv = top.value(alpha)
-        if worst_val is None or tv < worst_val:
-            worst, worst_val = top, tv
-        prev_e = cur_e
-    return AsymptoticExponent.from_powers(nu0, nv0) / worst
-
-
-def standard_path(space: ConfigurationSpace, numbering, alpha: Fraction
-                  ) -> StandardPath:
-    """Monotone path from u realizing the nested progression of a numbering:
-    removes the occupied neighbors of each new site one by one, then places
-    the site.  Backbone configurations have V-part A_i and U-part U \\ N(A_i).
-    """
-    alpha = Fraction(alpha)
-    masks, backbone = _standard_masks(space.graph, numbering)
-    states = [space.require(m) for m in masks]
-    return StandardPath(states, backbone,
-                        standard_path_exponent(space.graph, numbering, alpha))
 
 
 # ----------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """``import hcmeta`` loads nothing beyond the standard library, numpy and scipy,
-and the scipy submodules only at the first call that needs them."""
+and the scipy submodules only at the first call that needs them; every name
+a module exports in ``__all__`` resolves."""
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -120,3 +123,19 @@ def test_critical_resistance_loads_no_scipy():
 
 def test_ks_test_loads_scipy_stats():
     assert "scipy.stats" in _lazy_loaded(_new_modules(KS))
+
+
+def _modules_with_all() -> list[str]:
+    import hcmeta
+    names = ["hcmeta"] + [f"hcmeta.{m.name}" for m in pkgutil.iter_modules(hcmeta.__path__)]
+    return [n for n in names if hasattr(importlib.import_module(n), "__all__")]
+
+
+@pytest.mark.parametrize("module", _modules_with_all())
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert not [name for name in mod.__all__ if not hasattr(mod, name)]
+
+
+def test_star_import_runs_in_a_fresh_interpreter():
+    _new_modules("from hcmeta import *")

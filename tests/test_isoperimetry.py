@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +9,9 @@ from hcmeta.configspace import CapExceeded
 from hcmeta.graph import BipartiteGraph, build_family
 from hcmeta.isoperimetry import (brute_force_profile, closed_form_profile,
                                  connecting_progression, doubled_torus_delta,
-                                 doubled_torus_numbering, doubled_torus_v_sites,
-                                 harper_numbering, hypercube_bipartite_numbering,
-                                 hypercube_delta, hypercube_vertex_boundary,
-                                 progression_check, seed_set, set_cost,
+                                 doubled_torus_numbering, harper_numbering,
+                                 hypercube_bipartite_numbering, hypercube_delta,
+                                 hypercube_vertex_boundary, seed_set, set_cost,
                                  spiral_numbering, torus_delta, tree_like_delta,
                                  vertex_boundary)
 
@@ -302,48 +300,6 @@ def test_doubled_torus_numbering_and_mapping():
     cells = doubled_torus_numbering(25)
     for k in range(1, 26):
         assert vertex_boundary(cells[:k]) == doubled_torus_delta(k)
-    g = build_family("doubled(torus:7x7)")
-    sites = doubled_torus_v_sites(g, cells[:6])
-    assert set_cost(g, sites) == doubled_torus_delta(6)
-    with pytest.raises(ValueError):
-        doubled_torus_v_sites(build_family("doubled(torus:5x5)"), cells[:25])
-
-
-def test_seed_numbering_doubled_torus():
-    from hcmeta.isoperimetry import seed_numbering_doubled_torus
-
-    g = build_family("doubled(torus:7x7)")
-    sn = seed_numbering_doubled_torus(g, "I", 1)
-    assert len(sn.cells) == 5 and vertex_boundary(sn.cells) == 8
-    assert set_cost(g, sn.v_sites) == 8
-    assert sn.progression_kind == "a" and len(sn.progression) == 2
-    sn0 = seed_numbering_doubled_torus(g, "IIIa", 0)     # k = 0: the seed itself
-    assert sn0.cells == seed_set("IIIa", 0)
-
-
-def test_conjecture_probe_is_empirical_and_clean():
-    from hcmeta.isoperimetry import conjecture_probe_connecting_progressions
-
-    for part in ("a", "b"):
-        rep = conjecture_probe_connecting_progressions(part)
-        assert rep["label"] == "empirical"
-        assert rep["status"] == "checked"
-        assert rep["checked"] > 0 and not rep["violations"]
-
-
-def test_progression_check_flags():
-    g = build_family("torus:6x6")
-    num = spiral_numbering(g, g.v_sites[0], 6)
-    prefixes = [frozenset(num[:k]) for k in range(7)]
-    flags = progression_check(g, prefixes, Fraction(7, 10), 3, torus_delta)
-    assert flags.valid and flags.nested and flags.isoperimetric
-    assert flags.alpha_bounded            # spiral prefixes up to s~ are bounded
-    # a progression stepping to a suboptimal set loses the isoperimetric flag
-    bad = [frozenset(), frozenset({num[0]}), frozenset({num[0], num[3]})]
-    if set_cost(g, bad[2]) == torus_delta(2):
-        bad[2] = frozenset({num[0], num[4]})
-    flags = progression_check(g, bad, Fraction(7, 10), 3, torus_delta)
-    assert flags.valid and not flags.isoperimetric
 
 
 def _edge_boundary(g, sites) -> int:
@@ -408,11 +364,3 @@ def test_lattice_optimality_structure_on_safe_torus():
             checked += 1
     assert checked == 32 + 64 + 192 + 32 + 256 + 64
 
-
-def test_profile_csv_export():
-    g = build_family("cycle:8")
-    prof = brute_force_profile(g, 3)
-    text = prof.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "s,delta,provenance,witness_count"
-    assert len(lines) == 5

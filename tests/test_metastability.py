@@ -13,7 +13,7 @@ from hcmeta.metastability import (_site_mask, build_gate, check_hypotheses,
                                   dominance_sets, doubled_torus_critical_size,
                                   find_isoperimetric_numbering, gate_statistics,
                                   no_trap_certificate, profile_function,
-                                  standard_path, torus_critical_size)
+                                  torus_critical_size)
 from hcmeta.potential import psi_symbolic
 
 HALF = Fraction(1, 2)
@@ -356,6 +356,31 @@ def test_crossover_prediction_values():
     assert pred.exponent == AsymptoticExponent.from_powers(7, -2)
 
 
+_LATTICE_PROFILE_ON_SMALL_TORUS = pytest.mark.xfail(
+    strict=True, reason="profile_function gives every torus the lattice torus_delta; "
+    "on torus:4x4 and torus:4x6 the true Delta(3) is 4, the lattice value 5")
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 10), HALF], ids=str)
+@pytest.mark.parametrize("spec", [
+    "cycle:6", "cycle:8", "ladder:4", "ladder:6", "complete:2x3", "hypercube:3",
+    "hypercube:4",
+    pytest.param("torus:4x4", marks=_LATTICE_PROFILE_ON_SMALL_TORUS),
+    pytest.param("torus:4x6", marks=_LATTICE_PROFILE_ON_SMALL_TORUS),
+])
+def test_critical_exponent_equals_bottleneck_psi(spec, alpha):
+    # The closed-form order Delta(s*) - alpha(s*-1) against the exact order
+    # of pi(u) Psi(u, J(u)).  Values, not (p, q) labels: on hypercube:4 at
+    # 1/2 the labels are (4, -1) and (5, -3), both 7/2.
+    g = build_family(spec)
+    spc = enumerate_space(g)
+    critical = crossover_prediction(check_hypotheses(g, alpha).analysis).exponent
+    ju, _ = dominance_sets(spc, spc.u_state, alpha)
+    exact = psi_symbolic(spc, {spc.u_state}, ju, alpha).normalized_exponent(
+        spc.weight_exponent(spc.u_mask))
+    assert critical.value(alpha) == exact.value(alpha)
+
+
 @pytest.mark.parametrize("spec,want", [
     ("complete:2x3", "certified"), ("cycle:6", "certified"),
     ("ladder:4", "certified"), ("path:6", "refuted")])
@@ -383,55 +408,6 @@ def test_no_trap_torus_at_half():
     assert rep.status == "certified" and rep.checked == len(spc) - 2
     hyp = check_hypotheses(build_family("torus:4x4"), HALF)
     assert hyp.statuses["no_trap"].status == "verified"
-
-
-def test_standard_path_cycle():
-    g = build_family("cycle:6")
-    spc = enumerate_space(g)
-    path = standard_path(spc, [g.v_sites[0]], HALF)
-    # remove the two U-neighbors, then place the V-site: 4 states
-    assert len(path.states) == 4
-    assert path.backbone == [0, 3]
-    assert path.psi_normalized == AsymptoticExponent(1, 0)
-
-
-def test_torus_spiral_standard_path_exponent():
-    # On the torus the standard path of a spiral numbering has the bottleneck
-    # exponent of lambda^{Delta(s)+s-1}/lambda_bar^{s-1} maximized over the
-    # visited sizes; computable without enumerating the configuration space.
-    from hcmeta.isoperimetry import spiral_numbering
-    from hcmeta.metastability import standard_path_exponent
-
-    g = build_family("torus:6x6")
-    a = Fraction(7, 10)
-    for length in (1, 3, 6):
-        num = spiral_numbering(g, g.v_sites[0], length)
-        got = standard_path_exponent(g, num, a)
-        g_of = {s: Fraction(torus_delta(s)) - a * (s - 1)
-                for s in range(1, length + 1)}
-        s_dagger = max(g_of, key=lambda s: (g_of[s], -s))
-        want = AsymptoticExponent.from_powers(
-            torus_delta(s_dagger) + s_dagger - 1, -(s_dagger - 1))
-        assert got == want, (length, got, want)
-
-
-def test_standard_path_matches_bottleneck_psi():
-    # Cross-module agreement: the standard path over a full numbering has the
-    # same normalized exponent as the bottleneck Psi(u, J(u)).
-    for spec, alpha in (("cycle:6", HALF), ("ladder:4", HALF),
-                        ("complete:2x3", HALF)):
-        g = build_family(spec)
-        spc = enumerate_space(g)
-        delta_fn, bound, _ = profile_function(g, alpha)
-        num, _ = find_isoperimetric_numbering(
-            g, delta_fn, min(len(g.v_sites), max(
-                1, check_hypotheses(g, alpha).analysis.s_tilde)))
-        assert num is not None
-        path = standard_path(spc, num, alpha)
-        ju, _ = dominance_sets(spc, spc.u_state, alpha)
-        sym = psi_symbolic(spc, {spc.u_state}, ju, alpha)
-        wu = spc.weight_exponent(spc.u_mask)
-        assert path.psi_normalized == sym.normalized_exponent(wu)
 
 
 def test_gate_transitions_have_critical_order():
