@@ -7,20 +7,22 @@ process started from this checkout's ``src``: enumerate and build the
 network at lambda = 100 and alpha = 1/2, then either ``voltage(u, v)`` and
 ``expected_hitting_time(u, {v})``, one call each, or
 ``critical_resistance(u, {v})`` alone; or, with no network, the
-exact-exponent layer at alpha = 1/2: build the
-``BottleneckTree``, then ``psi_symbolic(u, J(u))`` and
-``no_trap_certificate``, one call each.  The JSON output lists, per
-instance, the states, the orbits of the lumped voltage solve and of the
-E[T] solve, the seconds of each call, each process's peak RSS right after
-the build (``build_peak_rss_mb``) and at its end, E_u[T_v] in steps by both
-routes (each with its exact ``float.hex``), the gap between the two E[T]
-routes, Psi(u, v) (with its ``float.hex``) with its bottleneck edge, the
-no-trap status and count of checked states, and the first 16 hex digits of
-the SHA-256 of the tree's escape levels as int64 bytes.  Under ``gates`` it
-lists ``build_gate`` on each of ``GATE_INSTANCES``, once, in a fresh
-process: its seconds, the process's peak RSS, and the gate count.  With
-SPECs (graph specs such as ``path:19``), only their solve rows run, one
-fresh process each, and no gate.
+exact-exponent layer at alpha = 1/2: build the ``BottleneckTree``, then
+``psi_symbolic(u, J(u))`` and ``no_trap_certificate``, one call each.  The
+JSON output lists, per instance, the states, the orbits of the lumped
+voltage solve and of the E[T] solve, per timed call its seconds
+(``<call>_s``), minor page faults (``<call>_minflt``, the ``ru_minflt``
+delta) and system seconds (``<call>_sys_s``, the ``ru_stime`` delta), each
+process's peak RSS right after the build (``build_peak_rss_mb``) and at its
+end, E_u[T_v] in steps by both routes (each with its exact ``float.hex``),
+the gap between the two E[T] routes, Psi(u, v) (with its ``float.hex``)
+with its bottleneck edge, the no-trap status and count of checked states,
+and the first 16 hex digits of the SHA-256 of the tree's escape levels as
+int64 bytes.  Under ``gates`` it lists ``build_gate`` on each of
+``GATE_INSTANCES``, once, in a fresh process: its seconds, faults and
+system seconds, the process's peak RSS, and the gate count.  With SPECs
+(graph specs such as ``path:19``), only their solve rows run, one fresh
+process each, and no gate.
 """
 from __future__ import annotations
 
@@ -56,18 +58,18 @@ def measure(spec: str) -> dict:
     """The solve path on one instance, in this process."""
     from hcmeta import expected_hitting_time, voltage
 
-    t0 = time.perf_counter()
+    u0 = _usage()
     spc, net = _network(spec)
-    t1 = time.perf_counter()
+    u1 = _usage()
     build_rss = _peak_rss_mb()
     w = voltage(net, {spc.u_state}, {spc.v_state})
-    t2 = time.perf_counter()
+    u2 = _usage()
     ht = expected_hitting_time(net, spc.u_state, {spc.v_state})
-    t3 = time.perf_counter()
+    u3 = _usage()
     return {"graph": spec, "lambda": LAMBDA, "alpha": "1/2", "states": len(spc),
-            "edges": net.n_edges, "orbits": w.orbits, "build_s": t1 - t0,
+            "edges": net.n_edges, "orbits": w.orbits, **_spent("build", u0, u1),
             "build_peak_rss_mb": build_rss,
-            "voltage_s": t2 - t1, "hitting_s": t3 - t2,
+            **_spent("voltage", u1, u2), **_spent("hitting", u2, u3),
             "peak_rss_mb": _peak_rss_mb(),
             "hitting_orbits": ht.orbits,
             "E_steps": ht.value, "E_steps_hex": ht.value.hex(),
@@ -79,14 +81,14 @@ def measure_psi(spec: str) -> dict:
     """Numeric Psi(u, v) on one instance, in this process."""
     from hcmeta import critical_resistance
 
-    t0 = time.perf_counter()
+    u0 = _usage()
     spc, net = _network(spec)
-    t1 = time.perf_counter()
+    u1 = _usage()
     build_rss = _peak_rss_mb()
     psi = critical_resistance(net, {spc.u_state}, {spc.v_state})
-    t2 = time.perf_counter()
-    return {"build_s": t1 - t0, "build_peak_rss_mb": build_rss,
-            "critical_resistance_s": t2 - t1,
+    u2 = _usage()
+    return {**_spent("build", u0, u1), "build_peak_rss_mb": build_rss,
+            **_spent("critical_resistance", u1, u2),
             "peak_rss_mb": _peak_rss_mb(), "psi": psi.value, "psi_hex": psi.value.hex(),
             "bottleneck_edge": list(psi.bottleneck_edge),
             "witness_states": len(psi.witness_path)}
@@ -107,15 +109,16 @@ def measure_tree(spec: str) -> dict:
     spc = enumerate_space(parse_graph_spec(spec))
     u = spc.u_state
     j_u = dominance_sets(spc, u, alpha)[0]
-    t0 = time.perf_counter()
+    u0 = _usage()
     tree = BottleneckTree(spc, alpha)
-    t1 = time.perf_counter()
+    u1 = _usage()
     sym = psi_symbolic(spc, {u}, j_u, alpha)
-    t2 = time.perf_counter()
+    u2 = _usage()
     rep = no_trap_certificate(spc, alpha)
-    t3 = time.perf_counter()
+    u3 = _usage()
     escape = np.array(tree.escape_levels(), dtype=np.int64)
-    return {"tree_s": t1 - t0, "psi_symbolic_s": t2 - t1, "no_trap_s": t3 - t2,
+    return {**_spent("tree", u0, u1), **_spent("psi_symbolic", u1, u2),
+            **_spent("no_trap", u2, u3),
             "no_trap_status": rep.status, "no_trap_checked": rep.checked,
             "psi_weight": str(sym.bottleneck_weight.value(alpha)),
             "peak_rss_mb": _peak_rss_mb(),
@@ -129,12 +132,25 @@ def measure_gate(spec: str) -> dict:
     from hcmeta import build_gate, parse_graph_spec
 
     g = parse_graph_spec(spec)
-    t0 = time.perf_counter()
+    u0 = _usage()
     gate = build_gate(g, Fraction(GATE_INSTANCES[spec]))
-    t1 = time.perf_counter()
+    u1 = _usage()
     return {"graph": spec, "alpha": GATE_INSTANCES[spec], "kappa": gate.kappa,
-            "build_gate_s": t1 - t0, "peak_rss_mb": _peak_rss_mb(),
+            **_spent("build_gate", u0, u1), "peak_rss_mb": _peak_rss_mb(),
             "gate_count": gate.count}
+
+
+def _usage() -> tuple[float, int, float]:
+    """Wall seconds, minor page faults and system seconds so far."""
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return time.perf_counter(), r.ru_minflt, r.ru_stime
+
+
+def _spent(call: str, before: tuple, after: tuple) -> dict:
+    """The seconds, minor faults and system seconds of ``call`` between two
+    :func:`_usage` readings."""
+    (t0, f0, s0), (t1, f1, s1) = before, after
+    return {f"{call}_s": t1 - t0, f"{call}_minflt": f1 - f0, f"{call}_sys_s": s1 - s0}
 
 
 def _peak_rss_mb() -> float:

@@ -393,14 +393,20 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     Grassmann, Taksar & Heyman 1985).  With groups ({a}, B), the mass pi
     carried to a is m_a = sum_x pi(x) W(x), and c(a, B) E_a[T_B] = m_a.
 
-    The front runs minimum degree on the sparse pattern, a set of
-    neighbours per node (George & Liu 1989): the live node of smallest
-    degree (the lowest on ties) is the pivot and its neighbours (ascending)
-    become a clique, until the smallest live degree reaches
-    ``DENSE_SWITCH`` of the live nodes.  Edges of conductance 0 (cut, or
-    underflowed) are absent.  A pivot's level is one more than that of every
-    earlier pivot whose clique held it; the pivots of a level touch neither
-    each other's rows nor masses, so their values are eliminated together.
+    The front runs minimum degree on the sparse pattern (George & Liu 1989;
+    :func:`_min_degree_front`): the live node of smallest degree (the
+    lowest on ties) is the pivot and its neighbours (ascending) become a
+    clique, until the smallest live degree reaches ``DENSE_SWITCH`` of the
+    live nodes.  Each node's live neighbours are one Python int, a bitset
+    row of m bits over the m nodes, so a pivot updates a neighbour's row by
+    one OR and its degree is the row's bit count.  The rows need up to m
+    ceil(m/30) digits of 4 bytes, and the byte array they are read from m
+    ceil(m/8) bytes; the elimination is refused with :class:`CapExceeded`
+    before they are built when the two do not fit in the memory available.
+    Edges of conductance 0 (cut, or underflowed) are absent.  A pivot's
+    level is one more than that of every earlier pivot whose clique held
+    it; the pivots of a level touch neither each other's rows nor masses,
+    so their values are eliminated together.
     The nodes left (terminals last) are finished in panels of ``PANEL``
     pivots of a dense array ``D`` that holds each conductance once, above
     its diagonal (c_jk = c_kj): the scatter into it keeps the upper entry of
@@ -436,32 +442,16 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     cc = net.edge_c / scale
     keep = (i != j) & (cc > 0)
     ei, ej = np.concatenate([i[keep], j[keep]]), np.concatenate([j[keep], i[keep]])
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(ei, minlength=m))]).tolist()
-    cols = ej[np.argsort(ei, kind="stable")].tolist()
-    adj = [set(cols[a:b]) for a, b in zip(ptr, ptr[1:])]
-    deg = np.fromiter(map(len, adj), np.int64, m)
-    done = 4 * m                # above any live degree: never a pivot
-    deg[:t] = done
-    level = [0] * m
-    front = []
-    for count in range(m, t, -1):
-        s = int(deg.argmin())
-        if deg[s] >= DENSE_SWITCH * count:
-            break
-        deg[s] = done
-        nbs, adj[s] = adj[s], None
-        up = level[s] + 1
-        for i in nbs:
-            a = adj[i]
-            a |= nbs
-            a.discard(i)
-            a.discard(s)
-            if level[i] < up:
-                level[i] = up
-        nbl = sorted(nbs)
-        deg[nbl] = [len(adj[i]) if i >= t else done for i in nbl]
-        front.append((s, nbl))
-    order = [s for s in range(t, m) if adj[s] is not None] + list(range(t))
+    available = _available_memory()
+    # the byte rows, and the ints read from them: m bits in 30-bit digits
+    bits_need = m * ((m + 7) // 8 + 4 * ((m + 29) // 30))
+    if bits_need > available:
+        raise CapExceeded(f"the minimum-degree front's bitset rows of {m} nodes need "
+                          f"{bits_need:,} bytes; {available:,} bytes are available")
+    front, level = _min_degree_front(ei, ej, m, t)
+    gone = np.zeros(m, dtype=bool)
+    gone[[s for s, _ in front]] = True
+    order = (np.flatnonzero(~gone[t:]) + t).tolist() + list(range(t))
     L = len(order) - t
     dk = [len(nbl) for _, nbl in front]
     levels = [[] for _ in range(max((level[s] + 1 for s, _ in front), default=0))]
@@ -474,7 +464,6 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
     N = len(order)
     # the dense array, one column block and the panel inverses X
     tail_need = 8 * ((N + BLOCK) * N + L * PANEL)
-    available = _available_memory()
     if front_need + tail_need > available:
         raise CapExceeded(f"the dense elimination tail of L = {L} nodes needs "
                           f"{tail_need:,} bytes; {available:,} bytes are available, "
@@ -532,6 +521,49 @@ def _eliminate(net: ElectricNetwork, groups) -> _Factor:
             hi = min(lo + BLOCK, N)
             D[end:hi, lo:hi] += S[:, :hi - end].T @ U[:, lo - end:hi - end]
     return _Factor(node, m, scale, steps, order, D, c, X)
+
+
+def _min_degree_front(ei: np.ndarray, ej: np.ndarray, m: int, t: int
+                      ) -> tuple[list, list]:
+    """The minimum-degree front of :func:`_eliminate` on the pattern of the
+    edges ei -> ej (each in both directions, duplicates allowed) among m
+    nodes, of which the first t never pivot: the pivots in order, each with
+    its neighbours at its elimination (ascending), and every node's level.
+
+    Node i's live neighbours are one int, bit j set for neighbour j, read
+    from a byte row per node.  Eliminating s makes each neighbour i's row
+    (row_i | row_s) minus bits i and s; its degree is the row's bit count.
+    """
+    rows = np.zeros((m, (m + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(rows, (ei, ej >> 3), (1 << (ej & 7)).astype(np.uint8))
+    adj = [int.from_bytes(r, "little") for r in rows]
+    del rows
+    deg = np.fromiter(map(int.bit_count, adj), np.int64, m)
+    done = 4 * m                # above any live degree: never a pivot
+    deg[:t] = done
+    level = [0] * m
+    front = []
+    for count in range(m, t, -1):
+        s = int(deg.argmin())
+        if deg[s] >= DENSE_SWITCH * count:
+            break
+        deg[s] = done
+        nbs, adj[s] = adj[s], 0
+        sbit = 1 << s
+        up = level[s] + 1
+        nbl, rest = [], nbs
+        while rest:             # s's neighbours, from the top bit down
+            i = rest.bit_length() - 1
+            bit = 1 << i
+            rest ^= bit
+            adj[i] = (adj[i] | nbs) ^ (bit | sbit)
+            if level[i] < up:
+                level[i] = up
+            nbl.append(i)
+        nbl.reverse()
+        deg[nbl] = [adj[i].bit_count() if i >= t else done for i in nbl]
+        front.append((s, nbl))
+    return front, level
 
 
 def _eliminate_panel(W: np.ndarray, c: np.ndarray, a: int, b: int) -> None:

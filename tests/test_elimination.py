@@ -1,6 +1,7 @@
 """The minimum-degree star-mesh elimination against the routes it replaced
-(kept here: the dense O(N^3) star-mesh and the two-solve Green route with
-an LU voltage), and every E[T] route against exact rational references."""
+(kept here: the dense O(N^3) star-mesh, the two-solve Green route with an
+LU voltage and the front on one Python set per node), and every E[T] route
+against exact rational references."""
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hcmeta import potential
-from hcmeta.configspace import ModelParams, enumerate_space
+from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.graph import BipartiteGraph, automorphism_generators, build_family
 from hcmeta.potential import (build_network, effective_resistance,
                               expected_hitting_time, voltage)
@@ -110,6 +111,33 @@ def _pairs(spc, net):
     return [(frozenset({u}), frozenset({v})),
             (frozenset({u, *net.kernel.row(u)[0]}),
              frozenset({v, *net.kernel.row(v)[0]}))]
+
+
+# graph spec, then an optional edit: "relabelled" shuffles the sites, "scaled"
+# triples one edge at the empty state, which breaks the symmetries moving it
+LUMP_CASES = ["cycle:12", "path:15", "ladder:4", "torus:4x4", "hypercube:4",
+              "complete:2x3", "ladder:8/relabelled", "torus:4x4/scaled"]
+
+
+def _case_network(case: str, lam: float):
+    spec, _, edit = case.partition("/")
+    g = build_family(spec)
+    if edit == "relabelled":
+        g = relabel(g, 7)
+    spc = enumerate_space(g)
+    net = build_network(spc, ModelParams.for_graph(g, lam, alpha=HALF))
+    if edit == "scaled":
+        e = int(np.flatnonzero(net.edge_i == spc.empty_index)[0])
+        edited = net.with_scaled_edge(int(net.edge_i[e]), int(net.edge_j[e]), 3.0)
+        assert 0 < len(edited.symmetries) < len(net.symmetries)
+        net = edited
+    return spc, net
+
+
+def _fixed_sets(spc):
+    """(A, B), (B,) and ({empty}, B) for A = {u} and B = {v}."""
+    u, v, e = (frozenset({x}) for x in (spc.u_state, spc.v_state, spc.empty_index))
+    return [(u, v), (v,), (e, v)]
 
 
 CASES = [("cycle:8", 100.0), ("ladder:6", 100.0), ("hypercube:3", 100.0),
@@ -324,6 +352,130 @@ def test_solves_read_only_the_upper_triangle(monkeypatch, case, panel, block):
         f.D[np.tril_indices(len(f.D), -1)] = np.nan
         after = outputs()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
+# ----------------------------------------------------------------------------
+# The minimum-degree front against the set loop it replaced
+# ----------------------------------------------------------------------------
+
+def ref_min_degree_front(ei, ej, m, t):
+    """The front as :func:`potential._min_degree_front` states it, with one
+    Python set of live neighbours per node."""
+    adj = [set() for _ in range(m)]
+    for a, b in zip(ei.tolist(), ej.tolist()):
+        adj[a].add(b)
+    deg = np.fromiter(map(len, adj), np.int64, m)
+    done = 4 * m                # above any live degree: never a pivot
+    deg[:t] = done
+    level = [0] * m
+    front = []
+    for count in range(m, t, -1):
+        s = int(deg.argmin())
+        if deg[s] >= potential.DENSE_SWITCH * count:
+            break
+        deg[s] = done
+        nbs, adj[s] = adj[s], None
+        up = level[s] + 1
+        for i in nbs:
+            a = adj[i]
+            a |= nbs
+            a.discard(i)
+            a.discard(s)
+            if level[i] < up:
+                level[i] = up
+        nbl = sorted(nbs)
+        deg[nbl] = [len(adj[i]) if i >= t else done for i in nbl]
+        front.append((s, nbl))
+    return front, level
+
+
+FRONT_CASES = ([(c, 100.0, f) for c in LUMP_CASES for f in range(3)]
+               + [("torus:4x6", 100.0, 0), ("path:15", 100.0, "balls"),
+                  ("cycle:12", 1e40, 0)])
+
+
+def _front_case(case: str, lam: float, which):
+    """The lumped network of a ``FRONT_CASES`` entry and its terminal sets as
+    groups of orbits: the ``which``-th of ``_fixed_sets``, or "balls", u and
+    v with their neighbours, each a group of several orbits."""
+    spc, net = _case_network(case, lam)
+    fixed = _pairs(spc, net)[1] if which == "balls" else _fixed_sets(spc)[which]
+    lumped, orbit = potential._lump(net, *fixed)
+    return lumped, tuple(potential._orbits(orbit, s) for s in fixed)
+
+
+@pytest.mark.parametrize("case,lam,which", FRONT_CASES,
+                         ids=[f"{c}@{l:g}-{w}" for c, l, w in FRONT_CASES])
+def test_front_matches_set_reference(monkeypatch, case, lam, which):
+    # the bitset front gives the set loop's pivots, neighbour lists and
+    # levels, hence the same factor, array for array
+    net, groups = _front_case(case, lam, which)
+    seen = []
+
+    def recorded(front):
+        def run(*args):
+            seen.append((args, front(*args)))
+            return seen[-1][1]
+        return run
+    factors = []
+    for front in (potential._min_degree_front, ref_min_degree_front):
+        monkeypatch.setattr(potential, "_min_degree_front", recorded(front))
+        factors.append(potential._eliminate(net, groups))
+    ((ei, ej, m, t), ours), (_, ref) = seen
+    assert ours == ref and (ours[0] or m <= 40)
+    if which == "balls":            # a group node gets the same edge twice
+        assert len(np.unique(ei * m + ej)) < len(ei)
+    if lam > 1e30:                  # some conductances underflow to 0
+        assert (net.edge_c / net.edge_c.max() == 0).any()
+    f, r = factors
+    assert f.order == r.order and f.scale == r.scale
+    for a, b in [(f.node, r.node), (f.D, r.D), (f.c, r.c), (f.X, r.X)] + [
+            (x, y) for fs, rs in zip(f.steps, r.steps, strict=True)
+            for x, y in zip(fs, rs, strict=True)]:
+        assert np.array_equal(a, b)
+
+
+# R(u, v), E_u[T_v] by the Green route and by the first step, as float.hex,
+# at alpha = 1/2, recorded with the set-based front (OpenBLAS, x86-64)
+PINNED = {
+    ("cycle:12", 100.0): ("0x1.0e23f97a99ecap+36", "0x1.755c3a96d65f4p+16",
+                          "0x1.755c3a96d65f2p+16"),
+    ("path:15", 100.0): ("0x1.0f47128d92bcbp+33", "0x1.e3cd1f246314dp+16",
+                         "0x1.e3cd1f2463149p+16"),
+    ("ladder:4", 1e4): ("0x1.82fdabe269512p+71", "0x1.03cedea4cd91bp+45",
+                        "0x1.03cedea4cd91bp+45"),
+}
+
+
+@pytest.mark.parametrize("spec,lam", PINNED, ids=[f"{s}@{l:g}" for s, l in PINNED])
+def test_outputs_pinned_bit_for_bit(spec, lam):
+    spc, net = _net(build_family(spec), lam)
+    u, v = spc.u_state, spc.v_state
+    ht = expected_hitting_time(net, u, {v})
+    got = (effective_resistance(net, {u}, {v}).hex(), ht.value.hex(), ht.first_step.hex())
+    assert got == PINNED[spec, lam]
+
+
+def test_front_refused_before_its_bitsets(monkeypatch):
+    # one byte short of the bitset rows of cycle:12's 47 orbits, m ceil(m/30)
+    # 4-byte digits, and the byte array they are read from, m ceil(m/8)
+    # bytes: refused before the front builds a row
+    spc, net = _net(build_family("cycle:12"), 100.0)
+    u, v = spc.u_state, spc.v_state
+    m = 47
+    need = m * (4 * 2 + 6)
+
+    def unreachable(*args):
+        raise AssertionError("the front ran")
+    monkeypatch.setattr(potential, "_min_degree_front", unreachable)
+    monkeypatch.setattr(potential, "_available_memory", lambda: need - 1)
+    with pytest.raises(CapExceeded, match=f"bitset rows of {m} nodes need {need:,} "
+                                          f"bytes; {need - 1:,} bytes are available"):
+        effective_resistance(net, {u}, {v})
+    # exactly enough: the front runs
+    monkeypatch.setattr(potential, "_available_memory", lambda: need)
+    with pytest.raises(AssertionError, match="the front ran"):
+        effective_resistance(net, {u}, {v})
 
 
 def test_disconnected_pair_raises():

@@ -1,5 +1,4 @@
 """The U/V-preserving automorphism search and the orbit lumping built on it."""
-import random
 import time
 from fractions import Fraction
 
@@ -10,24 +9,13 @@ from scipy.sparse import csgraph
 
 from hcmeta.configspace import ModelParams, enumerate_space
 from hcmeta import potential
-from hcmeta.graph import BipartiteGraph, automorphism_generators, build_family
+from hcmeta.graph import automorphism_generators, build_family
 from hcmeta.potential import (_lump, build_network, effective_resistance,
                               expected_hitting_time, voltage)
-from test_elimination import conductance_matrix
+from test_elimination import (LUMP_CASES, _case_network, _fixed_sets,
+                              conductance_matrix, relabel)
 
 HALF = Fraction(1, 2)
-
-
-def relabel(g: BipartiteGraph, seed: int) -> BipartiteGraph:
-    """An isomorphic copy with the sites shuffled within U and within V."""
-    rng = random.Random(seed)
-    u, v = list(g.u_sites), list(g.v_sites)
-    rng.shuffle(u)
-    rng.shuffle(v)
-    new = {old: k for k, old in enumerate(u)}
-    new.update({old: len(u) + k for k, old in enumerate(v)})
-    return BipartiteGraph.from_parts(
-        len(u), len(v), [(new[a], new[b]) for a, b in g.edges])
 
 
 def closure_order(gens, n: int) -> int:
@@ -136,33 +124,6 @@ def test_edited_network_keeps_only_its_own_symmetries():
     assert 0 < len(edited.symmetries) < len(net.symmetries)
     u, v = spc.u_state, spc.v_state
     _assert_same_solves(edited, frozenset({u}), frozenset({v}), u)
-
-
-# graph spec, then an optional edit: "relabelled" shuffles the sites, "scaled"
-# triples one edge at the empty state, which breaks the symmetries moving it
-LUMP_CASES = ["cycle:12", "path:15", "ladder:4", "torus:4x4", "hypercube:4",
-              "complete:2x3", "ladder:8/relabelled", "torus:4x4/scaled"]
-
-
-def _case_network(case: str, lam: float):
-    spec, _, edit = case.partition("/")
-    g = build_family(spec)
-    if edit == "relabelled":
-        g = relabel(g, 7)
-    spc = enumerate_space(g)
-    net = build_network(spc, ModelParams.for_graph(g, lam, alpha=HALF))
-    if edit == "scaled":
-        e = int(np.flatnonzero(net.edge_i == spc.empty_index)[0])
-        edited = net.with_scaled_edge(int(net.edge_i[e]), int(net.edge_j[e]), 3.0)
-        assert 0 < len(edited.symmetries) < len(net.symmetries)
-        net = edited
-    return spc, net
-
-
-def _fixed_sets(spc):
-    """(A, B), (B,) and ({empty}, B) for A = {u} and B = {v}."""
-    u, v, e = (frozenset({x}) for x in (spc.u_state, spc.v_state, spc.empty_index))
-    return [(u, v), (v,), (e, v)]
 
 
 @pytest.mark.parametrize("case", LUMP_CASES)
