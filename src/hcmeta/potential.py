@@ -15,8 +15,9 @@ and whose pi is summed over orbits (strong lumpability; Kemeny & Snell,
 cycle:12 from 322 to 47, torus:4x6 from 18,995 to 659.  A voltage is read back
 on every state and its harmonic residual is taken on the full network, so
 the residual checks the lumping as well.  Orbits, residual, solves and
-numeric Psi work on the edge arrays in numpy and load no scipy; only
-:func:`green_by_visits` (an independent LU route) does.
+numeric Psi work on the edge arrays in numpy; like the rest of hcmeta
+they load no scipy.  :func:`green_by_visits`, the Green function by a dense
+LU solve of the first-step matrix, is a route independent of all of them.
 
 Every size runs one star-mesh (Kron) elimination (:func:`_eliminate`), kept
 as a factor that serves several solves.  With A and B as its terminal
@@ -662,35 +663,38 @@ def green_function(net: ElectricNetwork, a: int, B) -> np.ndarray:
 
 
 def green_by_visits(net: ElectricNetwork, a: int, B) -> np.ndarray:
-    """Independent route: expected visit counts from an LU of the
-    first-step matrix diag(p_move) - K_off on the states outside B.  Its
+    """Independent route: expected visit counts from a dense LU solve
+    (``np.linalg.solve``) of the first-step matrix diag(p_move) - K_off on
+    the states outside B, transposed, against the unit vector of a.  Its
     diagonal is ``p_move`` itself, not ``1 - (1 - p_move)``, which would
-    lose the digits of a small move probability."""
+    lose the digits of a small move probability.  It shares nothing with
+    the elimination factor.  The matrix and LAPACK's copy of it take
+    16 k^2 bytes for the k states outside B; beyond the available memory it
+    raises :class:`CapExceeded` before allocating."""
     a = int(a)
     B = frozenset(int(b) for b in B)
     if a in B:
         raise ValueError("a must not belong to B")
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import splu
-
     kernel, n = net.kernel, len(net)
     in_b = np.zeros(n, dtype=bool)
     in_b[list(B)] = True
     keep = np.flatnonzero(~in_b)
+    k = len(keep)
+    need, available = 16 * k * k, _available_memory()
+    if need > available:
+        raise CapExceeded(f"the dense first-step matrix of {k} states and its LAPACK "
+                          f"copy need {need:,} bytes; {available:,} bytes are available")
     pos = np.full(n, -1, dtype=np.int64)
-    pos[keep] = np.arange(len(keep))
+    pos[keep] = np.arange(k)
     rows, cols, probs = kernel.offdiag_coo()
     live = ~in_b[rows] & ~in_b[cols]
-    diag = np.arange(len(keep))
-    m = sp.coo_matrix(
-        (np.concatenate([kernel.p_move[keep], -probs[live]]),
-         (np.concatenate([diag, pos[rows[live]]]),
-          np.concatenate([diag, pos[cols[live]]]))),
-        shape=(len(keep), len(keep))).tocsc()
-    rhs = np.zeros(len(keep))
+    m_t = np.zeros((k, k))              # the transpose: row y, column x
+    np.subtract.at(m_t, (pos[cols[live]], pos[rows[live]]), probs[live])
+    m_t[np.arange(k), np.arange(k)] += kernel.p_move[keep]
+    rhs = np.zeros(k)
     rhs[pos[a]] = 1.0
     out = np.zeros(n)
-    out[keep] = splu(m.T.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    out[keep] = np.linalg.solve(m_t, rhs)
     return out
 
 

@@ -478,6 +478,29 @@ def test_front_refused_before_its_bitsets(monkeypatch):
         effective_resistance(net, {u}, {v})
 
 
+def test_green_by_visits_refused_before_its_matrix(monkeypatch):
+    # one byte short of the dense first-step matrix of the 321 states of
+    # cycle:12 outside v and LAPACK's copy, 16 k^2 bytes: refused before the
+    # kernel's entries are read
+    spc, net = _net(build_family("cycle:12"), 100.0)
+    u, v = spc.u_state, spc.v_state
+    k = len(spc) - 1
+    need = 16 * k * k
+
+    def unreachable(*args):
+        raise AssertionError("the matrix was assembled")
+    monkeypatch.setattr(net.kernel, "offdiag_coo", unreachable)
+    monkeypatch.setattr(potential, "_available_memory", lambda: need - 1)
+    with pytest.raises(CapExceeded, match=f"matrix of {k} states and its LAPACK copy "
+                                          f"need {need:,} bytes; {need - 1:,} bytes "
+                                          f"are available"):
+        potential.green_by_visits(net, u, {v})
+    # exactly enough: it assembles
+    monkeypatch.setattr(potential, "_available_memory", lambda: need)
+    with pytest.raises(AssertionError, match="the matrix was assembled"):
+        potential.green_by_visits(net, u, {v})
+
+
 def test_disconnected_pair_raises():
     g = build_family("complete:1x1")
     spc, net = _net(g, 10.0)

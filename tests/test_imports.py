@@ -1,6 +1,6 @@
-"""``import hcmeta`` loads nothing beyond the standard library, numpy and scipy,
-and the scipy submodules only at the first call that needs them; every name
-a module exports in ``__all__`` resolves."""
+"""``import hcmeta`` loads nothing beyond the standard library and numpy, and
+no call of the library loads scipy; every name a module exports in
+``__all__`` resolves."""
 import importlib
 import json
 import os
@@ -13,10 +13,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 # what hcmeta imports of its dependencies; they may load modules of their own
-DEPENDENCIES = ("numpy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
-                "scipy.stats")
-# loaded inside the functions that use them, never by an import of hcmeta
-LAZY = ("scipy.stats", "scipy.sparse", "scipy.linalg")
+DEPENDENCIES = ("numpy",)
 
 SOLVE = ("import os\n"
          "from fractions import Fraction\n"
@@ -57,8 +54,27 @@ CRITICAL = (BUILD + "\nimport os\n"
             "critical_resistance(net, [spc.u_state], [spc.v_state])\n"
             "assert main(['resistance', '--graph', 'ladder:4', '--lambda', '100',\n"
             "             '--alpha', '1/2', '-o', os.devnull]) == 0")
-KS = ("from hcmeta import ks_exponential_test\n"
-      "ks_exponential_test([0.5 + i / 100 for i in range(100)])")
+SAMPLER = ("import os\n"
+           "from fractions import Fraction\n"
+           "from hcmeta import (ModelParams, build_gate, build_kernel, build_network,\n"
+           "                    enumerate_space, gate_statistics, ks_exponential_test,\n"
+           "                    parse_graph_spec, sample_crossover)\n"
+           "from hcmeta.cli import main\n"
+           "from hcmeta.potential import green_by_visits\n"
+           "g = parse_graph_spec('cycle:6')\n"
+           "spc = enumerate_space(g)\n"
+           "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(7, 10))\n"
+           "watch = build_gate(g, Fraction(7, 10)).transition_indices(spc)\n"
+           "samples, _ = sample_crossover(build_kernel(spc, par), spc.u_state,\n"
+           "                              [spc.v_state], 100, base_seed=1,\n"
+           "                              gate_watch=watch, embed_clock=True)\n"
+           "ks_exponential_test([s.t_hat for s in samples])\n"
+           "gate_statistics(samples, watch)\n"
+           "green_by_visits(build_network(spc, par), spc.u_state, [spc.v_state])\n"
+           "assert main(['simulate', '--graph', 'cycle:6', '--alpha', '7/10',\n"
+           "             '--lambda', '10', '--samples', '100', '--seed', '1',\n"
+           "             '--ks-exponential', '--gate-watch', '-o', os.devnull,\n"
+           "             '--summary', os.devnull]) in (0, 4)")
 
 
 def _new_modules(statement: str) -> set[str]:
@@ -81,9 +97,9 @@ def _loaded_by(statement: str) -> set[str]:
     return {m.split(".")[0] for m in _new_modules(statement)}
 
 
-def _lazy_loaded(modules: set[str]) -> set[str]:
-    """The packages in LAZY that ``modules`` holds, by full name or by a submodule."""
-    return {p for p in LAZY if any(m == p or m.startswith(p + ".") for m in modules)}
+def _scipy(modules: set[str]) -> set[str]:
+    """The scipy modules among ``modules``, by full name."""
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_import_loads_only_stdlib_numpy_and_scipy():
@@ -95,34 +111,32 @@ def test_import_loads_only_stdlib_numpy_and_scipy():
 
 @pytest.mark.parametrize("module", ["hcmeta", "hcmeta.cli"])
 def test_import_leaves_scipy_submodules_unloaded(module):
-    assert not _lazy_loaded(_new_modules(f"import {module}"))
+    assert not _scipy(_new_modules(f"import {module}"))
 
 
 def test_solve_path_loads_no_scipy():
     # R, W, E[T] by both routes, the Green function and the escape
     # probabilities (all lumped: ladder:4 has 24 symmetries) and CLI hitting
-    loaded = _new_modules(SOLVE)
-    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    assert not _scipy(_new_modules(SOLVE))
 
 
 def test_exact_exponent_layer_loads_no_scipy():
-    loaded = _new_modules(EXACT)
-    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    assert not _scipy(_new_modules(EXACT))
 
 
 def test_kernel_and_network_load_no_scipy():
-    loaded = _new_modules(BUILD)
-    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    assert not _scipy(_new_modules(BUILD))
 
 
 def test_critical_resistance_loads_no_scipy():
     # numeric Psi and CLI resistance (R, numeric and symbolic Psi)
-    loaded = _new_modules(CRITICAL)
-    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+    assert not _scipy(_new_modules(CRITICAL))
 
 
-def test_ks_test_loads_scipy_stats():
-    assert "scipy.stats" in _lazy_loaded(_new_modules(KS))
+def test_sampler_statistics_load_no_scipy():
+    # the crossover sampler, the KS and chi-square tests, the dense Green
+    # route and CLI simulate with both tests on cycle:6
+    assert not _scipy(_new_modules(SAMPLER))
 
 
 def _modules_with_all() -> list[str]:

@@ -177,6 +177,38 @@ def test_green_function_identities():
     assert gf.sum() == pytest.approx(ht.value, rel=1e-9)
 
 
+def test_green_by_visits_matches_a_sparse_lu_reference():
+    # criterion 10's 20 random instances and lambdas: the dense solve
+    # against scipy's sparse LU of the same transposed first-step matrix
+    sp = pytest.importorskip("scipy.sparse")
+    spla = pytest.importorskip("scipy.sparse.linalg")
+    from hcmeta.verify import _random_instances
+    rng = np.random.default_rng(12345)
+    for g, spc in _random_instances():
+        lam = float(3.0 + 7.0 * rng.random())
+        net = build_network(spc, ModelParams.for_graph(g, lam, alpha=HALF))
+        u, v = spc.u_state, spc.v_state
+        keep = np.array([x for x in range(len(spc)) if x != v])
+        pos = np.full(len(spc), -1)
+        pos[keep] = np.arange(len(keep))
+        rows, cols, probs = net.kernel.offdiag_coo()
+        live = (rows != v) & (cols != v)
+        m = sp.coo_matrix((np.concatenate([net.kernel.p_move[keep], -probs[live]]),
+                           (np.concatenate([pos[keep], pos[cols[live]]]),
+                            np.concatenate([pos[keep], pos[rows[live]]]))),
+                          shape=(len(keep), len(keep))).tocsc()
+        rhs = np.zeros(len(keep))
+        rhs[pos[u]] = 1.0
+        want = np.zeros(len(spc))
+        want[keep] = spla.splu(m).solve(rhs)
+        got = green_by_visits(net, u, {v})
+        assert np.array_equal(got == 0, want == 0)
+        nz = want != 0
+        assert np.max(np.abs(got[nz] / want[nz] - 1)) <= 1e-12
+        for _ in range(20):                   # criterion 10's reciprocity draws
+            rng.integers(0, len(spc)), rng.integers(0, len(spc))
+
+
 def test_green_reciprocity_100_pairs():
     spc, par, net = _net("complete:2x3", 7.0)
     v = spc.v_state
