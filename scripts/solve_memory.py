@@ -23,6 +23,18 @@ int64 bytes.  Under ``gates`` it lists ``build_gate`` on each of
 system seconds, the process's peak RSS, and the gate count.  With SPECs
 (graph specs such as ``path:19``), only their solve rows run, one fresh
 process each, and no gate.
+
+    python3 scripts/solve_memory.py --imports [--output BENCH_imports.json]
+
+times instead what each entry point of ``IMPORT_PATHS`` loads: a bare
+``import hcmeta``, a graph parse, the sampler path, the solve path and
+``import hcmeta.cli``, each ``IMPORT_ROUNDS`` times in a fresh process,
+rounds interleaved.  Under ``imports`` it lists per entry point the seconds
+of each round (from just before the first import to the end of the path)
+and the sorted ``hcmeta`` modules it loaded.  ``bytecode_cache`` says
+whether ``src/hcmeta/__pycache__`` existed when the run began: without it
+(and with ``PYTHONDONTWRITEBYTECODE`` set) every process compiles what it
+imports.
 """
 from __future__ import annotations
 
@@ -42,6 +54,31 @@ INSTANCES = ("ladder:12", "torus:4x6", "path:19", "torus:4x8")
 # the paper's example, and a doubled torus whose gate walk runs at kappa = 3
 GATE_INSTANCES = {"torus:6x6": "7/10", "doubled(torus:10x10)": "3/10"}
 LAMBDA = 100.0
+# entry point -> the code a fresh process times
+IMPORT_PATHS = {
+    "bare": "import hcmeta",
+    "graph": "import hcmeta\nhcmeta.parse_graph_spec('ladder:12')",
+    "sampler": ("from fractions import Fraction\n"
+                "from hcmeta import (ModelParams, build_kernel, enumerate_space,\n"
+                "                    ks_exponential_test, parse_graph_spec,\n"
+                "                    sample_crossover)\n"
+                "g = parse_graph_spec('cycle:6')\n"
+                "spc = enumerate_space(g)\n"
+                "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(1, 2))\n"
+                "samples, _ = sample_crossover(build_kernel(spc, par), spc.u_state,\n"
+                "                              [spc.v_state], 100, base_seed=1)\n"
+                "ks_exponential_test([s.t_hat for s in samples])"),
+    "solve": ("from fractions import Fraction\n"
+              "from hcmeta import (ModelParams, build_network, enumerate_space,\n"
+              "                    expected_hitting_time, parse_graph_spec)\n"
+              "g = parse_graph_spec('ladder:4')\n"
+              "spc = enumerate_space(g)\n"
+              "net = build_network(spc, ModelParams.for_graph(g, 100.0,\n"
+              "                                               alpha=Fraction(1, 2)))\n"
+              "expected_hitting_time(net, spc.u_state, {spc.v_state})"),
+    "cli": "import hcmeta.cli",
+}
+IMPORT_ROUNDS = 5
 
 
 def _network(spec: str):
@@ -140,6 +177,17 @@ def measure_gate(spec: str) -> dict:
             "gate_count": gate.count}
 
 
+def measure_imports(path: str) -> dict:
+    """One entry point of ``IMPORT_PATHS``, in this process."""
+    before = set(sys.modules)
+    t0 = time.perf_counter()
+    exec(IMPORT_PATHS[path], {})
+    seconds = time.perf_counter() - t0
+    return {"seconds": seconds,
+            "modules": sorted(m for m in set(sys.modules) - before
+                              if m == "hcmeta" or m.startswith("hcmeta."))}
+
+
 def _usage() -> tuple[float, int, float]:
     """Wall seconds, minor page faults and system seconds so far."""
     r = resource.getrusage(resource.RUSAGE_SELF)
@@ -159,17 +207,23 @@ def _peak_rss_mb() -> float:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--output", default="BENCH_solve_memory.json")
+    ap.add_argument("--output", help="default BENCH_solve_memory.json, or "
+                    "BENCH_imports.json with --imports")
     ap.add_argument("specs", nargs="*", help="instances whose solve rows alone run")
+    ap.add_argument("--imports", action="store_true",
+                    help="time what each entry point of IMPORT_PATHS loads")
+    ap.add_argument("--import-path", help=argparse.SUPPRESS)   # worker: one entry point
     ap.add_argument("--one", help=argparse.SUPPRESS)    # worker: the solve path
     ap.add_argument("--psi", help=argparse.SUPPRESS)    # worker: numeric Psi
     ap.add_argument("--tree", help=argparse.SUPPRESS)   # worker: exact exponents
     ap.add_argument("--gate", help=argparse.SUPPRESS)   # worker: build_gate
     args = ap.parse_args(argv)
-    if args.one or args.psi or args.tree or args.gate:
+    if args.one or args.psi or args.tree or args.gate or args.import_path:
         print(json.dumps(measure(args.one) if args.one else
                          measure_psi(args.psi) if args.psi else
-                         measure_tree(args.tree) if args.tree else measure_gate(args.gate)))
+                         measure_tree(args.tree) if args.tree else
+                         measure_gate(args.gate) if args.gate else
+                         measure_imports(args.import_path)))
         return 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -179,6 +233,20 @@ def main(argv=None) -> int:
                               env=env, capture_output=True, text=True, check=True)
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
+    if args.imports:
+        cache = os.path.isdir(os.path.join(ROOT, "src", "hcmeta", "__pycache__"))
+        rows = {path: {"seconds": []} for path in IMPORT_PATHS}
+        for _ in range(IMPORT_ROUNDS):
+            for path, row in rows.items():
+                got = worker("--import-path", path)
+                row["seconds"].append(got["seconds"])
+                row["modules"] = got["modules"]
+        for path, row in rows.items():
+            print(json.dumps({"path": path, **row}))
+        with open(args.output or "BENCH_imports.json", "w") as f:
+            json.dump({"bytecode_cache": cache, "imports": rows}, f, indent=2)
+            f.write("\n")
+        return 0
     rows = []
     for spec in args.specs or INSTANCES:
         rows.append(worker("--one", spec) if args.specs else
@@ -189,7 +257,7 @@ def main(argv=None) -> int:
     for spec in () if args.specs else GATE_INSTANCES:
         gates.append(worker("--gate", spec))
         print(json.dumps(gates[-1]))
-    with open(args.output, "w") as f:
+    with open(args.output or "BENCH_solve_memory.json", "w") as f:
         json.dump({"instances": rows, "gates": gates}, f, indent=2)
         f.write("\n")
     return 0

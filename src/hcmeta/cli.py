@@ -28,7 +28,6 @@ from .potential import (build_network, critical_resistance,
                         effective_resistance, expected_hitting_time,
                         psi_symbolic)
 from .stats import ks_exponential_test
-from .verify import run_all
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -251,6 +250,8 @@ def cmd_notrap(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_all     # no other command compiles the criteria
+
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]

@@ -78,11 +78,15 @@ def kolmogorov_sf(n: int, d: float) -> float:
     (:func:`_smirnov_sf`), whose doubling is exact to 3e-14 there.  Both
     routes are within 1.4e-14 absolute of a 40-digit evaluation of the
     Durbin matrix for n in {100, 140, 150, 300}, and within 1e-11 of scipy's
-    ``kstwo.sf`` wherever scipy is exact.  The tail route keeps its
-    relative digits: within 6.3e-14 relative of the one-sided sum in 40
-    digits for n up to 10^4, down to 1e-263.  Elsewhere scipy's own error
-    shows: 2.7e-6 at n = 150 on its Pelz-Good branch, and about 4e-8 at
-    n d^2 = 2.2 for n > 140, where it doubles the one-sided tail.
+    ``kstwo.sf`` wherever scipy is exact.  The Durbin route's error grows
+    about in proportion to n, as H^n carries the rounding of H's entries
+    about n times: just below the switch it is 1.4e-14 for n <= 3000,
+    1.0e-13 at n = 10^4 and 1.5e-12 at n = 10^5, against the exact tail.
+    The tail route keeps its relative digits: within 6.3e-14 relative of
+    the one-sided sum in 40 digits for n up to 10^4, down to 1e-263.
+    Elsewhere scipy's own error shows: 2.7e-6 at n = 150 on its Pelz-Good
+    branch, and about 4e-8 at n d^2 = 2.2 for n > 140, where it doubles the
+    one-sided tail.
     """
     if n * d <= 0.5:
         return 1.0

@@ -1,6 +1,6 @@
 """``import hcmeta`` loads nothing beyond the standard library and numpy, and
-no call of the library loads scipy; every name a module exports in
-``__all__`` resolves."""
+no call of the library loads scipy; a read of an ``hcmeta`` name loads its
+defining module alone; every name a module exports in ``__all__`` resolves."""
 import importlib
 import json
 import os
@@ -137,6 +137,64 @@ def test_sampler_statistics_load_no_scipy():
     # the crossover sampler, the KS and chi-square tests, the dense Green
     # route and CLI simulate with both tests on cycle:6
     assert not _scipy(_new_modules(SAMPLER))
+
+
+def _hcmeta(modules: set[str]) -> set[str]:
+    """The hcmeta submodules among ``modules``, by full name."""
+    return {m for m in modules if m.startswith("hcmeta.")}
+
+
+def test_bare_import_loads_no_layer():
+    assert not _hcmeta(_new_modules("import hcmeta"))
+
+
+def test_graph_spec_loads_the_graph_module_alone():
+    loaded = _new_modules("import hcmeta\nhcmeta.parse_graph_spec('ladder:4')")
+    assert _hcmeta(loaded) == {"hcmeta.graph"}
+
+
+def test_sampler_path_loads_no_solver_layer():
+    loaded = _new_modules(
+        "from fractions import Fraction\n"
+        "from hcmeta import (ModelParams, build_kernel, enumerate_space,\n"
+        "                    ks_exponential_test, parse_graph_spec, sample_crossover)\n"
+        "g = parse_graph_spec('cycle:6')\n"
+        "spc = enumerate_space(g)\n"
+        "par = ModelParams.for_graph(g, 10.0, alpha=Fraction(1, 2))\n"
+        "samples, _ = sample_crossover(build_kernel(spc, par), spc.u_state,\n"
+        "                              [spc.v_state], 100, base_seed=1)\n"
+        "ks_exponential_test([s.t_hat for s in samples])")
+    assert not loaded & {"hcmeta.potential", "hcmeta.metastability",
+                         "hcmeta.isoperimetry"}
+
+
+def test_exported_names_are_the_defining_objects_and_stored():
+    # every name is the defining module's object, and only its first read
+    # goes through the package's __getattr__
+    _new_modules(
+        "import importlib\n"
+        "import hcmeta\n"
+        "calls = []\n"
+        "lazy = hcmeta.__getattr__\n"
+        "hcmeta.__getattr__ = lambda name: calls.append(name) or lazy(name)\n"
+        "for module, names in hcmeta._EXPORTS.items():\n"
+        "    mod = importlib.import_module('hcmeta.' + module)\n"
+        "    for name in names:\n"
+        "        assert getattr(hcmeta, name) is getattr(mod, name), name\n"
+        "        assert getattr(hcmeta, name) is getattr(mod, name), name\n"
+        "assert calls == hcmeta.__all__, calls")
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    import hcmeta
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hcmeta.no_such_name  # noqa: B018
+
+
+def test_submodule_resolves_after_a_bare_import_and_dir_lists_all():
+    _new_modules("import hcmeta\n"
+                 "assert hcmeta.potential.__name__ == 'hcmeta.potential'\n"
+                 "assert set(hcmeta.__all__) <= set(dir(hcmeta))")
 
 
 def _modules_with_all() -> list[str]:
