@@ -35,6 +35,17 @@ and the sorted ``hcmeta`` modules it loaded.  ``bytecode_cache`` says
 whether ``src/hcmeta/__pycache__`` existed when the run began: without it
 (and with ``PYTHONDONTWRITEBYTECODE`` set) every process compiles what it
 imports.
+
+    python3 scripts/solve_memory.py --sampler [--output BENCH_sampler.json]
+
+runs instead each of ``SAMPLER_INSTANCES`` once, in a fresh process: one
+``sample_crossover`` call from u to v, timed from the call to its return
+(the kernel's tables are built inside it).  Under ``sampler`` it lists per
+instance the samples, the transitions they made, the seconds, transitions
+per second, the timeouts, and the SHA-256 of the samples' JSON lines as
+``hcmeta simulate`` writes them.  Equal digests from two checkouts mean equal
+samples.  The transitions are counted in a second, untimed pass that watches
+every edge of the kernel, so that each transition is a gate event.
 """
 from __future__ import annotations
 
@@ -79,6 +90,16 @@ IMPORT_PATHS = {
     "cli": "import hcmeta.cli",
 }
 IMPORT_ROUNDS = 5
+# name -> (graph, lambda, alpha, samples, base seed, embed_clock, gate watch):
+# the benchmark's cases, cycle:6 deeper in the metastable regime, and
+# verify's criteria 5 and 6
+SAMPLER_INSTANCES = {
+    "cycle:6@1e3": ("cycle:6", 1e3, "1/2", 1000, 1, True, False),
+    "cycle:6@1e4": ("cycle:6", 1e4, "1/2", 300, 1, True, False),
+    "ladder:4@10": ("ladder:4", 10.0, "1/2", 400, 1, False, False),
+    "path:6@1e3": ("path:6", 1e3, "7/10", 2000, 987, True, False),
+    "cycle:6@1e3+gate": ("cycle:6", 1e3, "7/10", 3000, 555, False, True),
+}
 
 
 def _network(spec: str):
@@ -188,6 +209,36 @@ def measure_imports(path: str) -> dict:
                               if m == "hcmeta" or m.startswith("hcmeta."))}
 
 
+def measure_sampler(name: str) -> dict:
+    """One of ``SAMPLER_INSTANCES``, in this process."""
+    from fractions import Fraction
+
+    from hcmeta import (ModelParams, build_gate, build_kernel, enumerate_space,
+                        parse_graph_spec, sample_crossover, simulate_hit)
+
+    spec, lam, alpha, n, seed, embed, gated = SAMPLER_INSTANCES[name]
+    g = parse_graph_spec(spec)
+    spc = enumerate_space(g)
+    kern = build_kernel(spc, ModelParams.for_graph(g, lam, alpha=Fraction(alpha)))
+    u, v = spc.u_state, spc.v_state
+    watch = build_gate(g, Fraction(alpha)).transition_indices(spc) if gated else None
+    t0 = time.perf_counter()
+    samples, summary = sample_crossover(kern, u, [v], n, base_seed=seed,
+                                        gate_watch=watch, embed_clock=embed)
+    seconds = time.perf_counter() - t0
+    lines = "".join(json.dumps(s.as_json_obj(i), sort_keys=True) + "\n"
+                    for i, s in enumerate(samples))
+    rows, cols, _ = kern.offdiag_coo()
+    every = list(zip(rows.tolist(), cols.tolist()))
+    transitions = sum(len(simulate_hit(kern, u, [v], seed + i, gate_watch=every).gate_events)
+                      for i in range(n))
+    return {"instance": name, "graph": spec, "lambda": lam, "alpha": alpha,
+            "embed_clock": embed, "gate_watch": gated, "samples": n,
+            "transitions": transitions, "seconds": seconds,
+            "transitions_per_s": transitions / seconds, "timeouts": summary.timeouts,
+            "samples_sha256": hashlib.sha256(lines.encode()).hexdigest()}
+
+
 def _usage() -> tuple[float, int, float]:
     """Wall seconds, minor page faults and system seconds so far."""
     r = resource.getrusage(resource.RUSAGE_SELF)
@@ -208,21 +259,27 @@ def _peak_rss_mb() -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--output", help="default BENCH_solve_memory.json, or "
-                    "BENCH_imports.json with --imports")
+                    "BENCH_imports.json with --imports, or BENCH_sampler.json "
+                    "with --sampler")
     ap.add_argument("specs", nargs="*", help="instances whose solve rows alone run")
     ap.add_argument("--imports", action="store_true",
                     help="time what each entry point of IMPORT_PATHS loads")
+    ap.add_argument("--sampler", action="store_true",
+                    help="time sample_crossover on each of SAMPLER_INSTANCES")
     ap.add_argument("--import-path", help=argparse.SUPPRESS)   # worker: one entry point
+    ap.add_argument("--sampler-one", help=argparse.SUPPRESS)   # worker: one instance
     ap.add_argument("--one", help=argparse.SUPPRESS)    # worker: the solve path
     ap.add_argument("--psi", help=argparse.SUPPRESS)    # worker: numeric Psi
     ap.add_argument("--tree", help=argparse.SUPPRESS)   # worker: exact exponents
     ap.add_argument("--gate", help=argparse.SUPPRESS)   # worker: build_gate
     args = ap.parse_args(argv)
-    if args.one or args.psi or args.tree or args.gate or args.import_path:
+    if args.one or args.psi or args.tree or args.gate or args.import_path \
+            or args.sampler_one:
         print(json.dumps(measure(args.one) if args.one else
                          measure_psi(args.psi) if args.psi else
                          measure_tree(args.tree) if args.tree else
                          measure_gate(args.gate) if args.gate else
+                         measure_sampler(args.sampler_one) if args.sampler_one else
                          measure_imports(args.import_path)))
         return 0
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -245,6 +302,15 @@ def main(argv=None) -> int:
             print(json.dumps({"path": path, **row}))
         with open(args.output or "BENCH_imports.json", "w") as f:
             json.dump({"bytecode_cache": cache, "imports": rows}, f, indent=2)
+            f.write("\n")
+        return 0
+    if args.sampler:
+        rows = []
+        for name in SAMPLER_INSTANCES:
+            rows.append(worker("--sampler-one", name))
+            print(json.dumps(rows[-1]))
+        with open(args.output or "BENCH_sampler.json", "w") as f:
+            json.dump({"sampler": rows}, f, indent=2)
             f.write("\n")
         return 0
     rows = []

@@ -15,6 +15,22 @@ Each transition reads two uniforms in order from its stream, u = 1 - U on
 lazily in chunks that never cross a multiple of ``1 << 14`` values, and the
 ``embed_clock`` Gamma draw starts at the next such boundary after the last
 uniform read, so samples do not depend on how the stream is chunked.
+
+Wells: with lambda >> 1 the walk spends almost every transition leaving a
+stable state b and coming straight back.  A *well* is a state whose two-step
+return probability r(b) = sum_y P(b -> y | move) P(y -> b | move) is at least
+``_WELL_RETURN``.  Standing at a well, the walk reads a *bounce window*: W
+transition pairs b -> y -> b, four uniforms each, from the current chunk.
+numpy finds every pair's y (``searchsorted``, as ``bisect_left`` does),
+whether y's move uniform falls in the exact ``bisect_left`` bounds of the
+entry back to b, and every hold, from logarithms taken by ``math.log`` as the
+scalar step takes them.  The pairs before the first one that does not come
+back (or reaches a target, or would pass ``step_cap``) are accepted, and the
+scalar loop resumes at that pair; W starts at 64 and doubles while whole
+windows are accepted.  Every uniform is still read in order, two per
+transition, by the same arithmetic, so every sample is the one the scalar
+loop gives.  A well one of whose edges is in ``gate_watch`` opens no window.
+``occupation_counts`` stays scalar.
 """
 from __future__ import annotations
 
@@ -44,6 +60,12 @@ __all__ = [
 
 DEFAULT_STEP_CAP = 10_000_000_000
 _BLOCK = 1 << 14                # uniforms per block of a sampler stream
+# A bounce window costs about 17 us plus 0.3 us per pair, a scalar transition
+# 0.7-1.2 us (2-vCPU Xeon VM), so a window of 64 pairs costs as much as 40-60
+# scalar transitions.  At r(b) >= 1 - 1/64 a window opened at b accepts on
+# average r/(1 - r) >= 63 pairs (126 transitions) before one leaves b.
+_WELL_RETURN = 1.0 - 1.0 / 64
+_FIRST_WINDOW = 64              # pairs in a visit's first window
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -62,14 +84,14 @@ class _Uniforms:
         self.rng = make_rng(seed)
         self.drawn = 0
 
-    def chunk(self) -> list[float]:
+    def chunk(self) -> np.ndarray:
         n = min(max(self.drawn, 512), _BLOCK)
         self.drawn += n
-        return (1.0 - self.rng.random(n)).tolist()
+        return 1.0 - self.rng.random(n)
 
     def __iter__(self):
         while True:
-            yield from self.chunk()
+            yield from self.chunk().tolist()
 
     def block_end(self) -> np.random.Generator:
         """The generator, advanced to the next multiple of ``_BLOCK`` values
@@ -91,6 +113,8 @@ class TransitionKernel:
     the sampler, the first-step system of ``green_by_visits``, :meth:`row`,
     :meth:`self_loop` and :meth:`check_invariants` read them.  A network
     takes its edges from the space's removal pairs and reads none of them.
+    The sampler also reads, built on first use from these arrays, the
+    reverse entry of every entry and the bounce-window tables of the wells.
     """
 
     def __init__(self, space: ConfigurationSpace, params: ModelParams):
@@ -173,6 +197,49 @@ class TransitionKernel:
                                      self.indptr[1:].tolist())]
         return rows, self.indices.tolist(), self.cum.tolist()
 
+    @functools.cached_property
+    def _reverse(self) -> np.ndarray:
+        """``rev[e]``: the entry of row ``indices[e]`` that points back to the
+        row of entry ``e``, or -1 where there is none.  Each entry i -> j is
+        paired with j -> i through the sorted keys i*n + j."""
+        rows, cols, _ = self.offdiag_coo()
+        n = len(self)
+        keys = rows * n + cols
+        order = np.argsort(keys)
+        back = cols * n + rows
+        rev = order[np.minimum(np.searchsorted(keys, back, sorter=order),
+                               len(keys) - 1)]
+        return np.where(keys[rev] == back, rev, -1)
+
+    @functools.cached_property
+    def _wells(self) -> dict[int, tuple[np.ndarray, np.ndarray, list[int]]]:
+        """The bounce-window tables of every well b: ``cum[lo:last]`` of its
+        row; per entry b -> y of the row, the columns (p_move of y, the lower
+        and upper ``bisect_left`` bounds of y's move uniform times p_move that
+        select the entry y -> b, y's log1p(-p_move)); and the targets y."""
+        rows, cols, probs = self.offdiag_coo()
+        indptr, cum, p_move = self.indptr, self.cum, self.p_move
+        rev = self._reverse                     # >= 0: a removal pair makes both
+        q = probs / p_move[rows]                # P(b -> y | move)
+        ret = np.bincount(rows, q * q[rev], minlength=len(self))
+        log_stay = np.array([r[1] for r in self._rows[0]])
+        # bisect_left over [lo_y, last_y) returns rev iff (rev == lo_y or
+        # cum[rev - 1] < x) and (rev == last_y or x <= cum[rev]).  The move
+        # uniform is at most 1, so x <= p_move(y) = cum[last_y]: the upper
+        # test holds at rev == last_y as it stands.
+        lower = np.where(rev == indptr[cols], -np.inf, cum[rev - 1])
+        table = np.column_stack([p_move[cols], lower, cum[rev], log_stay[cols]])
+        # |log u| <= 53 ln 2 < 37, so where log_stay < -37 / 2^48 no hold
+        # passes 2^48 steps, and a window's int64 sums of at most 4,096 pairs
+        # stay exact.  Only a well whose holds and whose neighbours' all fit
+        # opens windows (p_move > 1.3e-13; the scalar loop takes the rest).
+        fits = log_stay < -37.0 / 2.0 ** 48
+        wells = np.flatnonzero((ret >= _WELL_RETURN) & fits
+                               & (np.bincount(rows, ~fits[cols], minlength=len(self)) == 0))
+        return {b: (cum[lo:hi - 1], table[lo:hi], cols[lo:hi].tolist())
+                for b, lo, hi in zip(wells.tolist(), indptr[wells].tolist(),
+                                     indptr[wells + 1].tolist())}
+
     def __len__(self) -> int:
         return len(self.space)
 
@@ -215,14 +282,9 @@ class TransitionKernel:
             stay += np.where(occupied, lam, np.where(blocked, 1.0 + lam, 1.0))
         row_dev = float(np.max(np.abs(self.p_move + stay / params.gamma - 1.0)))
         pi = self.space.stationary(self.params)
-        n = len(self)
         rows, cols, probs = self.offdiag_coo()
-        # Pair each entry i -> j with j -> i through the sorted keys i*n + j.
-        keys = rows * n + cols
-        order = np.argsort(keys)
-        at = np.minimum(np.searchsorted(keys, cols * n + rows, sorter=order),
-                        len(keys) - 1)
-        back = np.where(keys[order[at]] == cols * n + rows, probs[order[at]], 0.0)
+        rev = self._reverse
+        back = np.where(rev >= 0, probs[rev], 0.0)
         up = rows < cols
         f, b = pi[rows[up]] * probs[up], pi[cols[up]] * back[up]
         big = np.maximum(f, b)
@@ -249,6 +311,57 @@ class HittingSample:
                 "gate_events": [[a, b] for a, b in self.gate_events]}
 
 
+class _Windows(dict):
+    """One walk's bounce-window tables by well, made on the first visit: None
+    for a well with a watched edge b -> y or y -> b, and entries into a target
+    made never to return."""
+
+    def __init__(self, wells: dict, targets: set[int], watch):
+        super().__init__()
+        self.wells = wells
+        self.targets = targets
+        self.watched = {s for pair in watch for s in pair} if watch else set()
+
+    def __missing__(self, b: int):
+        cum_row, table, ys = self.wells[b]
+        win = None
+        if b not in self.watched:
+            stop = [y in self.targets for y in ys]
+            if any(stop):
+                table = table.copy()
+                table[stop, 1] = np.inf
+            win = (cum_row, table)
+        self[b] = win
+        return win
+
+
+def _bounce(win, buf: list[float], arr: np.ndarray, pos: int, pairs: int,
+            pm: float, log_stay: float, room: int) -> tuple[int, int]:
+    """The window of ``pairs`` transition pairs b -> y -> b at well b whose
+    uniforms start at ``buf[pos]`` (``arr`` holds the same values): (pairs
+    accepted, steps they take).  Accepted are the pairs before the first one
+    whose y does not move back to b, and of those only as many as keep their
+    running step count <= ``room``.  Each value is computed as the scalar step
+    of :func:`simulate_hit` computes it."""
+    cum_row, table = win
+    u = arr[pos:pos + 4 * pairs]
+    k = np.searchsorted(cum_row, u[1::4] * pm)     # bisect_left over [lo, last)
+    y = table.take(k, 0)
+    x = u[3::4] * y[:, 0]
+    back = (y[:, 1] < x) & (x <= y[:, 2])
+    n = int(back.argmin())
+    if back[n]:
+        n = pairs
+    elif n == 0:
+        return 0, 0
+    logs = np.fromiter(map(math.log, buf[pos:pos + 4 * n:2]), np.float64, 2 * n)
+    # astype truncates toward zero, as int() does
+    held = ((logs[0::2] / log_stay).astype(np.int64)
+            + (logs[1::2] / y[:n, 3]).astype(np.int64) + 2).cumsum()
+    n = min(n, int(np.searchsorted(held, room, "right")))
+    return n, int(held[n - 1]) if n else 0
+
+
 def simulate_hit(kernel: TransitionKernel, start: int, targets,
                  seed: int, step_cap: int = DEFAULT_STEP_CAP,
                  gate_watch=None, embed_clock: bool = False) -> HittingSample:
@@ -272,13 +385,30 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
         return HittingSample(0, 0.0, state, events)
 
     rows, indices, cum = kernel._rows
+    wells = kernel._wells
+    windows = _Windows(wells, target_set, watch)
     buf, pos = [], 0
+    pairs = _FIRST_WINDOW               # of the next window at a well
     while True:
         pm, log_stay, lo, last = rows[state]
         if pm <= 0.0:
             raise RuntimeError(f"absorbing state {state} outside targets")
         if pos == len(buf):             # chunks are even: both uniforms fit
-            buf, pos = uni.chunk(), 0
+            arr = uni.chunk()
+            buf, pos = arr.tolist(), 0
+        if state in wells and windows[state] is not None:
+            while len(buf) - pos >= 4:
+                want = min(pairs, (len(buf) - pos) >> 2)
+                n, held = _bounce(windows[state], buf, arr, pos, want, pm, log_stay,
+                                  step_cap - steps)
+                pos += 4 * n
+                steps += held
+                if n < want:            # the scalar step takes pair n
+                    pairs = _FIRST_WINDOW
+                    break
+                pairs *= 2
+            if pos == len(buf):
+                continue
         # int(-0.0) == 0 where log_stay is -inf
         steps += int(math.log(buf[pos]) / log_stay) + 1
         if steps > step_cap:
@@ -338,7 +468,9 @@ def sample_crossover(kernel: TransitionKernel, start: int, targets,
     pool = contextlib.nullcontext()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
-        kernel.indptr           # built once here; the workers get it pickled
+        # every table the walk reads, built once here; the workers get them
+        # with the kernel
+        kernel._rows, kernel._wells
         pool = ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
                                    initargs=(run,))
     with pool as ex:
@@ -383,7 +515,7 @@ def occupation_counts(kernel: TransitionKernel, start: int, n_steps: int,
     while remaining > 0:
         pm, log_stay, lo, last = rows[state]
         if pos == len(buf):
-            buf, pos = uni.chunk(), 0
+            buf, pos = uni.chunk().tolist(), 0
         stay = min(int(math.log(buf[pos]) / log_stay) + 1, remaining)
         counts[state] += stay
         remaining -= stay

@@ -1,6 +1,7 @@
 """The sampler's draws against the reference loops kept here, which read
 their uniforms one at a time from whole blocks of 1 << 14: every sample,
-occupation count and coupled trajectory must be equal, field for field."""
+occupation count and coupled trajectory must be equal, field for field.  The
+bounce window is checked against the scalar step on crafted uniforms."""
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 from hcmeta.configspace import ModelParams, enumerate_space, leq
-from hcmeta.dynamics import (HittingSample, build_kernel, coupled_simulate,
-                             occupation_counts, sample_crossover, simulate_hit)
+from hcmeta.dynamics import (HittingSample, TransitionKernel, _bounce, _Windows,
+                             build_kernel, coupled_simulate, occupation_counts,
+                             sample_crossover, simulate_hit)
 from hcmeta.graph import build_family
 from hcmeta.metastability import build_gate
 
@@ -137,20 +139,25 @@ def setup(spec, lam, alpha=Fraction(1, 2)):
     return g, space, build_kernel(space, params)
 
 
-# (graph, lambda, samples, embed_clock, gate_watch, step_cap)
+HALF = Fraction(1, 2)
+# (graph, lambda, alpha, samples, embed_clock, gate_watch, step_cap)
 CASES = {
-    "cycle6-clock": ("cycle:6", 1e3, 30, True, False, 10**10),
-    "ladder4": ("ladder:4", 10.0, 40, False, False, 10**10),
-    "path6-gate": ("path:6", 1e3, 40, True, True, 10**10),
-    "step-cap": ("cycle:6", 1e3, 20, True, False, 5_000_000),
+    "cycle6-clock": ("cycle:6", 1e3, HALF, 30, True, False, 10**10),
+    "ladder4": ("ladder:4", 10.0, HALF, 40, False, False, 10**10),
+    "path6-gate": ("path:6", 1e3, HALF, 40, True, True, 10**10),
+    "step-cap": ("cycle:6", 1e3, HALF, 20, True, False, 5_000_000),
+    # the cap falls inside a run of returns to u that a bounce window reads
+    "step-cap-in-window": ("cycle:6", 1e4, HALF, 20, True, False, 3 * 10**9),
+    # verify's criterion 6: no watched edge touches u, whose windows stay open
+    "cycle6-gate-7/10": ("cycle:6", 1e3, Fraction(7, 10), 30, False, True, 10**10),
 }
 
 
 @pytest.mark.parametrize("case", CASES, ids=list(CASES))
 def test_samples_match_whole_block_reference(case):
-    spec, lam, n, embed, gated, cap = CASES[case]
-    g, space, kernel = setup(spec, lam)
-    watch = build_gate(g, Fraction(1, 2)).transition_indices(space) if gated else None
+    spec, lam, alpha, n, embed, gated, cap = CASES[case]
+    g, space, kernel = setup(spec, lam, alpha)
+    watch = build_gate(g, alpha).transition_indices(space) if gated else None
     got = [simulate_hit(kernel, space.u_state, [space.v_state], seed=100 + i,
                         step_cap=cap, gate_watch=watch, embed_clock=embed)
            for i in range(n)]
@@ -178,12 +185,128 @@ def test_runs_past_a_block_keep_the_clock_draw():
 
 
 def test_threaded_batch_matches_reference():
-    _, space, kernel = setup("ladder:4", 10.0)
-    got, _ = sample_crossover(kernel, space.u_state, [space.v_state], 40,
-                              base_seed=300, embed_clock=True, threads=2)
-    assert got == [ref_simulate_hit(kernel, space.u_state, [space.v_state],
-                                    300 + i, embed_clock=True)[0]
-                   for i in range(40)]
+    for spec, lam in (("ladder:4", 10.0), ("cycle:6", 1e3)):
+        _, space, kernel = setup(spec, lam)
+        got, _ = sample_crossover(kernel, space.u_state, [space.v_state], 40,
+                                  base_seed=300, embed_clock=True, threads=2)
+        # the walk's tables were built in this process, not once per worker
+        assert {"_csr", "_sums", "_rows", "_reverse", "_wells"} <= vars(kernel).keys()
+        assert got == [ref_simulate_hit(kernel, space.u_state, [space.v_state],
+                                        300 + i, embed_clock=True)[0]
+                       for i in range(40)]
+
+
+E = 2.0 ** -7
+
+
+def crafted_kernel(move_2=0.5):
+    """Three states.  The well 0 moves to 1 or 2 with probability 1/2 each
+    and never holds (log1p(-p_move) = -inf).  1 -> 0, 2 has its entry back to
+    0 first, and 2 -> 1, 0 has it last; 2 moves with probability ``move_2``.
+    Every running sum is dyadic, so a uniform can land exactly on one."""
+    kernel = TransitionKernel(range(3), ModelParams(1.0, 1.0, 1.0))
+    kernel.__dict__["_csr"] = (
+        np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 1, 0]),
+        np.array([0.5, 0.5, 1 - E, E, E * move_2, (1 - E) * move_2]))
+    return kernel
+
+
+def scalar_pairs(kernel, b, buf, pairs, targets, room):
+    """(pairs b -> y -> b, their steps) that the scalar step of
+    ``simulate_hit`` takes from ``buf`` before a pair leaves b, reaches a
+    target or passes ``room`` steps."""
+    rows, indices, cum = kernel._rows
+    steps = 0
+    for j in range(pairs):
+        state, taken = b, steps
+        for hold, move in ((buf[4 * j], buf[4 * j + 1]), (buf[4 * j + 2], buf[4 * j + 3])):
+            pm, log_stay, lo, last = rows[state]
+            taken += int(math.log(hold) / log_stay) + 1
+            state = indices[bisect_left(cum, move * pm, lo, last)]
+            if taken > room or state in targets:
+                return j, steps
+        if state != b:
+            return j, steps
+        steps = taken
+    return pairs, steps
+
+
+# four uniforms per pair: hold and move at the well, hold and move at y
+BACK_1 = [0.3, 0.5, 0.7, 1 - E]         # to 1 on the boundary cum = 1/2, back
+                                        # on the boundary of 1's first entry
+BACK_2 = [0.9, 0.75, 0.25, float(np.nextafter(E, 1))]   # to 2, back by its last
+OUT_1 = [0.3, 0.2, 0.6, float(np.nextafter(1 - E, 1))]  # 1 -> 2
+OUT_2 = [0.4, 0.6, 0.5, E]              # 2 -> 1 on the boundary cum = E/2
+
+
+@pytest.mark.parametrize("buf, targets, room, accepted", [
+    (BACK_1 * 3 + BACK_2 * 2 + OUT_1 + BACK_1, (), 10**6, 5),
+    (BACK_2 + OUT_2 + BACK_2, (), 10**6, 1),
+    ((BACK_1 + BACK_2) * 4, (), 10**6, 8),
+    (BACK_1 * 2 + BACK_2 + BACK_1, (2,), 10**6, 2),      # y in targets
+    ((BACK_2 + BACK_1) * 4, (), 12, 4),                  # 4 + 2 + 4 + 2 steps
+    ([0.5, 0.5] + BACK_2 * 3, (), 10**6, 3),             # starts at pos 2
+])
+def test_bounce_window_matches_scalar_step(buf, targets, room, accepted):
+    kernel = crafted_kernel()
+    assert list(kernel._wells) == [0]
+    pos = len(buf) % 4
+    pairs = (len(buf) - pos) // 4
+    pm, log_stay, _, _ = kernel._rows[0][0]
+    assert log_stay == -math.inf
+    got = _bounce(_Windows(kernel._wells, set(targets), None)[0], buf, np.array(buf),
+                  pos, pairs, pm, log_stay, room)
+    assert got == scalar_pairs(kernel, 0, buf[pos:], pairs, targets, room)
+    assert got[0] == accepted
+
+
+def test_window_holds_take_math_log():
+    """np.log differs from math.log on a few uniforms in a thousand.  For such
+    a uniform, some log1p(-p_move) puts one quotient on an integer and the
+    other just below it; the window must count the hold that math.log gives,
+    as the scalar step does."""
+    win = _Windows(crafted_kernel()._wells, set(), None)[0]
+    found = []
+    for h in (1.0 - np.random.default_rng(0).random(4000)).tolist():
+        exact, other = math.log(h), float(np.log(np.array([h]))[0])
+        found += [(h, ls) for k in range(1, 40) for ls in (exact / k, other / k)
+                  if int(exact / ls) != int(other / ls)]
+    if not found:
+        pytest.skip("np.log agrees with math.log on these uniforms")
+    for h, log_stay in found[:20]:
+        buf = [h] + BACK_1[1:]
+        assert _bounce(win, buf, np.array(buf), 0, 1, 1.0, log_stay, 10**6) == \
+            (1, int(math.log(h) / log_stay) + 2)
+
+
+def test_crafted_walks_match_reference():
+    kernel = crafted_kernel()
+    for seed in range(30):
+        assert simulate_hit(kernel, 0, [2], seed) == \
+            ref_simulate_hit(kernel, 0, [2], seed)[0]
+        assert simulate_hit(kernel, 1, [2], seed, step_cap=40) == \
+            ref_simulate_hit(kernel, 1, [2], seed, step_cap=40)[0]
+
+
+def test_wells_where_the_walk_bounces():
+    g, space, kernel = setup("cycle:6", 1e3, Fraction(7, 10))
+    assert list(kernel._wells) == [space.u_state, space.v_state]
+    u = space.u_state
+    # criterion 6's gate watch touches no edge of u; watching one closes u
+    watch = set(build_gate(g, Fraction(7, 10)).transition_indices(space))
+    assert _Windows(kernel._wells, {space.v_state}, watch)[u] is not None
+    y = kernel.row(u)[0][0]
+    assert _Windows(kernel._wells, {space.v_state}, {(y, u)})[u] is None
+    _, space, kernel = setup("cycle:6", 1e3)
+    assert space.u_state in kernel._wells
+    assert setup("ladder:4", 10.0)[2]._wells == {}
+    # p_move(2) = 2e-14: holds at 2 reach 1.8e15 > 2^48 steps
+    assert crafted_kernel(2e-14)._wells == {}
+    # p_move(u) = 1e-30: a hold would overflow a window's int64 step sums
+    _, space, kernel = setup("cycle:6", 1e20)
+    assert kernel._wells == {}
+    assert simulate_hit(kernel, space.u_state, [space.v_state], 1, step_cap=10**34) \
+        == ref_simulate_hit(kernel, space.u_state, [space.v_state], 1, 10**34)[0]
 
 
 def test_occupation_counts_match_reference():
