@@ -10,11 +10,13 @@ Gamma(steps, 1/gamma) draw, the sum of `steps` iid Exp(gamma) holding times.
 
 RNG: numpy's Philox counter-based 64-bit generator; stream i of a batch uses
 key ``base_seed + i``, so results are reproducible regardless of parallelism.
-Each transition reads two uniforms in order from its stream, u = 1 - U on
-(0, 1]: one for the geometric hold, one for the move.  The stream is drawn
-lazily in chunks that never cross a multiple of ``1 << 14`` values, and the
-``embed_clock`` Gamma draw starts at the next such boundary after the last
-uniform read, so samples do not depend on how the stream is chunked.
+A batch keeps one bit generator per process and re-keys it for each sample,
+which draws what a new ``Philox(key=...)`` draws.  Each transition reads two
+uniforms in order from its stream, u = 1 - U on (0, 1]: one for the
+geometric hold, one for the move.  The stream is drawn lazily in chunks that
+never cross a multiple of ``1 << 14`` values, and the ``embed_clock`` Gamma
+draw starts at the next such boundary after the last uniform read, so
+samples do not depend on how the stream is chunked.
 
 Wells: with lambda >> 1 the walk spends almost every transition leaving a
 stable state b and coming straight back.  A *well* is a state whose two-step
@@ -23,14 +25,16 @@ return probability r(b) = sum_y P(b -> y | move) P(y -> b | move) is at least
 transition pairs b -> y -> b, four uniforms each, from the current chunk.
 numpy finds every pair's y (``searchsorted``, as ``bisect_left`` does),
 whether y's move uniform falls in the exact ``bisect_left`` bounds of the
-entry back to b, and every hold, from logarithms taken by ``math.log`` as the
-scalar step takes them.  The pairs before the first one that does not come
-back (or reaches a target, or would pass ``step_cap``) are accepted, and the
-scalar loop resumes at that pair; W starts at 64 and doubles while whole
-windows are accepted.  Every uniform is still read in order, two per
-transition, by the same arithmetic, so every sample is the one the scalar
-loop gives.  A well one of whose edges is in ``gate_watch`` opens no window.
-``occupation_counts`` stays scalar.
+entry back to b, and every hold, truncating ``np.log`` quotients; a quotient
+within a relative 2^-40 of an integer is taken again with ``math.log``, so
+every hold is the one the scalar step computes.  The pairs before the first
+one that does not come back (or reaches a target, or would pass
+``step_cap``) are accepted, and the scalar loop resumes at that pair; W
+starts at 64 and doubles while whole windows are accepted.  Every uniform is
+still read in order, two per transition, so every sample is the one the
+scalar loop gives.  The scalar steps read Python floats, converted from the
+chunk only where they read.  A well one of whose edges is in ``gate_watch``
+opens no window.  ``occupation_counts`` stays scalar.
 """
 from __future__ import annotations
 
@@ -55,34 +59,51 @@ __all__ = [
     "coupled_simulate",
     "continuous_mean",
     "occupation_counts",
-    "make_rng",
 ]
 
 DEFAULT_STEP_CAP = 10_000_000_000
 _BLOCK = 1 << 14                # uniforms per block of a sampler stream
-# A bounce window costs about 17 us plus 0.3 us per pair, a scalar transition
-# 0.7-1.2 us (2-vCPU Xeon VM), so a window of 64 pairs costs as much as 40-60
+_KEY = (1 << 128) - 1           # Philox keys are 128-bit
+_M64 = (1 << 64) - 1
+# A bounce window costs about 14 us plus 0.03 us per pair, a scalar transition
+# 0.5-1 us (2-vCPU Xeon VM), so a window of 64 pairs costs as much as 16-32
 # scalar transitions.  At r(b) >= 1 - 1/64 a window opened at b accepts on
-# average r/(1 - r) >= 63 pairs (126 transitions) before one leaves b.
+# average r/(1 - r) >= 63 pairs (126 transitions) before one leaves b.  The
+# break-even lies near r = 0.9, but every threshold from 1 - 1/8 to 1 - 1/128
+# opens the same windows on the benchmark's and verify's instances.
 _WELL_RETURN = 1.0 - 1.0 / 64
 _FIRST_WINDOW = 64              # pairs in a visit's first window
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
+_SEGMENT = 32                   # values converted to floats after a window
+# A hold's quotient from np.log truncates as math.log's does unless an integer
+# lies within this relative distance of it (see _holds)
+_BAND = 2.0 ** -40
 
 
 class _Uniforms:
-    """(0,1] uniforms ``1 - U`` from the Philox stream of ``seed``.
+    """(0,1] uniforms ``1 - U`` from the Philox stream of a seed.
 
+    One bit generator serves every stream: :meth:`rekey` sets it to the state
+    ``Philox(key=seed mod 2^128)`` starts in (counter 0, empty buffer), which
+    costs a fifth of a new ``Philox``; the draws are the same.
     ``chunk()`` draws max(512, values drawn so far), at most ``_BLOCK``:
     512, 512, 1024, ..., 8192, then whole blocks.  Every chunk is even, none
     crosses a multiple of ``_BLOCK``, and at most max(512, 2 * read) are drawn.
     """
 
-    def __init__(self, seed: int):
-        self.rng = make_rng(seed)
+    def __init__(self):
+        self.rng = np.random.Generator(np.random.Philox(0))     # keyed by rekey()
         self.drawn = 0
+
+    def rekey(self, seed: int) -> "_Uniforms":
+        key = seed & _KEY
+        self.rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64),
+                      "key": np.array([key & _M64, key >> 64], np.uint64)},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        self.drawn = 0
+        return self
 
     def chunk(self) -> np.ndarray:
         n = min(max(self.drawn, 512), _BLOCK)
@@ -216,7 +237,8 @@ class TransitionKernel:
         """The bounce-window tables of every well b: ``cum[lo:last]`` of its
         row; per entry b -> y of the row, the columns (p_move of y, the lower
         and upper ``bisect_left`` bounds of y's move uniform times p_move that
-        select the entry y -> b, y's log1p(-p_move)); and the targets y."""
+        select the entry y -> b, b's and y's log1p(-p_move)); and the targets
+        y."""
         rows, cols, probs = self.offdiag_coo()
         indptr, cum, p_move = self.indptr, self.cum, self.p_move
         rev = self._reverse                     # >= 0: a removal pair makes both
@@ -228,7 +250,8 @@ class TransitionKernel:
         # uniform is at most 1, so x <= p_move(y) = cum[last_y]: the upper
         # test holds at rev == last_y as it stands.
         lower = np.where(rev == indptr[cols], -np.inf, cum[rev - 1])
-        table = np.column_stack([p_move[cols], lower, cum[rev], log_stay[cols]])
+        table = np.column_stack([p_move[cols], lower, cum[rev], log_stay[rows],
+                                 log_stay[cols]])
         # |log u| <= 53 ln 2 < 37, so where log_stay < -37 / 2^48 no hold
         # passes 2^48 steps, and a window's int64 sums of at most 4,096 pairs
         # stay exact.  Only a well whose holds and whose neighbours' all fit
@@ -312,7 +335,7 @@ class HittingSample:
 
 
 class _Windows(dict):
-    """One walk's bounce-window tables by well, made on the first visit: None
+    """One batch's bounce-window tables by well, made on the first visit: None
     for a well with a watched edge b -> y or y -> b, and entries into a target
     made never to return."""
 
@@ -335,17 +358,38 @@ class _Windows(dict):
         return win
 
 
-def _bounce(win, buf: list[float], arr: np.ndarray, pos: int, pairs: int,
+def _holds(u: np.ndarray, log_stay) -> np.ndarray:
+    """``int(math.log(u) / log_stay)`` for every entry of ``u``; ``log_stay``
+    is a scalar or an array of ``u``'s shape, and every quotient is below 2^63.
+
+    The quotients come from ``np.log``, which is within 1 ulp of ``math.log``
+    on the stream's uniforms (a test holds it to 4).  Such a quotient q lies
+    within a few ulp of math.log's, so the two truncate alike unless an
+    integer lies within q (1 +- 2^-40), a band about 2,000 ulp wide on either
+    side; only the entries where it may lie take ``math.log``."""
+    q = np.log(u) / log_stay
+    # q >= 0, and fl(q (1 - 2^-40)) <= q <= fl(q (1 + 2^-40)): where the two
+    # ends truncate alike, so does q, and so does math.log's quotient
+    held = (q * (1.0 - _BAND)).astype(np.int64)     # toward zero, as int() does
+    near = held != (q * (1.0 + _BAND)).astype(np.int64)
+    if np.count_nonzero(near):
+        ls = np.broadcast_to(log_stay, q.shape)
+        for i in np.flatnonzero(near).tolist():
+            held.flat[i] = int(math.log(u.flat[i]) / ls.flat[i])
+    return held
+
+
+def _bounce(win, arr: np.ndarray, pos: int, pairs: int,
             pm: float, log_stay: float, room: int) -> tuple[int, int]:
     """The window of ``pairs`` transition pairs b -> y -> b at well b whose
-    uniforms start at ``buf[pos]`` (``arr`` holds the same values): (pairs
-    accepted, steps they take).  Accepted are the pairs before the first one
-    whose y does not move back to b, and of those only as many as keep their
-    running step count <= ``room``.  Each value is computed as the scalar step
-    of :func:`simulate_hit` computes it."""
+    uniforms start at ``arr[pos]``: (pairs accepted, steps they take).
+    Accepted are the pairs before the first one whose y does not move back to
+    b, and of those only as many as keep their running step count <=
+    ``room``.  Each value is the one the scalar step of :func:`simulate_hit`
+    computes."""
     cum_row, table = win
     u = arr[pos:pos + 4 * pairs]
-    k = np.searchsorted(cum_row, u[1::4] * pm)     # bisect_left over [lo, last)
+    k = cum_row.searchsorted(u[1::4] * pm)        # bisect_left over [lo, last)
     y = table.take(k, 0)
     x = u[3::4] * y[:, 0]
     back = (y[:, 1] < x) & (x <= y[:, 2])
@@ -354,11 +398,10 @@ def _bounce(win, buf: list[float], arr: np.ndarray, pos: int, pairs: int,
         n = pairs
     elif n == 0:
         return 0, 0
-    logs = np.fromiter(map(math.log, buf[pos:pos + 4 * n:2]), np.float64, 2 * n)
-    # astype truncates toward zero, as int() does
-    held = ((logs[0::2] / log_stay).astype(np.int64)
-            + (logs[1::2] / y[:n, 3]).astype(np.int64) + 2).cumsum()
-    n = min(n, int(np.searchsorted(held, room, "right")))
+    y[:n, 3] = log_stay                 # columns 3, 4: each pair's holds at b, at y
+    h = _holds(u[:4 * n].reshape(n, 4)[:, ::2], y[:n, 3:])
+    held = (h[:, 0] + h[:, 1] + 2).cumsum()
+    n = min(n, int(held.searchsorted(room, "right")))
     return n, int(held[n - 1]) if n else 0
 
 
@@ -371,35 +414,50 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
     iterable of (from, to) index pairs; every watched transition crossed
     before hitting is recorded in order.
     """
+    return _walker(kernel, start, targets, step_cap, gate_watch, embed_clock)(seed)
+
+
+def _walker(kernel: TransitionKernel, start: int, targets, step_cap: int,
+            gate_watch, embed_clock: bool):
+    """:func:`simulate_hit` as a function of the seed alone: the target and
+    watch sets, the window tables and one stream, re-keyed per sample, are
+    made once for all the samples it draws."""
     target_set = set(int(t) for t in targets)
     if not target_set:
         raise ValueError("targets must be non-empty")
-    uni = _Uniforms(seed)
-    gamma = kernel.params.gamma
     watch = set((int(a), int(b)) for a, b in gate_watch) if gate_watch else None
+    return functools.partial(_walk, kernel, int(start), target_set, step_cap, watch,
+                             embed_clock, _Windows(kernel._wells, target_set, watch),
+                             _Uniforms())
 
-    state = int(start)
+
+def _walk(kernel: TransitionKernel, state: int, target_set: set[int], step_cap: int,
+          watch, embed_clock: bool, windows: _Windows, uni: _Uniforms,
+          seed: int) -> HittingSample:
+    gamma = kernel.params.gamma
     steps = 0
     events: list[tuple[int, int]] = []
     if state in target_set:
         return HittingSample(0, 0.0, state, events)
-
+    uni.rekey(seed)
     rows, indices, cum = kernel._rows
-    wells = kernel._wells
-    windows = _Windows(wells, target_set, watch)
-    buf, pos = [], 0
+    wells = windows.wells
+    arr = buf = None
+    size = pos = end = 0                # buf[pos:end] holds arr[pos:end] as floats
     pairs = _FIRST_WINDOW               # of the next window at a well
+    seg = _SEGMENT                      # values the next conversion takes
     while True:
         pm, log_stay, lo, last = rows[state]
         if pm <= 0.0:
             raise RuntimeError(f"absorbing state {state} outside targets")
-        if pos == len(buf):             # chunks are even: both uniforms fit
+        if pos == size:                 # chunks are even: both uniforms fit
             arr = uni.chunk()
-            buf, pos = arr.tolist(), 0
+            size, pos, end = len(arr), 0, 0
+            buf = [0.0] * size
         if state in wells and windows[state] is not None:
-            while len(buf) - pos >= 4:
-                want = min(pairs, (len(buf) - pos) >> 2)
-                n, held = _bounce(windows[state], buf, arr, pos, want, pm, log_stay,
+            while size - pos >= 4:
+                want = min(pairs, (size - pos) >> 2)
+                n, held = _bounce(windows[state], arr, pos, want, pm, log_stay,
                                   step_cap - steps)
                 pos += 4 * n
                 steps += held
@@ -407,8 +465,13 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
                     pairs = _FIRST_WINDOW
                     break
                 pairs *= 2
-            if pos == len(buf):
+            seg = _SEGMENT
+            if pos == size:
                 continue
+        if pos >= end:                  # floats for the scalar steps only
+            end = min(pos + seg, size)
+            buf[pos:end] = arr[pos:end].tolist()
+            seg *= 2
         # int(-0.0) == 0 where log_stay is -inf
         steps += int(math.log(buf[pos]) / log_stay) + 1
         if steps > step_cap:
@@ -462,15 +525,14 @@ def sample_crossover(kernel: TransitionKernel, start: int, targets,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    run = functools.partial(simulate_hit, kernel, start, targets, step_cap=step_cap,
-                            gate_watch=gate_watch, embed_clock=embed_clock)
+    # builds every table the walk reads (the well tables read the rest), so
+    # that a pool's workers get them with the kernel; each worker unpickles
+    # its own stream
+    run = _walker(kernel, start, targets, step_cap, gate_watch, embed_clock)
     seeds = range(base_seed, base_seed + n_samples)
     pool = contextlib.nullcontext()
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
-        # every table the walk reads, built once here; the workers get them
-        # with the kernel
-        kernel._rows, kernel._wells
         pool = ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
                                    initargs=(run,))
     with pool as ex:
@@ -506,8 +568,8 @@ def continuous_mean(mean_steps: float, params: ModelParams) -> float:
 def occupation_counts(kernel: TransitionKernel, start: int, n_steps: int,
                       seed: int) -> np.ndarray:
     """Discrete-time occupation counts over a trajectory of n_steps steps."""
-    uni = _Uniforms(seed)
-    counts = np.zeros(len(kernel), dtype=np.int64)
+    uni = _Uniforms().rekey(seed)
+    counts = [0] * len(kernel)
     state = int(start)
     remaining = n_steps
     rows, indices, cum = kernel._rows
@@ -523,7 +585,7 @@ def occupation_counts(kernel: TransitionKernel, start: int, n_steps: int,
             break
         state = indices[bisect_left(cum, buf[pos + 1] * pm, lo, last)]
         pos += 2
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------------
@@ -566,7 +628,7 @@ def coupled_simulate(space: ConfigurationSpace, params_low: ModelParams,
     thin_u = lam2 / lam1
     thin_v = lb1 / lb2
 
-    draw = functools.partial(next, iter(_Uniforms(seed)))
+    draw = functools.partial(next, iter(_Uniforms().rekey(seed)))
     a, b = int(x_low), int(x_high)
     traj_a, traj_b = [a], [b]
     violations: list[int] = []

@@ -1,7 +1,9 @@
 """The sampler's draws against the reference loops kept here, which read
-their uniforms one at a time from whole blocks of 1 << 14: every sample,
-occupation count and coupled trajectory must be equal, field for field.  The
-bounce window is checked against the scalar step on crafted uniforms."""
+their uniforms one at a time from whole blocks of 1 << 14, each from a new
+Philox: every sample, occupation count and coupled trajectory must be equal,
+field for field.  The bounce window is checked against the scalar step on
+crafted uniforms, and its holds against ``int(math.log(u) / log_stay)`` on
+quotients crafted at integers."""
 import math
 from bisect import bisect_left
 from fractions import Fraction
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 
 from hcmeta.configspace import ModelParams, enumerate_space, leq
-from hcmeta.dynamics import (HittingSample, TransitionKernel, _bounce, _Windows,
+from hcmeta.dynamics import (DEFAULT_STEP_CAP, HittingSample, TransitionKernel,
+                             _bounce, _holds, _Uniforms, _walker, _Windows,
                              build_kernel, coupled_simulate, occupation_counts,
                              sample_crossover, simulate_hit)
 from hcmeta.graph import build_family
@@ -254,8 +257,8 @@ def test_bounce_window_matches_scalar_step(buf, targets, room, accepted):
     pairs = (len(buf) - pos) // 4
     pm, log_stay, _, _ = kernel._rows[0][0]
     assert log_stay == -math.inf
-    got = _bounce(_Windows(kernel._wells, set(targets), None)[0], buf, np.array(buf),
-                  pos, pairs, pm, log_stay, room)
+    got = _bounce(_Windows(kernel._wells, set(targets), None)[0], np.array(buf), pos,
+                  pairs, pm, log_stay, room)
     assert got == scalar_pairs(kernel, 0, buf[pos:], pairs, targets, room)
     assert got[0] == accepted
 
@@ -275,8 +278,126 @@ def test_window_holds_take_math_log():
         pytest.skip("np.log agrees with math.log on these uniforms")
     for h, log_stay in found[:20]:
         buf = [h] + BACK_1[1:]
-        assert _bounce(win, buf, np.array(buf), 0, 1, 1.0, log_stay, 10**6) == \
+        assert _bounce(win, np.array(buf), 0, 1, 1.0, log_stay, 10**6) == \
             (1, int(math.log(h) / log_stay) + 2)
+
+
+def nudge(f, x, target, up, down):
+    """An x near ``x`` with f(x) == target, stepping x by one ulp toward
+    ``up`` (where f rises) or ``down``; None if none is met."""
+    for _ in range(400):
+        got = f(x)
+        if got == target:
+            return x
+        x = float(np.nextafter(x, up if got < target else down))
+    return None
+
+
+def integer_targets():
+    """Every integer 1..40 and its neighbours one ulp below and above."""
+    return [t for k in range(1, 41)
+            for t in (float(np.nextafter(k, 0)), float(k), float(np.nextafter(k, 99)))]
+
+
+def stream_uniforms(n, seed=7):
+    return 1.0 - np.random.Generator(np.random.Philox(key=seed)).random(n)
+
+
+def test_hold_truncation_with_a_column_at_integers():
+    """Uniforms on which np.log and math.log differ, each with a log_stay
+    that puts math.log's quotient on an integer or one ulp off it: there the
+    two truncate differently unless the entry takes math.log."""
+    u = stream_uniforms(20000)
+    differ = u[np.log(u) != np.array([math.log(h) for h in u.tolist()])].tolist()
+    assert len(differ) >= 20
+    hs, cols = [], []
+    for i, t in enumerate(integer_targets()):
+        for h in differ[i:] + differ[:i]:   # not every quotient is met exactly
+            ls = nudge(lambda x, h=h: math.log(h) / x, math.log(h) / t, t,
+                       0.0, -math.inf)
+            if ls is not None:
+                hs.append(h)
+                cols.append(ls)
+                break
+    assert len(hs) == 120
+    got = _holds(np.array(hs), np.array(cols))
+    assert got.tolist() == [int(math.log(h) / ls) for h, ls in zip(hs, cols)]
+    # and in the (pairs, 2) layout of a window
+    assert _holds(np.array(hs[:100]).reshape(50, 2), np.array(cols[:100]).reshape(50, 2)) \
+        .ravel().tolist() == got[:100].tolist()
+
+
+def test_hold_truncation_with_a_scalar_at_integers():
+    met = set()
+    for log_stay in (-1.3, -0.9, -0.77, -2.1, -1.7):
+        hs = []
+        for t in integer_targets():
+            h = nudge(lambda x: math.log(x) / log_stay, math.exp(t * log_stay), t,
+                      0.0, 1.0)
+            if h is not None:
+                hs.append(h)
+                met.add(t)
+        assert _holds(np.array(hs), log_stay).tolist() == \
+            [int(math.log(h) / log_stay) for h in hs]
+    assert len(met) == 120
+
+
+def test_hold_truncation_at_the_extremes():
+    ends = np.array([1.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
+    for log_stay in (-math.inf, -1e-3, math.log1p(-0.5), -37.0 / 2.0 ** 48):
+        assert _holds(ends, log_stay).tolist() == \
+            [int(math.log(h) / log_stay) for h in ends.tolist()]
+    column = np.array([-math.inf, -1e-3, -math.inf, -2.0])
+    assert _holds(ends, column).tolist() == \
+        [int(math.log(h) / ls) for h, ls in zip(ends.tolist(), column.tolist())]
+    assert _holds(ends, -math.inf).tolist() == [0, 0, 0, 0]
+
+
+def test_np_log_within_4_ulp_of_math_log():
+    """The assumption behind the 2^-40 band of ``_holds``: should it fail,
+    the band must be derived again, not this bound widened."""
+    u = np.concatenate([stream_uniforms(10**6, seed=2024),
+                        [1.0, 2.0 ** -53, 2.0 ** -52, 0.5, 1.0 - 2.0 ** -53]])
+    exact = np.array([math.log(h) for h in u.tolist()])
+    assert np.all(np.abs(np.log(u) - exact) <= 4 * np.spacing(np.abs(exact)))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64, 2**128 + 5, -1])
+def test_rekeyed_stream_is_a_new_philox(seed):
+    uni = _Uniforms().rekey(12345)
+    uni.chunk()
+    uni.rng.gamma(3.0)                  # leave the generator mid-buffer
+    uni.rekey(seed)
+    got = np.concatenate([uni.chunk() for _ in range(3)])
+    clock = uni.block_end().gamma(shape=1234.0, scale=0.5)
+    ref = np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
+    assert got.tolist() == (1.0 - ref.random(BLOCK))[:len(got)].tolist()
+    assert clock == ref.gamma(shape=1234.0, scale=0.5)
+
+
+def test_walks_back_to_back_share_one_stream():
+    """One walker's stream, re-keyed per sample, after samples that time out
+    mid-block or pass a block: the samples of new streams, seed by seed."""
+    _, space, kernel = setup("cycle:6", 1e4)
+    for cap in (DEFAULT_STEP_CAP, 3 * 10**9):
+        walk = _walker(kernel, space.u_state, [space.v_state], cap, None, True)
+        seeds = [200, 205, 200, 201, 9, 200]
+        assert [walk(s) for s in seeds] == \
+            [simulate_hit(kernel, space.u_state, [space.v_state], s, step_cap=cap,
+                          embed_clock=True) for s in seeds]
+
+
+def test_a_walk_leaves_a_live_stream_alone():
+    """coupled_simulate draws lazily from its own stream; a walk run while
+    that stream is half read does not move it."""
+    _, space, kernel = setup("cycle:6", 1e3)
+    draws = iter(_Uniforms().rekey(9))
+    got = [next(draws) for _ in range(700)]
+    simulate_hit(kernel, space.u_state, [space.v_state], 9, embed_clock=True)
+    sample_crossover(kernel, space.u_state, [space.v_state], 3, base_seed=9)
+    got += [next(draws) for _ in range(BLOCK)]
+    ref = RefUniforms(9)
+    assert got == [ref.next() for _ in range(len(got))]
 
 
 def test_crafted_walks_match_reference():
