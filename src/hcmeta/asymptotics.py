@@ -19,12 +19,10 @@ class OrderTie(ValueError):
 
 def parse_fraction(text: str | Fraction | int) -> Fraction:
     """Parse an alpha given as '7/10', '0.7' or a Fraction; must lie in (0,1)."""
-    if isinstance(text, Fraction):
-        frac = text
-    elif isinstance(text, int):
+    try:
         frac = Fraction(text)
-    else:
-        frac = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"alpha {text!r} has a zero denominator") from None
     if not (0 < frac < 1):
         raise ValueError(f"alpha must lie in (0,1), got {frac}")
     return frac

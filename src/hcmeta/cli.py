@@ -15,19 +15,10 @@ import os
 import sys
 import time
 
+# each command imports the layers it runs; main() catches these modules' errors
 from .asymptotics import parse_fraction
 from .configspace import CapExceeded, ModelParams, enumerate_space
-from .dynamics import build_kernel, sample_crossover
 from .graph import GraphValidationError, parse_graph_spec, validate
-from .isoperimetry import (brute_force_profile, closed_form_profile,
-                           hypercube_delta)
-from .metastability import (build_gate, check_hypotheses,
-                            crossover_prediction, gate_statistics,
-                            no_trap_certificate)
-from .potential import (build_network, critical_resistance,
-                        effective_resistance, expected_hitting_time,
-                        psi_symbolic)
-from .stats import ks_exponential_test
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -79,6 +70,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_resistance(args) -> int:
+    from .potential import (build_network, critical_resistance,
+                            effective_resistance, psi_symbolic)
     g = parse_graph_spec(args.graph)
     spc = enumerate_space(g, cap=args.cap)
     par = _params(g, args)
@@ -100,6 +93,7 @@ def cmd_resistance(args) -> int:
 
 
 def cmd_hitting(args) -> int:
+    from .potential import build_network, expected_hitting_time
     g = parse_graph_spec(args.graph)
     spc = enumerate_space(g, cap=args.cap)
     par = _params(g, args)
@@ -117,6 +111,7 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_isoperimetry(args) -> int:
+    from .isoperimetry import brute_force_profile
     g = parse_graph_spec(args.graph)
     fam = g.meta.get("family")
     rows = []
@@ -155,6 +150,7 @@ def cmd_isoperimetry(args) -> int:
 
 
 def _closed_delta(g, fam: str | None, s: int) -> int:
+    from .isoperimetry import closed_form_profile, hypercube_delta
     if fam == "torus":
         return closed_form_profile("torus", s, dims=g.meta["dims"])
     if fam == "doubled-torus":
@@ -169,6 +165,7 @@ def _closed_delta(g, fam: str | None, s: int) -> int:
 
 
 def cmd_critical(args) -> int:
+    from .metastability import check_hypotheses, crossover_prediction
     g = parse_graph_spec(args.graph)
     alpha = parse_fraction(args.alpha)
     rep = check_hypotheses(g, alpha)
@@ -182,6 +179,7 @@ def cmd_critical(args) -> int:
 
 
 def cmd_gate(args) -> int:
+    from .metastability import build_gate, check_hypotheses, crossover_prediction
     g = parse_graph_spec(args.graph)
     alpha = parse_fraction(args.alpha)
     gate = build_gate(g, alpha, kappa=args.kappa)
@@ -203,6 +201,7 @@ def cmd_gate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .dynamics import build_kernel, sample_crossover
     g = parse_graph_spec(args.graph)
     spc = enumerate_space(g, cap=args.cap)
     par = _params(g, args)
@@ -210,6 +209,7 @@ def cmd_simulate(args) -> int:
     watch = None
     gate = None
     if args.gate_watch:
+        from .metastability import build_gate, gate_statistics
         gate = build_gate(g, parse_fraction(args.alpha))
         watch = gate.transition_indices(spc)
     samples, summ = sample_crossover(
@@ -227,6 +227,7 @@ def cmd_simulate(args) -> int:
            "var_t_hat": summ.var_t_hat, "seed": args.seed}
     code = EXIT_OK
     if args.ks_exponential:
+        from .stats import ks_exponential_test
         rep = ks_exponential_test([s.t_hat for s in samples if not s.timed_out],
                                   threshold=args.ks_threshold)
         out["ks"] = rep.as_json_obj()
@@ -241,6 +242,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_notrap(args) -> int:
+    from .metastability import no_trap_certificate
     g = parse_graph_spec(args.graph)
     spc = enumerate_space(g, cap=args.cap)
     rep = no_trap_certificate(spc, parse_fraction(args.alpha))
@@ -250,8 +252,7 @@ def cmd_notrap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_all     # no other command compiles the criteria
-
+    from .verify import run_all
     numbers = None
     if args.criteria:
         numbers = [int(x) for x in args.criteria.split(",")]

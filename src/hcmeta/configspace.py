@@ -1,8 +1,10 @@
-"""Hard-core configuration spaces: enumeration, weights, heights, lattice order.
+"""Hard-core configuration spaces: enumeration, moves, weights, heights,
+lattice order.
 
 Configurations are occupied-site bitmasks over all sites (bit i = site i).
 Independence (no edge with both endpoints occupied) is checked whenever a
-configuration enters through a public constructor.
+configuration enters through a public constructor.  The network's edges
+and the kernel's rows both come from one move table per space.
 """
 from __future__ import annotations
 
@@ -55,15 +57,19 @@ class ModelParams:
     @staticmethod
     def for_graph(g: BipartiteGraph, lam: float, alpha: Fraction | None = None,
                   lam_bar: float | None = None) -> "ModelParams":
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lambda must be finite and positive, got {lam}")
         if lam_bar is None:
             if alpha is None:
                 raise ValueError("supply alpha or an explicit lambda_bar")
-            lam_bar = lam ** (1.0 + float(alpha))
-        if lam_bar <= 0:
-            raise ValueError("lambda_bar must be positive")
+            try:
+                lam_bar = lam ** (1.0 + float(alpha))
+            except OverflowError:
+                lam_bar = math.inf              # refused below, as float overflow
         gamma = (1.0 + lam) * len(g.u_sites) + (1.0 + lam_bar) * len(g.v_sites)
+        for name, rate in (("lambda_bar", lam_bar), ("gamma", gamma)):
+            if not 0 < rate < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {rate}")
         return ModelParams(lam=lam, lam_bar=lam_bar, gamma=gamma, alpha=alpha)
 
 
@@ -133,6 +139,34 @@ class ConfigurationSpace:
         return [((masks & (1 << site)).nonzero()[0],
                  ((masks & (nbr | 1 << site)) == 0).nonzero()[0])
                 for site, nbr in enumerate(self.neighbor_masks)]
+
+    @cached_property
+    def moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The chain's moves, one per removal pair: read-only ``(emptied,
+        occupied, site)`` (site uint8), ordered by emptied state, then site.
+        ``occupied[e]``, the larger index, is ``emptied[e]`` plus the site."""
+        pairs = self.removals()
+        # at most 62 sites fit a mask
+        site = np.repeat(np.arange(len(pairs), dtype=np.uint8),
+                         [len(emp) for _, emp in pairs])
+        emp = np.concatenate([emp for _, emp in pairs])
+        # each site's states ascend, so a stable sort keeps sites in order
+        order = np.argsort(emp, kind="stable")
+        emptied = emp[order]
+        del emp
+        occupied = np.concatenate([occ for occ, _ in pairs])[order]
+        del pairs
+        table = emptied, occupied, site[order]
+        for a in table:
+            a.flags.writeable = False
+        return table
+
+    def addition_probs(self, params: ModelParams) -> np.ndarray:
+        """Per site, the kernel's probability of adding a particle there:
+        lambda / gamma on U, lambda_bar / gamma on V."""
+        p_u, p_v = params.lam / params.gamma, params.lam_bar / params.gamma
+        return np.array([p_u if (self.u_mask >> site) & 1 else p_v
+                         for site in range(self.graph.n_sites)])
 
     def occupancy(self, sites) -> np.ndarray:
         """Number of occupied sites among ``sites``, per state (int64)."""

@@ -1,6 +1,9 @@
 """Discrete-time hard-core kernel, trajectory simulation, hitting-time
 sampling, and the monotone coupling.
 
+The kernel's rows and reverse entries are one sort of the space's move
+table, whose moves are also the conductance network's edges.
+
 Simulation runs on the embedded jump chain: the geometric number of
 self-loop steps at each state is drawn in closed form, so the step count of
 the simulated discrete chain is exact in distribution while metastable waits
@@ -128,14 +131,17 @@ class TransitionKernel:
     unblocked site i (lambda_bar on V), 1/gamma for removing one; the
     self-loop probability absorbs the rest of the row.  Row ``i`` holds its
     entries ``indptr[i]:indptr[i+1]`` in ascending site order: targets
-    ``indices`` and probabilities ``probs``.  The three arrays are built the
-    first time one of them is read, and their running sums ``cum`` and each
+    ``indices`` and probabilities ``probs``.  Each move of
+    :attr:`ConfigurationSpace.moves` is an addition in one row and a removal
+    in another; one sort of both by (row, site) makes the rows, and its
+    permutation pairs each entry with its reverse.  The four arrays are
+    built the first time one is read, and their running sums ``cum`` and each
     row's total move probability ``p_move`` the first time those are read;
     the sampler, the first-step system of ``green_by_visits``, :meth:`row`,
     :meth:`self_loop` and :meth:`check_invariants` read them.  A network
-    takes its edges from the space's removal pairs and reads none of them.
-    The sampler also reads, built on first use from these arrays, the
-    reverse entry of every entry and the bounce-window tables of the wells.
+    takes its edges from the move table and reads none of them.  The
+    sampler also reads, built on first use from these arrays, the
+    bounce-window tables of the wells.
     """
 
     def __init__(self, space: ConfigurationSpace, params: ModelParams):
@@ -143,36 +149,23 @@ class TransitionKernel:
         self.params = params
 
     @functools.cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, probs)."""
-        lam, lam_bar, gamma = self.params.lam, self.params.lam_bar, self.params.gamma
-        p_add_u = lam / gamma
-        p_add_v = lam_bar / gamma
-        p_rem = 1.0 / gamma
-        n = len(self.space)
-        u_sites = set(self.space.graph.u_sites)
-
-        # A state moves at a site in at most one way: a removal, or the
-        # addition that a removal reverses.
-        moves = []
-        counts = np.zeros(n, dtype=np.int64)
-        for site, (occ, emp) in enumerate(self.space.removals()):
-            counts[occ] += 1
-            counts[emp] += 1
-            moves.append((occ, emp, p_rem))
-            moves.append((emp, occ, p_add_u if site in u_sites else p_add_v))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        probs = np.empty(indptr[-1])
-        # filled site by site in ascending order
-        fill = indptr[:-1].copy()
-        for states, targets, p in moves:
-            at = fill[states]
-            indices[at] = targets
-            probs[at] = p
-            fill[states] = at + 1
-        return indptr, indices, probs
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, probs, rev): ``rev[e]`` is the entry back."""
+        emptied, occupied, site = self.space.moves
+        m = len(site)
+        rows = np.concatenate([emptied, occupied])
+        # a state moves at a site in at most one way: the keys are distinct
+        order = np.argsort(rows * self.space.graph.n_sites + np.tile(site, 2))
+        indptr = np.zeros(len(self) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self)), out=indptr[1:])
+        del rows
+        indices = np.concatenate([occupied, emptied])[order]
+        probs = np.concatenate([self.space.addition_probs(self.params)[site],
+                                np.full(m, 1.0 / self.params.gamma)])[order]
+        # entries d and d + m of the doubled list are one move both ways
+        where = np.empty_like(order)
+        where[order] = np.arange(2 * m)
+        return indptr, indices, probs, where[(order + m) % (2 * m)]
 
     @property
     def indptr(self) -> np.ndarray:
@@ -219,20 +212,6 @@ class TransitionKernel:
         return rows, self.indices.tolist(), self.cum.tolist()
 
     @functools.cached_property
-    def _reverse(self) -> np.ndarray:
-        """``rev[e]``: the entry of row ``indices[e]`` that points back to the
-        row of entry ``e``, or -1 where there is none.  Each entry i -> j is
-        paired with j -> i through the sorted keys i*n + j."""
-        rows, cols, _ = self.offdiag_coo()
-        n = len(self)
-        keys = rows * n + cols
-        order = np.argsort(keys)
-        back = cols * n + rows
-        rev = order[np.minimum(np.searchsorted(keys, back, sorter=order),
-                               len(keys) - 1)]
-        return np.where(keys[rev] == back, rev, -1)
-
-    @functools.cached_property
     def _wells(self) -> dict[int, tuple[np.ndarray, np.ndarray, list[int]]]:
         """The bounce-window tables of every well b: ``cum[lo:last]`` of its
         row; per entry b -> y of the row, the columns (p_move of y, the lower
@@ -241,7 +220,7 @@ class TransitionKernel:
         y."""
         rows, cols, probs = self.offdiag_coo()
         indptr, cum, p_move = self.indptr, self.cum, self.p_move
-        rev = self._reverse                     # >= 0: a removal pair makes both
+        rev = self._csr[3]
         q = probs / p_move[rows]                # P(b -> y | move)
         ret = np.bincount(rows, q * q[rev], minlength=len(self))
         log_stay = np.array([r[1] for r in self._rows[0]])
@@ -306,10 +285,8 @@ class TransitionKernel:
         row_dev = float(np.max(np.abs(self.p_move + stay / params.gamma - 1.0)))
         pi = self.space.stationary(self.params)
         rows, cols, probs = self.offdiag_coo()
-        rev = self._reverse
-        back = np.where(rev >= 0, probs[rev], 0.0)
         up = rows < cols
-        f, b = pi[rows[up]] * probs[up], pi[cols[up]] * back[up]
+        f, b = pi[rows[up]] * probs[up], pi[cols[up]] * probs[self._csr[3][up]]
         big = np.maximum(f, b)
         live = big > 0
         db = float(np.max(np.abs(f - b)[live] / big[live], initial=0.0))

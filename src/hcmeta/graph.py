@@ -353,9 +353,6 @@ def double_graph(g: GeneralGraph, label: str = "doubled") -> BipartiteGraph:
     return BipartiteGraph.from_parts(n, n, edges, label=label)
 
 
-_GENERAL_FAMILIES = ("cycle", "torus", "hypercube", "path", "complete")
-
-
 def _general_family(name: str, args: list[int]) -> GeneralGraph:
     if name == "cycle":
         (length,) = args
@@ -416,23 +413,29 @@ def parse_graph_spec(spec: str) -> BipartiteGraph:
             g.meta["length"] = args[0]
         return g
     name, *rest = spec.split(":")
+
+    def fields(form: str) -> list[str]:
+        if len(rest) != form.count(":"):
+            raise GraphValidationError(f"graph spec {spec!r}: expected the form {form}")
+        return rest
     if name == "complete":
-        m, n = (int(x) for x in rest[0].split("x"))
+        m, n = (int(x) for x in fields("complete:MxN")[0].split("x"))
         return _complete_bipartite(m, n)
     if name == "cycle":
-        return _even_cycle(int(rest[0]))
+        return _even_cycle(int(fields("cycle:L")[0]))
     if name == "path":
-        return _path(int(rest[0]))
+        return _path(int(fields("path:SITES")[0]))
     if name == "ladder":
-        return _cyclic_ladder(int(rest[0]))
+        return _cyclic_ladder(int(fields("ladder:L")[0]))
     if name == "torus":
-        m, n = (int(x) for x in rest[0].split("x"))
+        m, n = (int(x) for x in fields("torus:MxN")[0].split("x"))
         return _even_torus(m, n)
     if name == "hypercube":
-        return _hypercube(int(rest[0]))
+        return _hypercube(int(fields("hypercube:D")[0]))
     if name == "random":
-        m, n = (int(x) for x in rest[0].split("x"))
-        return _random_bipartite(m, n, float(rest[1]), int(rest[2]))
+        dims, p, seed = fields("random:NUxNV:P:SEED")
+        m, n = (int(x) for x in dims.split("x"))
+        return _random_bipartite(m, n, float(p), int(seed))
     raise GraphValidationError(f"unknown graph spec {spec!r}")
 
 

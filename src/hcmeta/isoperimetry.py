@@ -303,8 +303,8 @@ def closed_form_profile(family: str, s: int, *, dims: tuple[int, int] | None = N
 _SPIRAL_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))     # E, N, W, S in L-plane
 
 
-def _spiral_offsets(length: int, orientation: int = 0) -> list[tuple[int, int]]:
-    """First `length` cells of the square spiral, in one of 8 orientations."""
+def _spiral_offsets(length: int) -> list[tuple[int, int]]:
+    """First `length` cells of the square spiral."""
     out = [(0, 0)]
     x = y = 0
     run, d = 1, 0
@@ -316,10 +316,10 @@ def _spiral_offsets(length: int, orientation: int = 0) -> list[tuple[int, int]]:
                 y += dy
                 out.append((x, y))
                 if len(out) == length:
-                    return [_orient(p, orientation) for p in out]
+                    return out
             d += 1
         run += 1
-    return [_orient(p, orientation) for p in out]
+    return out
 
 
 def _orient(p: tuple[int, int], o: int) -> tuple[int, int]:
@@ -341,8 +341,7 @@ def _torus_maps(g: BipartiteGraph):
     return m, n, site_of, point_of
 
 
-def spiral_numbering(g: BipartiteGraph, start: int, length: int,
-                     orientation: int = 0) -> list[int]:
+def spiral_numbering(g: BipartiteGraph, start: int, length: int) -> list[int]:
     """Spiral isoperimetric numbering of torus V-sites starting at ``start``.
 
     Every prefix cost is asserted to equal the torus closed form; the window
@@ -355,7 +354,7 @@ def spiral_numbering(g: BipartiteGraph, start: int, length: int,
         raise ValueError(f"length {length} exceeds torus validity window")
     i0, j0 = point_of[start]
     sites = []
-    for a, b in _spiral_offsets(length, orientation):
+    for a, b in _spiral_offsets(length):
         p = ((i0 + a - b) % m, (j0 + a + b) % n)
         sites.append(site_of[p])
     for k in range(1, length + 1):

@@ -1,6 +1,7 @@
 """Electric-network computations on the configuration graph.
 
-Conductances are c(x,y) = pi(x) K(x,y) with pi normalized.  Voltages,
+Conductances are c(x,y) = pi(x) K(x,y) with pi normalized, one per move of
+the space's move table, which the kernel's rows are sorted from.  Voltages,
 effective resistances, Green functions and both routes of the expected
 hitting time are solved on the orbit network.  Every automorphism of the
 graph that maps U onto U and V onto V permutes the configurations and keeps
@@ -96,11 +97,11 @@ FRONT_PAIR_BYTES = 80
 class ElectricNetwork:
     """Conductance network over an enumerated configuration space.
 
-    Its edges are the space's removal pairs, one per undirected edge:
-    ``edge_i`` the emptied state, ``edge_j`` the occupied one, which is
-    always the larger index, and ``edge_c`` = pi(edge_i) lambda_site /
-    gamma, the conductance of the addition.  They are ordered by (emptied
-    state, site), the order of the kernel's CSR rows, so ``edge_i`` is
+    Its edges are the space's move table :attr:`ConfigurationSpace.moves`,
+    shared as it stands, one per undirected edge: ``edge_i`` the emptied
+    state, ``edge_j`` the occupied one, which is always the larger index,
+    and ``edge_c`` = pi(edge_i) lambda_site / gamma, the conductance of the
+    addition.  They are ordered by (emptied state, site), so ``edge_i`` is
     nondecreasing.  The kernel is kept for the sampler and
     :func:`green_by_visits` and its CSR is not read here.  A network lumped
     by :func:`_lump` has orbits of states for nodes and no space,
@@ -113,24 +114,9 @@ class ElectricNetwork:
         self.params = params
         self.kernel = kernel if kernel is not None else build_kernel(space, params)
         self.pi = space.stationary(params)
-        # formed as the kernel forms its addition probabilities
-        p_add_u, p_add_v = params.lam / params.gamma, params.lam_bar / params.gamma
-        u_sites = set(space.graph.u_sites)
-        p_site = np.array([p_add_u if site in u_sites else p_add_v
-                           for site in range(space.graph.n_sites)])
-        pairs = space.removals()
-        # at most 62 sites fit a mask
-        site = np.repeat(np.arange(len(pairs), dtype=np.uint8),
-                         [len(emp) for _, emp in pairs])
-        emp = np.concatenate([emp for _, emp in pairs])
-        # each site's states ascend, so a stable sort keeps sites in order
-        order = np.argsort(emp, kind="stable")
-        self.edge_i = emp[order]
-        del emp
-        self.edge_j = np.concatenate([occ for occ, _ in pairs])[order]
-        del pairs
+        self.edge_i, self.edge_j, site = space.moves
         self.edge_c = self.pi[self.edge_i]
-        self.edge_c *= p_site[site[order]]
+        self.edge_c *= space.addition_probs(params)[site]
 
     def __len__(self) -> int:
         return len(self.pi)
@@ -150,7 +136,7 @@ class ElectricNetwork:
         out = ElectricNetwork.__new__(ElectricNetwork)
         out.space, out.params, out.kernel = self.space, self.params, self.kernel
         out.pi = self.pi
-        out.edge_i, out.edge_j = self.edge_i.copy(), self.edge_j.copy()
+        out.edge_i, out.edge_j = self.edge_i, self.edge_j
         out.edge_c = self.edge_c.copy()
         a, b = min(i, j), max(i, j)
         hit = (out.edge_i == a) & (out.edge_j == b)
@@ -250,8 +236,6 @@ def _orbits(orbit: np.ndarray, states: frozenset) -> frozenset:
 @dataclass
 class VoltageField:
     values: np.ndarray
-    source: frozenset[int]              # value 1
-    ground: frozenset[int]              # value 0
     harmonic_residual: float            # on the full network
     conductance: float                  # c(A, B) from the factor
     mass: float                         # pi carried to A by the factor's sweep
@@ -285,7 +269,7 @@ def voltage(net: ElectricNetwork, A, B) -> VoltageField:
     w = w[orbit]
     flow = np.bincount(ei, c * w[ej], n) + np.bincount(ej, c * w[ei], n)
     residual = np.abs(w[interior] - flow[interior] / deg[interior]).max(initial=0.0)
-    return VoltageField(w, A, B, float(residual), conductance, mass, len(lumped))
+    return VoltageField(w, float(residual), conductance, mass, len(lumped))
 
 
 def _star_mesh(net: ElectricNetwork, A: frozenset, B: frozenset
@@ -1133,9 +1117,9 @@ class VoltageBoundReport:
 
 
 def voltage_bound_check(net: ElectricNetwork, A, B, x: int,
-                        y: int | None = None, slack: float = 1e-9
-                        ) -> VoltageBoundReport:
-    """A priori voltage bounds, with kbar = |X|^4 in the Psi versions.
+                        y: int | None = None) -> VoltageBoundReport:
+    """A priori voltage bounds, with kbar = |X|^4 in the Psi versions, each
+    up to an absolute slack of 1e-9.
 
     R(A, B) is read from the voltage's own elimination."""
     A = frozenset(int(a) for a in A)
@@ -1156,6 +1140,7 @@ def voltage_bound_check(net: ElectricNetwork, A, B, x: int,
         y = next(i for i in range(len(net)) if i != x and i not in A and i not in B)
     wy = float(w.values[int(y)])
     psi_xy = critical_resistance(net, {x}, {int(y)}).value
+    slack = 1e-9
     return VoltageBoundReport(
         w=wx,
         resistance_lower_ok=1.0 - r_xa / r_ab <= wx + slack,

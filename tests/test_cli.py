@@ -175,10 +175,11 @@ def test_hitting_route_gap_exit_4(capsys, monkeypatch):
     # both routes agree to rounding now, so a gap above the tolerance is
     # injected; the artifact is still written
     import hcmeta.cli as cli
+    from hcmeta import potential
     from hcmeta.potential import HittingTimeResult
 
     gap = 10 * cli.ROUTE_GAP_TOL
-    monkeypatch.setattr(cli, "expected_hitting_time",
+    monkeypatch.setattr(potential, "expected_hitting_time",
                         lambda net, a, B: HittingTimeResult(1.0, 1.0 - gap, gap))
     assert main(["hitting", "--graph", "cycle:6", "--alpha", "1/2",
                  "--lambda", "1e4"]) == 4
@@ -218,6 +219,24 @@ def test_invalid_config_exit_2(capsys):
                  "--lambda", "10"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--graph", "cycle"],
+    ["enumerate", "--graph", "complete"],
+    ["enumerate", "--graph", "random:4x4"],
+    ["enumerate", "--graph", "random:4x4:0.5"],
+    ["critical", "--graph", "cycle:6", "--alpha", "1/0"],
+    ["hitting", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "nan"],
+    ["hitting", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "inf"],
+    ["hitting", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "1e300"],
+])
+def test_malformed_input_exit_2_in_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration:")
+    assert captured.err.count("\n") == 1
+
+
 def test_budget_exit_3(capsys):
     assert main(["enumerate", "--graph", "torus:6x6", "--cap", "100"]) == 3
 
@@ -254,7 +273,7 @@ def test_threads_env_not_an_integer_exit_2(monkeypatch, capsys):
 @pytest.mark.parametrize("threads", ["-3", "0"])
 def test_threads_below_one_exit_2(monkeypatch, capsys, threads):
     # rejected before any sample is drawn, so no worker process starts
-    monkeypatch.setattr("hcmeta.cli.sample_crossover", _no_sampling)
+    monkeypatch.setattr("hcmeta.dynamics.sample_crossover", _no_sampling)
     code = main(["--threads", threads, "simulate", "--graph", "cycle:6",
                  "--alpha", "1/2", "--lambda", "10", "--samples", "5"])
     assert code == 2

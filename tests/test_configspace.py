@@ -42,6 +42,19 @@ def test_empty_v_rejected():
         enumerate_space(g)
 
 
+@pytest.mark.parametrize("lam,alpha,lam_bar", [
+    (math.nan, Fraction(1, 2), None), (math.inf, Fraction(1, 2), None),
+    (0.0, Fraction(1, 2), None), (-1.0, Fraction(1, 2), None),
+    (1e300, Fraction(1, 2), None),              # lambda^(3/2) overflows
+    (10.0, None, math.nan), (10.0, None, math.inf), (10.0, None, 0.0),
+    (1e308, None, 1e308),                       # finite rates, gamma = inf
+])
+def test_rates_must_be_finite_and_positive(lam, alpha, lam_bar):
+    g = build_family("cycle:6")
+    with pytest.raises(ValueError, match="finite and positive|overflows"):
+        ModelParams.for_graph(g, lam, alpha, lam_bar)
+
+
 def test_weights():
     g = build_family("complete:2x3")
     spc = enumerate_space(g)

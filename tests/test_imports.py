@@ -153,6 +153,12 @@ def test_graph_spec_loads_the_graph_module_alone():
     assert _hcmeta(loaded) == {"hcmeta.graph"}
 
 
+def test_cli_import_loads_no_command_layer():
+    loaded = _new_modules("import hcmeta.cli")
+    assert not loaded & {"hcmeta.dynamics", "hcmeta.potential", "hcmeta.metastability",
+                         "hcmeta.isoperimetry", "hcmeta.stats", "hcmeta.verify"}
+
+
 def test_sampler_path_loads_no_solver_layer():
     loaded = _new_modules(
         "from fractions import Fraction\n"

@@ -165,7 +165,7 @@ def test_array_build_matches_loops(label, g):
     w = np.exp(lw - lw.max())
     ei = [i for i, r in enumerate(ref) for t in r[0] if i < t]
     ej = [t for i, r in enumerate(ref) for t in r[0] if i < t]
-    # a network builds its edges from the removal pairs whether or not its
+    # a network takes its edges from the move table whether or not its
     # kernel's CSR has been read (here it has)
     for net in (build_network(space, params), build_network(space, params, kernel)):
         assert net.pi.tolist() == (w / w.sum()).tolist()
@@ -204,6 +204,57 @@ def test_array_build_matches_loops(label, g):
             got = critical_resistance(other, A, B)
             assert (got.value, got.witness_path, got.bottleneck_edge) == \
                 ref_critical(other, A, B)
+
+
+def ref_reverse(kernel):
+    """The entry that points back, found by searching the sorted keys
+    i * n + j for j * n + i; -1 where there is none."""
+    rows, cols, _ = kernel.offdiag_coo()
+    n = len(kernel)
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    back = cols * n + rows
+    rev = order[np.minimum(np.searchsorted(keys, back, sorter=order), len(keys) - 1)]
+    return np.where(keys[rev] == back, rev, -1)
+
+
+@pytest.mark.parametrize("label,g", CASES, ids=[label for label, _ in CASES])
+def test_move_table_is_the_network_edges_and_the_kernel_csr(label, g):
+    space = enumerate_space(g)
+    emptied, occupied, site = space.moves
+    assert space.moves is space.moves
+    assert (emptied.dtype, occupied.dtype, site.dtype) == (np.int64, np.int64, np.uint8)
+    assert not any(a.flags.writeable for a in space.moves)
+    # ordered by emptied state, then site: the keys strictly ascend
+    key = emptied * g.n_sites + site
+    assert (np.diff(key) > 0).all()
+    # the removal pairs, each once: occupied = emptied plus the site
+    assert (space.masks[occupied] == space.masks[emptied] | 1 << site.astype(np.int64)).all()
+    assert (space.masks[emptied] >> site.astype(np.int64) & 1 == 0).all()
+    assert len(site) == sum(len(occ) for occ, _ in space.removals())
+
+    params = ModelParams.for_graph(g, 50.0, Fraction(1, 2))
+    kernel = build_kernel(space, params)
+    net = build_network(space, params, kernel)
+    assert net.edge_i is emptied and net.edge_j is occupied
+    p_add = space.addition_probs(params)
+    assert net.edge_c.tolist() == (net.pi[emptied] * p_add[site]).tolist()
+
+    # the doubled list, in (row, site) order, is the kernel's CSR
+    doubled = sorted(
+        [(i, s, j, p_add[s]) for i, j, s in zip(emptied.tolist(), occupied.tolist(),
+                                                 site.tolist())]
+        + [(j, s, i, 1.0 / params.gamma) for i, j, s in zip(
+            emptied.tolist(), occupied.tolist(), site.tolist())])
+    rows, cols, probs = kernel.offdiag_coo()
+    assert rows.tolist() == [r for r, _, _, _ in doubled]
+    assert cols.tolist() == [t for _, _, t, _ in doubled]
+    assert probs.tolist() == [p for _, _, _, p in doubled]
+
+    rev = kernel._csr[3]
+    assert rev.dtype == np.int64
+    assert (cols[rev] == rows).all() and (rev[rev] == np.arange(len(rev))).all()
+    assert rev.tolist() == ref_reverse(kernel).tolist()
 
 
 def partition(labels) -> set[frozenset]:

@@ -193,7 +193,7 @@ def test_threaded_batch_matches_reference():
         got, _ = sample_crossover(kernel, space.u_state, [space.v_state], 40,
                                   base_seed=300, embed_clock=True, threads=2)
         # the walk's tables were built in this process, not once per worker
-        assert {"_csr", "_sums", "_rows", "_reverse", "_wells"} <= vars(kernel).keys()
+        assert {"_csr", "_sums", "_rows", "_wells"} <= vars(kernel).keys()
         assert got == [ref_simulate_hit(kernel, space.u_state, [space.v_state],
                                         300 + i, embed_clock=True)[0]
                        for i in range(40)]
@@ -210,7 +210,8 @@ def crafted_kernel(move_2=0.5):
     kernel = TransitionKernel(range(3), ModelParams(1.0, 1.0, 1.0))
     kernel.__dict__["_csr"] = (
         np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 1, 0]),
-        np.array([0.5, 0.5, 1 - E, E, E * move_2, (1 - E) * move_2]))
+        np.array([0.5, 0.5, 1 - E, E, E * move_2, (1 - E) * move_2]),
+        np.array([2, 5, 0, 4, 3, 1]))
     return kernel
 
 
