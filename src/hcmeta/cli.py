@@ -5,7 +5,9 @@ Exit codes: 0 success, 2 invalid configuration, 3 cap/budget refusal,
 
 Artifacts: single JSON for analyses (a ``generated_at`` timestamp field is
 the only run-dependent content), JSON-lines for samples, CSV for profiles.
-Floats are serialized with Python's shortest round-trip representation.
+Floats are serialized with Python's shortest round-trip representation;
+every artifact is strict JSON (no NaN or Infinity), and a statistic with no
+value, such as a variance from one sample, is written as null.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ def _emit(obj: dict, path: str | None, timestamp: bool = True) -> None:
     if timestamp:
         obj = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                **obj}
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as f:
             f.write(text + "\n")
@@ -220,7 +222,8 @@ def cmd_simulate(args) -> int:
     if args.output:
         with open(args.output, "w") as f:
             for i, s in enumerate(samples):
-                f.write(json.dumps(s.as_json_obj(i), sort_keys=True) + "\n")
+                f.write(json.dumps(s.as_json_obj(i), sort_keys=True,
+                                   allow_nan=False) + "\n")
     out = {"graph": args.graph, "lambda": par.lam, "lambda_bar": par.lam_bar,
            "gamma": par.gamma, "samples": summ.n, "timeouts": summ.timeouts,
            "mean_steps": summ.mean_steps, "mean_t_hat": summ.mean_t_hat,

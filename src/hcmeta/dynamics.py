@@ -389,7 +389,8 @@ def simulate_hit(kernel: TransitionKernel, start: int, targets,
 
     ``start`` and ``targets`` are state indices.  ``gate_watch`` is an
     iterable of (from, to) index pairs; every watched transition crossed
-    before hitting is recorded in order.
+    before hitting is recorded in order.  A walk past ``step_cap`` steps
+    times out; a cap below 1 is refused with ``ValueError``.
     """
     return _walker(kernel, start, targets, step_cap, gate_watch, embed_clock)(seed)
 
@@ -402,6 +403,8 @@ def _walker(kernel: TransitionKernel, start: int, targets, step_cap: int,
     target_set = set(int(t) for t in targets)
     if not target_set:
         raise ValueError("targets must be non-empty")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be at least 1, got {step_cap}")
     watch = set((int(a), int(b)) for a, b in gate_watch) if gate_watch else None
     return functools.partial(_walk, kernel, int(start), target_set, step_cap, watch,
                              embed_clock, _Windows(kernel._wells, target_set, watch),
@@ -470,9 +473,9 @@ def _walk(kernel: TransitionKernel, state: int, target_set: set[int], step_cap: 
 @dataclass
 class CrossoverSummary:
     n: int
-    mean_steps: float
-    mean_t_hat: float
-    var_t_hat: float
+    mean_steps: float | None            # None where no sample finished
+    mean_t_hat: float | None
+    var_t_hat: float | None             # None below two finished samples
     timeouts: int
     scaled_sorted: list[float]          # t_hat / mean(t_hat), ascending
 
@@ -523,12 +526,12 @@ def sample_crossover(kernel: TransitionKernel, start: int, targets,
                       file=sys.stderr)
     done = [s for s in samples if not s.timed_out]
     t = np.array([s.t_hat for s in done]) if done else np.zeros(0)
-    mean_t = float(t.mean()) if len(t) else math.nan
-    var_t = float(t.var(ddof=1)) if len(t) > 1 else math.nan
+    mean_t = float(t.mean()) if len(t) else None
+    var_t = float(t.var(ddof=1)) if len(t) > 1 else None
     scaled = sorted((t / mean_t).tolist()) if len(t) and mean_t > 0 else []
     summary = CrossoverSummary(
         n=n_samples,
-        mean_steps=float(np.mean([s.steps for s in done])) if done else math.nan,
+        mean_steps=float(np.mean([s.steps for s in done])) if done else None,
         mean_t_hat=mean_t,
         var_t_hat=var_t,
         timeouts=sum(1 for s in samples if s.timed_out),

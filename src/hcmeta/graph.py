@@ -398,12 +398,44 @@ def build_family(spec: str) -> BipartiteGraph:
     return parse_graph_spec(spec)
 
 
+# Each family's builder and the fields of its spec after the name; an x
+# inside a field separates integers.
+_FAMILIES = {"complete": (_complete_bipartite, ["MxN"]), "cycle": (_even_cycle, ["L"]),
+             "path": (_path, ["SITES"]), "ladder": (_cyclic_ladder, ["L"]),
+             "torus": (_even_torus, ["MxN"]), "hypercube": (_hypercube, ["D"]),
+             "random": (_random_bipartite, ["NUxNV", "P", "SEED"])}
+_GENERAL_FIELDS = {"cycle": ["L"], "torus": ["MxN"], "hypercube": ["D"],
+                   "path": ["SITES"], "vertex": []}
+
+
+def _spec_numbers(spec: str, given: list[str], names: list[str], form: str) -> list:
+    """The numbers in the fields ``given`` after a family name: field P is a
+    float, and every other field holds as many x-separated integers as its
+    name in ``names`` does.  Any other shape is refused, naming ``form``."""
+    try:
+        if len(given) != len(names):
+            raise ValueError
+        out = []
+        for text, name in zip(given, names):
+            parts = text.split("x")
+            if len(parts) != len(name.split("x")):
+                raise ValueError
+            out += [float(t) if name == "P" else int(t) for t in parts]
+        return out
+    except ValueError:
+        raise GraphValidationError(
+            f"graph spec {spec!r}: expected the form {form}") from None
+
+
 def parse_graph_spec(spec: str) -> BipartiteGraph:
     spec = spec.strip()
     if spec.startswith("doubled(") and spec.endswith(")"):
         inner = spec[len("doubled("):-1]
-        name, *rest = inner.split(":")
-        args = [int(x) for x in rest[0].split("x")] if rest else []
+        name, *given = inner.split(":")
+        if name not in _GENERAL_FIELDS:
+            raise GraphValidationError(f"unknown general family {name!r}")
+        names = _GENERAL_FIELDS[name]
+        args = _spec_numbers(spec, given, names, f"doubled({':'.join([name, *names])})")
         base = _general_family(name, args)
         g = double_graph(base, label=f"doubled({inner})")
         g.meta["family"] = f"doubled-{name}"
@@ -412,31 +444,11 @@ def parse_graph_spec(spec: str) -> BipartiteGraph:
         if name == "cycle":
             g.meta["length"] = args[0]
         return g
-    name, *rest = spec.split(":")
-
-    def fields(form: str) -> list[str]:
-        if len(rest) != form.count(":"):
-            raise GraphValidationError(f"graph spec {spec!r}: expected the form {form}")
-        return rest
-    if name == "complete":
-        m, n = (int(x) for x in fields("complete:MxN")[0].split("x"))
-        return _complete_bipartite(m, n)
-    if name == "cycle":
-        return _even_cycle(int(fields("cycle:L")[0]))
-    if name == "path":
-        return _path(int(fields("path:SITES")[0]))
-    if name == "ladder":
-        return _cyclic_ladder(int(fields("ladder:L")[0]))
-    if name == "torus":
-        m, n = (int(x) for x in fields("torus:MxN")[0].split("x"))
-        return _even_torus(m, n)
-    if name == "hypercube":
-        return _hypercube(int(fields("hypercube:D")[0]))
-    if name == "random":
-        dims, p, seed = fields("random:NUxNV:P:SEED")
-        m, n = (int(x) for x in dims.split("x"))
-        return _random_bipartite(m, n, float(p), int(seed))
-    raise GraphValidationError(f"unknown graph spec {spec!r}")
+    name, *given = spec.split(":")
+    if name not in _FAMILIES:
+        raise GraphValidationError(f"unknown graph spec {spec!r}")
+    build, names = _FAMILIES[name]
+    return build(*_spec_numbers(spec, given, names, ":".join([name, *names])))
 
 
 # ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Critical size and gate machinery: g(s) maximization, hypothesis checking,
-gate families and transition counts, crossover predictions, dominance sets,
-no-trap certificates, and gate passage statistics.
+gate families and transition counts, the gate's mandatory passage on the
+bottleneck tree, crossover predictions, dominance sets, no-trap
+certificates, and gate passage statistics.
 
 All order comparisons that feed metastability logic go through exact
 rational heights (p + q*alpha bookkeeping), never floating point.
@@ -33,7 +34,7 @@ from .isoperimetry import (
 )
 # psi_symbolic is unused here but stays in this module's namespace for code
 # that looks it up (or wraps it) as hcmeta.metastability.psi_symbolic.
-from .potential import BottleneckTree, psi_symbolic  # noqa: F401
+from .potential import BottleneckTree, _components, psi_symbolic  # noqa: F401
 from .stats import chi_square_sf
 
 __all__ = [
@@ -55,7 +56,7 @@ __all__ = [
     "gate_statistics",
     "GateStats",
     "find_isoperimetric_numbering",
-    "mandatory_passage_probe",
+    "mandatory_passage",
     "default_s_tilde_bound",
 ]
 
@@ -689,61 +690,26 @@ def _check_torus_gate_families(g: BipartiteGraph, analysis: CriticalAnalysis,
                 "(extra element not on a longer side)")
 
 
-def mandatory_passage_probe(g: BipartiteGraph, alpha: Fraction,
-                            gate: CriticalGate, max_len: int = 12,
-                            budget: int = 500_000) -> dict:
-    """Tiny-scale exhaustive probe of the mandatory-passage condition.
+def mandatory_passage(space: ConfigurationSpace, alpha: Fraction,
+                      gate: CriticalGate) -> bool:
+    """Whether every optimal path from u to v crosses the gate.
 
-    Enumerates every alpha-bounded progression from the empty set (length at
-    most ``max_len``, graphs with |V| <= 8) that ends in a set with
-    Delta(A_n) <= alpha |A_n|, and checks each makes a step A_k -> A_{k+1}
-    with A_k in the gate's A family and A_{k+1} in its B family.  Validation
-    only; the gate construction never relies on this search.
+    An optimal path keeps every transition at or above the u -> v connecting
+    level L of the :class:`BottleneckTree` (the gate notion of Manzo, Nardi,
+    Olivieri & Scoppola, J. Stat. Phys. 2004).  The edges of levels 0 .. L
+    without the gate's transitions, both recorded occupied side first, are
+    joined by :func:`_components`; the gate is a mandatory passage exactly
+    when u and v stay apart.
     """
-    alpha = Fraction(alpha)
-    if len(g.v_sites) > 8:
-        raise ValueError("probe is restricted to |V| <= 8")
-    delta_fn, bound, _ = profile_function(g, alpha)
-    analysis = critical_analysis(delta_fn, alpha, bound)
-    bound_val = (Fraction(delta_fn(analysis.s_star))
-                 - alpha * analysis.s_star)
-    fam_a = set(gate.family_A)
-    fam_b = set(gate.family_B)
-    v_sites = list(g.v_sites)
-    checked = 0
-    violations = []
-    counter = _Budget(budget)
-
-    def alpha_ok(a: frozenset) -> bool:
-        return Fraction(set_cost(g, a)) - alpha * len(a) <= bound_val
-
-    def passes_gate(trail) -> bool:
-        return any(trail[k] in fam_a and trail[k + 1] in fam_b
-                   for k in range(len(trail) - 1))
-
-    stack = [[frozenset()]]
-    while stack:
-        trail = stack.pop()
-        if not counter.tick():
-            return {"status": "exhausted-budget", "checked": checked,
-                    "violations": violations}
-        cur = trail[-1]
-        if len(trail) > 1 and len(cur) > 0 and \
-                Fraction(set_cost(g, cur)) <= alpha * len(cur):
-            # every longer qualifying progression extends a qualifying prefix,
-            # so stopping at the first qualifying terminal is complete
-            checked += 1
-            if not passes_gate(trail):
-                violations.append([sorted(a) for a in trail])
-            continue
-        if len(trail) > max_len:
-            continue
-        for s in v_sites:
-            nxt = (cur | {s}) if s not in cur else (cur - {s})
-            if not alpha_ok(nxt):
-                continue
-            stack.append(trail + [nxt])
-    return {"status": "checked", "checked": checked, "violations": violations}
+    tree = BottleneckTree(space, alpha)
+    u, v = space.u_state, space.v_state
+    level = tree.connecting_level(frozenset({u}), frozenset({v}))
+    i, j = tree._edges(0, level + 1)
+    n = len(space)
+    gate_keys = [x * n + y for x, y in gate.transition_indices(space)]
+    keep = ~np.isin(i * n + j, gate_keys)
+    root = _components(np.arange(n), i[keep], j[keep])
+    return bool(root[u] != root[v])
 
 
 # ----------------------------------------------------------------------------
@@ -804,15 +770,17 @@ def no_trap_certificate(space: ConfigurationSpace, alpha: Fraction) -> NoTrapRep
 
     Exponents compared are of the Z- and gamma-free products w_x / w_bneck.
     Order ties (alpha genericity failures) give an inconclusive status.  All
-    bottlenecks come from one :class:`BottleneckTree` pass.
+    bottlenecks, and J(u) (the states of key at least u's), come from one
+    :class:`BottleneckTree` pass.
     """
     alpha = Fraction(alpha)
     u, v = space.u_state, space.v_state
-    j_u, _ = dominance_sets(space, u, alpha)
-    if not j_u:
-        raise ValueError("J(u) is empty: u already has maximal order")
     tree = BottleneckTree(space, alpha)
-    lu = tree.connecting_level(frozenset({u}), frozenset(j_u))
+    j_u = np.flatnonzero(tree.keys >= tree.keys[u])
+    j_u = j_u[j_u != u]
+    if not len(j_u):
+        raise ValueError("J(u) is empty: u already has maximal order")
+    lu = tree.connecting_level(frozenset({u}), frozenset(j_u.tolist()))
     escape = np.array(tree.escape_levels())
     level_pq = tree.level_pq
     q_u = space.weight_exponent(int(space.masks[u])) / tree.bottleneck_weight(lu)

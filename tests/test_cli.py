@@ -219,6 +219,16 @@ def test_invalid_config_exit_2(capsys):
                  "--lambda", "10"]) == 2
 
 
+# the form a malformed graph spec's message names
+_SPEC_FORMS = {"cycle": "cycle:L", "complete": "complete:MxN",
+               "random:4x4": "random:NUxNV:P:SEED",
+               "random:4x4:0.5": "random:NUxNV:P:SEED", "torus:4": "torus:MxN",
+               "torus:4x": "torus:MxN", "complete:3": "complete:MxN",
+               "doubled(cycle)": "doubled(cycle:L)",
+               "doubled(torus:4)": "doubled(torus:MxN)",
+               "doubled(vertex:3)": "doubled(vertex)"}
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--graph", "cycle"],
     ["enumerate", "--graph", "complete"],
@@ -228,6 +238,16 @@ def test_invalid_config_exit_2(capsys):
     ["hitting", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "nan"],
     ["hitting", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "inf"],
     ["hitting", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "1e300"],
+    ["enumerate", "--graph", "torus:4"],
+    ["enumerate", "--graph", "torus:4x"],
+    ["enumerate", "--graph", "complete:3"],
+    ["enumerate", "--graph", "doubled(cycle)"],
+    ["enumerate", "--graph", "doubled(torus:4)"],
+    ["enumerate", "--graph", "doubled(vertex:3)"],
+    ["simulate", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "10",
+     "--samples", "3", "--step-cap", "-5"],
+    ["simulate", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "10",
+     "--samples", "3", "--step-cap", "0"],
 ])
 def test_malformed_input_exit_2_in_one_line(capsys, argv):
     assert main(argv) == 2
@@ -235,6 +255,27 @@ def test_malformed_input_exit_2_in_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("invalid configuration:")
     assert captured.err.count("\n") == 1
+    form = _SPEC_FORMS.get(argv[2])
+    if form:
+        assert captured.err == (f"invalid configuration: graph spec {argv[2]!r}: "
+                                f"expected the form {form}\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@pytest.mark.parametrize("extra,nulls", [
+    (["--samples", "1"], {"var_t_hat"}),
+    (["--samples", "3", "--step-cap", "1"], {"mean_steps", "mean_t_hat", "var_t_hat"}),
+])
+def test_simulate_summary_is_strict_json(capsys, extra, nulls):
+    # a statistic with no value is null, never NaN
+    assert main(["simulate", "--graph", "cycle:6", "--alpha", "1/2",
+                 "--lambda", "10", *extra]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    stats = ("mean_steps", "mean_t_hat", "var_t_hat")
+    assert {k for k in stats if out[k] is None} == nulls
 
 
 def test_budget_exit_3(capsys):

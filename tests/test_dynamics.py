@@ -89,6 +89,8 @@ def test_timeout_is_distinct():
     _, summ = sample_crossover(kern, spc.u_state, [spc.v_state], 10,
                                base_seed=5, step_cap=10)
     assert summ.timeouts == 10
+    # no sample finished: the statistics have no value
+    assert summ.mean_steps is summ.mean_t_hat is summ.var_t_hat is None
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -8,12 +8,13 @@ from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.graph import build_family
 from hcmeta.isoperimetry import (_Budget, _walk, brute_force_profile,
                                  doubled_torus_delta, torus_delta)
-from hcmeta.metastability import (_site_mask, build_gate, check_hypotheses,
+from hcmeta.metastability import (CriticalGate, _gate_from_families, _site_mask,
+                                  build_gate, check_hypotheses,
                                   critical_analysis, crossover_prediction,
                                   dominance_sets, doubled_torus_critical_size,
                                   find_isoperimetric_numbering, gate_statistics,
-                                  no_trap_certificate, profile_function,
-                                  torus_critical_size)
+                                  mandatory_passage, no_trap_certificate,
+                                  profile_function, torus_critical_size)
 from hcmeta.potential import psi_symbolic
 
 HALF = Fraction(1, 2)
@@ -215,8 +216,6 @@ def test_doubled_gate_counts_conditional(spec, alpha, count):
 def test_doubled_gate_characterization_matches_brute_force():
     # The seed-characterization route must reproduce the gate built from
     # complete brute-force witness enumeration at sizes s*-1, s*, s*+kappa.
-    from hcmeta.metastability import _gate_from_families
-
     g = build_family("doubled(torus:6x6)")
     gate = build_gate(g, Fraction(7, 10))
     prof = brute_force_profile(g, 5, budget=10 ** 6)
@@ -359,6 +358,10 @@ def test_crossover_prediction_values():
 _LATTICE_PROFILE_ON_SMALL_TORUS = pytest.mark.xfail(
     strict=True, reason="profile_function gives every torus the lattice torus_delta; "
     "on torus:4x4 and torus:4x6 the true Delta(3) is 4, the lattice value 5")
+_LATTICE_PROFILE_ON_SMALL_DOUBLED_TORUS = pytest.mark.xfail(
+    strict=True, reason="profile_function gives every doubled torus the lattice "
+    "doubled_torus_delta; on doubled(torus:3x3) the exact exponent is 43/10 at 7/10 "
+    "and 9/2 at 1/2, the lattice one 59/10 and 7")
 
 
 @pytest.mark.parametrize("alpha", [Fraction(7, 10), HALF], ids=str)
@@ -367,6 +370,7 @@ _LATTICE_PROFILE_ON_SMALL_TORUS = pytest.mark.xfail(
     "hypercube:4",
     pytest.param("torus:4x4", marks=_LATTICE_PROFILE_ON_SMALL_TORUS),
     pytest.param("torus:4x6", marks=_LATTICE_PROFILE_ON_SMALL_TORUS),
+    pytest.param("doubled(torus:3x3)", marks=_LATTICE_PROFILE_ON_SMALL_DOUBLED_TORUS),
 ])
 def test_critical_exponent_equals_bottleneck_psi(spec, alpha):
     # The closed-form order Delta(s*) - alpha(s*-1) against the exact order
@@ -458,21 +462,26 @@ def test_girth_lower_bound_on_hypercube():
         assert got.value(alpha) >= landmark.value(alpha)
 
 
-def test_mandatory_passage_probe():
-    # Validation-only exhaustive probe on tiny instances (|V| <= 8).
-    from hcmeta.metastability import mandatory_passage_probe
+@pytest.mark.parametrize("alpha", [HALF, Fraction(7, 10)], ids=str)
+@pytest.mark.parametrize("spec", ["cycle:6", "complete:2x3", "ladder:6",
+                                  "hypercube:4", "path:6", "doubled(cycle:10)"])
+def test_mandatory_passage(spec, alpha):
+    # every optimal u -> v path crosses the gate
+    g = build_family(spec)
+    assert mandatory_passage(enumerate_space(g), alpha, build_gate(g, alpha))
 
-    for spec in ("cycle:6", "complete:2x3"):
-        g = build_family(spec)
-        gate = build_gate(g, HALF)
-        rep = mandatory_passage_probe(g, HALF, gate, max_len=10)
-        assert rep["status"] == "checked" and not rep["violations"]
-    # negative control: an artificially restricted B family is caught
-    g = build_family("cycle:6")
+
+@pytest.mark.parametrize("spec", ["cycle:6", "ladder:6", "hypercube:4"])
+def test_mandatory_passage_fails_on_restricted_b(spec):
+    # negative control: the transitions of B's first member alone leave an
+    # optimal path open.  complete:2x3 and path:6 have no such control:
+    # every B member there yields the same transitions, or |B| = 1.
+    g = build_family(spec)
     gate = build_gate(g, HALF)
-    gate.family_B = gate.family_B[:1]
-    rep = mandatory_passage_probe(g, HALF, gate, max_len=10)
-    assert rep["violations"]
+    transitions, count = _gate_from_families(g, gate.family_A, gate.family_B[:1])
+    restricted = CriticalGate(gate.s_star, gate.kappa, gate.family_A,
+                              gate.family_B[:1], gate.family_C, transitions, count)
+    assert not mandatory_passage(enumerate_space(g), HALF, restricted)
 
 
 def test_hypercube_hypotheses_and_numeric_critical_size():
