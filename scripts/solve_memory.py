@@ -45,7 +45,11 @@ instance the samples, the transitions they made, the seconds, transitions
 per second, the timeouts, and the SHA-256 of the samples' JSON lines as
 ``hcmeta simulate`` writes them.  Equal digests from two checkouts mean equal
 samples.  The transitions are counted in a second, untimed pass that watches
-every edge of the kernel, so that each transition is a gate event.
+every edge of the kernel, so that each transition is a gate event; each
+reads two uniforms (``uniforms_read``).  A third, untimed pass repeats the
+timed call with ``hcmeta.dynamics._bounce`` and ``_Uniforms.chunk`` wrapped
+(the second pass's watch closes every well) and counts the bounce windows
+(``windows``) and the uniforms drawn (``uniforms_drawn``).
 """
 from __future__ import annotations
 
@@ -232,11 +236,39 @@ def measure_sampler(name: str) -> dict:
     every = list(zip(rows.tolist(), cols.tolist()))
     transitions = sum(len(simulate_hit(kern, u, [v], seed + i, gate_watch=every).gate_events)
                       for i in range(n))
+    windows, drawn = _count_windows(lambda: sample_crossover(
+        kern, u, [v], n, base_seed=seed, gate_watch=watch, embed_clock=embed))
     return {"instance": name, "graph": spec, "lambda": lam, "alpha": alpha,
             "embed_clock": embed, "gate_watch": gated, "samples": n,
             "transitions": transitions, "seconds": seconds,
             "transitions_per_s": transitions / seconds, "timeouts": summary.timeouts,
+            "windows": windows, "uniforms_drawn": drawn,
+            "uniforms_read": 2 * transitions,
             "samples_sha256": hashlib.sha256(lines.encode()).hexdigest()}
+
+
+def _count_windows(run) -> tuple[int, int]:
+    """(bounce windows, uniforms drawn) while ``run()`` samples."""
+    from hcmeta import dynamics
+
+    counts = [0, 0]
+    bounce, chunk = dynamics._bounce, dynamics._Uniforms.chunk
+
+    def counted_bounce(*args, **kwargs):
+        counts[0] += 1
+        return bounce(*args, **kwargs)
+
+    def counted_chunk(self, *args, **kwargs):
+        got = chunk(self, *args, **kwargs)
+        counts[1] += len(got)
+        return got
+
+    dynamics._bounce, dynamics._Uniforms.chunk = counted_bounce, counted_chunk
+    try:
+        run()
+    finally:
+        dynamics._bounce, dynamics._Uniforms.chunk = bounce, chunk
+    return counts[0], counts[1]
 
 
 def _usage() -> tuple[float, int, float]:

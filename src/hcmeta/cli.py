@@ -230,12 +230,19 @@ def cmd_simulate(args) -> int:
            "var_t_hat": summ.var_t_hat, "seed": args.seed}
     code = EXIT_OK
     if args.ks_exponential:
-        from .stats import ks_exponential_test
-        rep = ks_exponential_test([s.t_hat for s in samples if not s.timed_out],
-                                  threshold=args.ks_threshold)
-        out["ks"] = rep.as_json_obj()
-        if not rep.passed:
+        from .stats import KS_MIN_SAMPLES, ks_exponential_test
+        done = [s.t_hat for s in samples if not s.timed_out]
+        if len(done) < KS_MIN_SAMPLES:      # timeouts took too many samples
+            print(f"ks: {len(done)} samples finished, the test needs "
+                  f"{KS_MIN_SAMPLES}", file=sys.stderr)
+            out["ks"] = None
+            out["finished"] = len(done)
             code = EXIT_VERIFY
+        else:
+            rep = ks_exponential_test(done, threshold=args.ks_threshold)
+            out["ks"] = rep.as_json_obj()
+            if not rep.passed:
+                code = EXIT_VERIFY
     if watch is not None:
         st = gate_statistics(samples, watch)
         out["gate"] = st.as_json_obj()
@@ -381,6 +388,11 @@ def main(argv=None) -> int:
             raise ValueError(f"{cmd} needs --alpha or --lambda-bar")
         if cmd == "simulate" and args.gate_watch and args.alpha is None:
             raise ValueError("--gate-watch needs --alpha")
+        if cmd == "simulate" and args.ks_exponential:
+            from .stats import KS_MIN_SAMPLES
+            if args.samples < KS_MIN_SAMPLES:
+                raise ValueError(f"--ks-exponential needs --samples of at least "
+                                 f"{KS_MIN_SAMPLES}, got {args.samples}")
         return args.fn(args)
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -17,27 +17,32 @@ A batch keeps one bit generator per process and re-keys it for each sample,
 which draws what a new ``Philox(key=...)`` draws.  Each transition reads two
 uniforms in order from its stream, u = 1 - U on (0, 1]: one for the
 geometric hold, one for the move.  The stream is drawn lazily in chunks that
-never cross a multiple of ``1 << 14`` values, and the ``embed_clock`` Gamma
-draw starts at the next such boundary after the last uniform read, so
-samples do not depend on how the stream is chunked.
+never cross a multiple of ``1 << 14`` values.  The ``embed_clock`` Gamma
+draw starts at the first such boundary at or after the last uniform read:
+the walk sets Philox's counter there from its count of values read, however
+far it has drawn ahead.  So samples do not depend on how the stream is
+chunked.
 
 Wells: with lambda >> 1 the walk spends almost every transition leaving a
 stable state b and coming straight back.  A *well* is a state whose two-step
 return probability r(b) = sum_y P(b -> y | move) P(y -> b | move) is at least
 ``_WELL_RETURN``.  Standing at a well, the walk reads a *bounce window*: W
-transition pairs b -> y -> b, four uniforms each, from the current chunk.
-numpy finds every pair's y (``searchsorted``, as ``bisect_left`` does),
-whether y's move uniform falls in the exact ``bisect_left`` bounds of the
-entry back to b, and every hold, truncating ``np.log`` quotients; a quotient
-within a relative 2^-40 of an integer is taken again with ``math.log``, so
-every hold is the one the scalar step computes.  The pairs before the first
-one that does not come back (or reaches a target, or would pass
-``step_cap``) are accepted, and the scalar loop resumes at that pair; W
-starts at 64 and doubles while whole windows are accepted.  Every uniform is
-still read in order, two per transition, so every sample is the one the
-scalar loop gives.  The scalar steps read Python floats, converted from the
-chunk only where they read.  A well one of whose edges is in ``gate_watch``
-opens no window.  ``occupation_counts`` stays scalar.
+transition pairs b -> y -> b, four uniforms each.  numpy finds every pair's
+y (``searchsorted``, as ``bisect_left`` does), whether y's move uniform
+falls in the exact ``bisect_left`` bounds of the entry back to b, and every
+hold, truncating ``np.log`` quotients; a quotient within a relative 2^-40
+of an integer is taken again with ``math.log``, so every hold is the one
+the scalar step computes.  The pairs before the first one that does not
+come back (or reaches a target, or would pass ``step_cap``) are accepted,
+and the scalar loop resumes at that pair; while whole windows are accepted,
+the next one follows.  W is fixed per well from r(b) by :func:`_window`, at
+most 4,096.  Where fewer than 4W uniforms are left in the chunk, the walk
+draws the rest ahead and joins the two, so a window is cut short only
+where that draw stops at a multiple of ``1 << 14``.  Every uniform is read in
+order, two per transition, so every sample is the one the scalar loop
+gives.  The scalar steps read Python floats, converted from the chunk only
+where they read.  A well one of whose edges is in ``gate_watch`` opens no
+window.  ``occupation_counts`` stays scalar.
 """
 from __future__ import annotations
 
@@ -68,14 +73,19 @@ DEFAULT_STEP_CAP = 10_000_000_000
 _BLOCK = 1 << 14                # uniforms per block of a sampler stream
 _KEY = (1 << 128) - 1           # Philox keys are 128-bit
 _M64 = (1 << 64) - 1
-# A bounce window costs about 14 us plus 0.03 us per pair, a scalar transition
-# 0.5-1 us (2-vCPU Xeon VM), so a window of 64 pairs costs as much as 16-32
-# scalar transitions.  At r(b) >= 1 - 1/64 a window opened at b accepts on
-# average r/(1 - r) >= 63 pairs (126 transitions) before one leaves b.  The
+# A bounce window costs about 17 us plus 0.03 us per pair, a scalar transition
+# 0.5-1 us (2-vCPU Xeon VM), so a window of 64 pairs costs as much as 17-34
+# scalar transitions.  At r(b) >= 1 - 1/64 a visit to b makes on average
+# r/(1 - r) >= 63 pairs b -> y -> b (126 transitions) before one leaves b.  The
 # break-even lies near r = 0.9, but every threshold from 1 - 1/8 to 1 - 1/128
 # opens the same windows on the benchmark's and verify's instances.
 _WELL_RETURN = 1.0 - 1.0 / 64
-_FIRST_WINDOW = 64              # pairs in a visit's first window
+# pairs in one window: 4 * 4,096 uniforms, and holds below 2^48 keep a
+# window's int64 step sums below 2^62 (see _wells)
+_MAX_WINDOW = 4096
+# a window's fixed cost in pairs: 12-17 us against about 0.03 us per pair
+# read plus 0.03 us for its four uniforms drawn (see _window)
+_WINDOW_COST = 256
 _SEGMENT = 32                   # values converted to floats after a window
 # A hold's quotient from np.log truncates as math.log's does unless an integer
 # lies within this relative distance of it (see _holds)
@@ -88,28 +98,36 @@ class _Uniforms:
     One bit generator serves every stream: :meth:`rekey` sets it to the state
     ``Philox(key=seed mod 2^128)`` starts in (counter 0, empty buffer), which
     costs a fifth of a new ``Philox``; the draws are the same.
-    ``chunk()`` draws max(512, values drawn so far), at most ``_BLOCK``:
-    512, 512, 1024, ..., 8192, then whole blocks.  Every chunk is even, none
-    crosses a multiple of ``_BLOCK``, and at most max(512, 2 * read) are drawn.
+    ``chunk(need)`` draws max(512, ``need``, values drawn so far), but never
+    past the next multiple of ``_BLOCK``.  Without ``need`` that is 512, 512,
+    1024, ..., 8192, then whole blocks.  Every chunk is even.
     """
 
     def __init__(self):
         self.rng = np.random.Generator(np.random.Philox(0))     # keyed by rekey()
         self.drawn = 0
+        # the state _seek sets, its arrays filled in place (the setter copies)
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": np.zeros(4, np.uint64),
+                                "key": np.zeros(2, np.uint64)},
+                      "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+
+    def _seek(self, counter: int) -> None:
+        """Philox at ``counter`` with an empty buffer: the state
+        ``Philox(key=...).advance(counter)`` is in."""
+        self.state["state"]["counter"][0] = counter
+        self.rng.bit_generator.state = self.state
 
     def rekey(self, seed: int) -> "_Uniforms":
         key = seed & _KEY
-        self.rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64),
-                      "key": np.array([key & _M64, key >> 64], np.uint64)},
-            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        self.state["state"]["key"][:] = (key & _M64, key >> 64)
+        self._seek(0)
         self.drawn = 0
         return self
 
-    def chunk(self) -> np.ndarray:
-        n = min(max(self.drawn, 512), _BLOCK)
+    def chunk(self, need: int = 0) -> np.ndarray:
+        n = min(max(need, self.drawn, 512), _BLOCK - self.drawn % _BLOCK)
         self.drawn += n
         return 1.0 - self.rng.random(n)
 
@@ -117,10 +135,11 @@ class _Uniforms:
         while True:
             yield from self.chunk().tolist()
 
-    def block_end(self) -> np.random.Generator:
-        """The generator, advanced to the next multiple of ``_BLOCK`` values
-        (Philox makes 4 values per counter step)."""
-        self.rng.bit_generator.advance(-self.drawn % _BLOCK // 4)
+    def block_end(self, read: int) -> np.random.Generator:
+        """The generator at the first multiple of ``_BLOCK`` values at or
+        after value ``read`` (Philox makes 4 values per counter step),
+        however many were drawn."""
+        self._seek(-(-read // _BLOCK) * _BLOCK // 4)
         return self.rng
 
 
@@ -212,12 +231,12 @@ class TransitionKernel:
         return rows, self.indices.tolist(), self.cum.tolist()
 
     @functools.cached_property
-    def _wells(self) -> dict[int, tuple[np.ndarray, np.ndarray, list[int]]]:
+    def _wells(self) -> dict[int, tuple[np.ndarray, np.ndarray, list[int], int]]:
         """The bounce-window tables of every well b: ``cum[lo:last]`` of its
         row; per entry b -> y of the row, the columns (p_move of y, the lower
         and upper ``bisect_left`` bounds of y's move uniform times p_move that
-        select the entry y -> b, b's and y's log1p(-p_move)); and the targets
-        y."""
+        select the entry y -> b, b's and y's log1p(-p_move)); the targets y;
+        and the pairs of its windows, from r(b)."""
         rows, cols, probs = self.offdiag_coo()
         indptr, cum, p_move = self.indptr, self.cum, self.p_move
         rev = self._csr[3]
@@ -232,15 +251,15 @@ class TransitionKernel:
         table = np.column_stack([p_move[cols], lower, cum[rev], log_stay[rows],
                                  log_stay[cols]])
         # |log u| <= 53 ln 2 < 37, so where log_stay < -37 / 2^48 no hold
-        # passes 2^48 steps, and a window's int64 sums of at most 4,096 pairs
-        # stay exact.  Only a well whose holds and whose neighbours' all fit
+        # passes 2^48 steps, and a window's int64 sums of at most _MAX_WINDOW
+        # pairs stay exact.  Only a well whose holds and whose neighbours' all fit
         # opens windows (p_move > 1.3e-13; the scalar loop takes the rest).
         fits = log_stay < -37.0 / 2.0 ** 48
         wells = np.flatnonzero((ret >= _WELL_RETURN) & fits
                                & (np.bincount(rows, ~fits[cols], minlength=len(self)) == 0))
-        return {b: (cum[lo:hi - 1], table[lo:hi], cols[lo:hi].tolist())
-                for b, lo, hi in zip(wells.tolist(), indptr[wells].tolist(),
-                                     indptr[wells + 1].tolist())}
+        return {b: (cum[lo:hi - 1], table[lo:hi], cols[lo:hi].tolist(), _window(r))
+                for b, lo, hi, r in zip(wells.tolist(), indptr[wells].tolist(),
+                                        indptr[wells + 1].tolist(), ret[wells].tolist())}
 
     def __len__(self) -> int:
         return len(self.space)
@@ -312,9 +331,9 @@ class HittingSample:
 
 
 class _Windows(dict):
-    """One batch's bounce-window tables by well, made on the first visit: None
-    for a well with a watched edge b -> y or y -> b, and entries into a target
-    made never to return."""
+    """One batch's bounce-window tables by well, made on the first visit:
+    (cum_row, table, window), None for a well with a watched edge
+    b -> y or y -> b, and entries into a target made never to return."""
 
     def __init__(self, wells: dict, targets: set[int], watch):
         super().__init__()
@@ -323,16 +342,30 @@ class _Windows(dict):
         self.watched = {s for pair in watch for s in pair} if watch else set()
 
     def __missing__(self, b: int):
-        cum_row, table, ys = self.wells[b]
+        cum_row, table, ys, pairs = self.wells[b]
         win = None
         if b not in self.watched:
             stop = [y in self.targets for y in ys]
             if any(stop):
                 table = table.copy()
                 table[stop, 1] = np.inf
-            win = (cum_row, table)
+            win = (cum_row, table, pairs)
         self[b] = win
         return win
+
+
+def _window(r: float) -> int:
+    """Pairs per bounce window at a well of return probability r.
+
+    A visit's run of returns is geometric with mean m = r/(1 - r), so a
+    visit read in windows of W pairs costs about (c + W) / (1 - r^W) pairs'
+    work, c = ``_WINDOW_COST``, least near W = sqrt(2 c m) where W << m.
+    The run is memoryless, so every window of a visit has that best size.
+    W is the power of two nearest it, 128 at r = 1 - 1/64, at most
+    ``_MAX_WINDOW``."""
+    if r >= 1.0:
+        return _MAX_WINDOW
+    return min(1 << round(math.log2(2 * _WINDOW_COST * r / (1.0 - r)) / 2), _MAX_WINDOW)
 
 
 def _holds(u: np.ndarray, log_stay) -> np.ndarray:
@@ -364,7 +397,7 @@ def _bounce(win, arr: np.ndarray, pos: int, pairs: int,
     b, and of those only as many as keep their running step count <=
     ``room``.  Each value is the one the scalar step of :func:`simulate_hit`
     computes."""
-    cum_row, table = win
+    cum_row, table, _ = win
     u = arr[pos:pos + 4 * pairs]
     k = cum_row.searchsorted(u[1::4] * pm)        # bisect_left over [lo, last)
     y = table.take(k, 0)
@@ -377,8 +410,11 @@ def _bounce(win, arr: np.ndarray, pos: int, pairs: int,
         return 0, 0
     y[:n, 3] = log_stay                 # columns 3, 4: each pair's holds at b, at y
     h = _holds(u[:4 * n].reshape(n, 4)[:, ::2], y[:n, 3:])
+    total = int(h.sum()) + 2 * n
+    if total <= room:
+        return n, total
     held = (h[:, 0] + h[:, 1] + 2).cumsum()
-    n = min(n, int(held.searchsorted(room, "right")))
+    n = int(held.searchsorted(room, "right"))
     return n, int(held[n - 1]) if n else 0
 
 
@@ -423,40 +459,42 @@ def _walk(kernel: TransitionKernel, state: int, target_set: set[int], step_cap: 
     rows, indices, cum = kernel._rows
     wells = windows.wells
     arr = buf = None
-    size = pos = end = 0                # buf[pos:end] holds arr[pos:end] as floats
-    pairs = _FIRST_WINDOW               # of the next window at a well
+    # arr[0] is value `base` of the stream; buf holds arr[fb:end] as floats
+    base = size = pos = fb = end = 0
     seg = _SEGMENT                      # values the next conversion takes
     while True:
         pm, log_stay, lo, last = rows[state]
         if pm <= 0.0:
             raise RuntimeError(f"absorbing state {state} outside targets")
-        if pos == size:                 # chunks are even: both uniforms fit
-            arr = uni.chunk()
-            size, pos, end = len(arr), 0, 0
-            buf = [0.0] * size
-        if state in wells and windows[state] is not None:
-            while size - pos >= 4:
+        if state in wells and (win := windows[state]) is not None:
+            pairs = win[2]
+            while True:
+                if size - pos < 4 * pairs:  # draw ahead, joined to the rest
+                    fresh = uni.chunk(4 * pairs - (size - pos))
+                    arr = np.concatenate((arr[pos:], fresh)) if pos < size else fresh
+                    base += pos
+                    size, pos, end = len(arr), 0, 0
+                # a chunk stops at a block's end: the window may be shorter
                 want = min(pairs, (size - pos) >> 2)
-                n, held = _bounce(windows[state], arr, pos, want, pm, log_stay,
-                                  step_cap - steps)
+                n, held = _bounce(win, arr, pos, want, pm, log_stay, step_cap - steps)
                 pos += 4 * n
                 steps += held
-                if n < want:            # the scalar step takes pair n
-                    pairs = _FIRST_WINDOW
+                if n < want:                # the scalar step takes pair n
                     break
-                pairs *= 2
             seg = _SEGMENT
-            if pos == size:
-                continue
+        elif pos == size:               # chunks are even: both uniforms fit
+            arr = uni.chunk()
+            base += size
+            size, pos, end = len(arr), 0, 0
         if pos >= end:                  # floats for the scalar steps only
-            end = min(pos + seg, size)
-            buf[pos:end] = arr[pos:end].tolist()
+            buf = arr[pos:pos + seg].tolist()
+            fb, end = pos, pos + len(buf)
             seg *= 2
         # int(-0.0) == 0 where log_stay is -inf
-        steps += int(math.log(buf[pos]) / log_stay) + 1
+        steps += int(math.log(buf[pos - fb]) / log_stay) + 1
         if steps > step_cap:
             return HittingSample(steps, steps / gamma, state, events, timed_out=True)
-        nxt = indices[bisect_left(cum, buf[pos + 1] * pm, lo, last)]
+        nxt = indices[bisect_left(cum, buf[pos - fb + 1] * pm, lo, last)]
         pos += 2
         if watch is not None and (state, nxt) in watch:
             events.append((state, nxt))
@@ -464,7 +502,7 @@ def _walk(kernel: TransitionKernel, state: int, target_set: set[int], step_cap: 
         if state in target_set:
             break
     if embed_clock:
-        t_hat = float(uni.block_end().gamma(shape=steps, scale=1.0 / gamma))
+        t_hat = float(uni.block_end(base + pos).gamma(shape=steps, scale=1.0 / gamma))
     else:
         t_hat = steps / gamma
     return HittingSample(steps, t_hat, state, events)

@@ -8,6 +8,8 @@ import numpy as np
 
 __all__ = ["StatReport", "chi_square_sf", "kolmogorov_sf", "ks_exponential_test"]
 
+KS_MIN_SAMPLES = 100            # fewest samples ks_exponential_test takes by default
+
 
 @dataclass
 class StatReport:
@@ -26,7 +28,7 @@ class StatReport:
 
 
 def ks_exponential_test(samples, threshold: float = 0.01,
-                        min_samples: int = 100) -> StatReport:
+                        min_samples: int = KS_MIN_SAMPLES) -> StatReport:
     """One-sample Kolmogorov-Smirnov test of samples/mean against 1 - e^-t.
 
     Samples are scaled by their empirical mean, then compared with the unit

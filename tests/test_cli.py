@@ -278,6 +278,30 @@ def test_simulate_summary_is_strict_json(capsys, extra, nulls):
     assert {k for k in stats if out[k] is None} == nulls
 
 
+def test_simulate_ks_below_100_samples_refused_before_sampling(capsys, tmp_path):
+    samples, summary = tmp_path / "ks.jsonl", tmp_path / "ks.json"
+    assert main(["simulate", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "1e3",
+                 "--samples", "50", "--ks-exponential", "-o", str(samples),
+                 "--summary", str(summary)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("invalid configuration: --ks-exponential needs --samples of at "
+                   "least 100, got 50\n")
+    assert not samples.exists() and not summary.exists()
+
+
+def test_simulate_ks_with_too_few_finished_samples_exit_4(capsys, tmp_path):
+    # 77 of 120 samples pass the step cap, which leaves 43 for the test
+    samples, summary = tmp_path / "ks.jsonl", tmp_path / "ks.json"
+    assert main(["simulate", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "1e2",
+                 "--samples", "120", "--seed", "3", "--step-cap", "40000",
+                 "--ks-exponential", "-o", str(samples), "--summary", str(summary)]) == 4
+    assert len(samples.read_text().splitlines()) == 120
+    out = json.loads(summary.read_text(), parse_constant=_reject_constant)
+    assert out["ks"] is None
+    assert (out["finished"], out["timeouts"]) == (43, 77)
+    assert "43 samples finished" in capsys.readouterr().err
+
+
 def test_budget_exit_3(capsys):
     assert main(["enumerate", "--graph", "torus:6x6", "--cap", "100"]) == 3
 

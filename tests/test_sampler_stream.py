@@ -11,9 +11,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hcmeta import dynamics
 from hcmeta.configspace import ModelParams, enumerate_space, leq
 from hcmeta.dynamics import (DEFAULT_STEP_CAP, HittingSample, TransitionKernel,
-                             _bounce, _holds, _Uniforms, _walker, _Windows,
+                             _bounce, _holds, _Uniforms, _walker, _window, _Windows,
                              build_kernel, coupled_simulate, occupation_counts,
                              sample_crossover, simulate_hit)
 from hcmeta.graph import build_family
@@ -187,6 +188,96 @@ def test_runs_past_a_block_keep_the_clock_draw():
     assert max(blocks) >= 2 and min(blocks) == 1
 
 
+def test_a_run_at_a_well_reads_across_a_chunk_end(monkeypatch):
+    """A window that starts in what is left of one chunk reads on into the
+    chunk drawn ahead and joined to it; the samples stay the reference's."""
+    _, space, kernel = setup("cycle:6", 1e3)
+    drawn, spans = [], []
+    chunk, bounce = _Uniforms.chunk, dynamics._bounce
+
+    def spy_chunk(self, need=0):
+        drawn.append(chunk(self, need))
+        return drawn[-1]
+
+    def spy_bounce(win, arr, pos, pairs, *rest):
+        n, held = bounce(win, arr, pos, pairs, *rest)
+        joined = len(arr) - len(drawn[-1])      # where the newest chunk starts
+        if pos < joined < pos + 4 * n:
+            spans.append((pos, joined, n))
+        return n, held
+
+    monkeypatch.setattr(_Uniforms, "chunk", spy_chunk)
+    monkeypatch.setattr(dynamics, "_bounce", spy_bounce)
+    for seed in range(40):
+        assert simulate_hit(kernel, space.u_state, [space.v_state], seed,
+                            embed_clock=True) == \
+            ref_simulate_hit(kernel, space.u_state, [space.v_state], seed,
+                             embed_clock=True)[0]
+    assert spans
+
+
+def test_clock_starts_after_the_last_value_read(monkeypatch):
+    """Walks on cycle:6 at 1e4 whose last value read lies within one window
+    (4 W values) before a multiple of 1 << 14, where a window may have drawn
+    the next block ahead: the Gamma clock still starts at the block after
+    the last value read.  The reference, watching every edge, counts the
+    values read, two per transition."""
+    _, space, kernel = setup("cycle:6", 1e4)
+    u, v = space.u_state, space.v_state
+    ahead = 4 * kernel._wells[u][3]
+    rows, cols, _ = kernel.offdiag_coo()
+    every = list(zip(rows.tolist(), cols.tolist()))
+    clocks = []
+    block_end = _Uniforms.block_end
+
+    def spy_block_end(self, read):
+        clocks.append((self.drawn, read))
+        return block_end(self, read)
+
+    monkeypatch.setattr(_Uniforms, "block_end", spy_block_end)
+    near = []
+    for seed in range(50):
+        ref = ref_simulate_hit(kernel, u, [v], seed, gate_watch=every,
+                               embed_clock=True)[0]
+        read = 2 * len(ref.gate_events)
+        if ref.timed_out or not 0 < -read % BLOCK <= ahead:
+            continue
+        near.append(seed)
+        got = simulate_hit(kernel, u, [v], seed, embed_clock=True)
+        assert (got.steps, got.t_hat, got.terminal) == (ref.steps, ref.t_hat, ref.terminal)
+        assert clocks[-1][1] == read
+    assert near
+    # and for one of them the walk had drawn past the block it ended in
+    assert any(d > -(-r // BLOCK) * BLOCK for d, r in clocks)
+
+
+def test_windows_stay_within_4096_pairs(monkeypatch):
+    asked = []
+    bounce = dynamics._bounce
+
+    def spy_bounce(win, arr, pos, pairs, *rest):
+        asked.append(pairs)
+        return bounce(win, arr, pos, pairs, *rest)
+
+    monkeypatch.setattr(dynamics, "_bounce", spy_bounce)
+    # at 1e6 r/(1 - r) is about 5e5, and the window would be 2^14 uncapped
+    for lam, n, cap in ((1e4, 40, DEFAULT_STEP_CAP), (1e6, 3, 10**13)):
+        _, space, kernel = setup("cycle:6", lam)
+        asked.clear()
+        sample_crossover(kernel, space.u_state, [space.v_state], n, base_seed=1,
+                         step_cap=cap, embed_clock=True)
+        assert asked and max(asked) <= 4096
+    assert max(asked) == 4096
+
+
+def test_window_sizes_from_the_return_probability():
+    # sqrt(2 * 256 * r / (1 - r)), to the nearest power of two, at most 4096
+    assert [_window(r) for r in (1 - 1 / 64, 0.998, 1 - 2e-4, 1 - 2e-6, 1.0)] == \
+        [128, 512, 2048, 4096, 4096]
+    _, space, kernel = setup("cycle:6", 1e3)
+    assert kernel._wells[space.u_state][3] == 512
+
+
 def test_threaded_batch_matches_reference():
     for spec, lam in (("ladder:4", 10.0), ("cycle:6", 1e3)):
         _, space, kernel = setup(spec, lam)
@@ -250,6 +341,8 @@ OUT_2 = [0.4, 0.6, 0.5, E]              # 2 -> 1 on the boundary cum = E/2
     (BACK_1 * 2 + BACK_2 + BACK_1, (2,), 10**6, 2),      # y in targets
     ((BACK_2 + BACK_1) * 4, (), 12, 4),                  # 4 + 2 + 4 + 2 steps
     ([0.5, 0.5] + BACK_2 * 3, (), 10**6, 3),             # starts at pos 2
+    ((BACK_2 + BACK_1) * 4, (), 24, 8),                  # the whole window's 24
+    ((BACK_2 + BACK_1) * 4, (), 23, 7),
 ])
 def test_bounce_window_matches_scalar_step(buf, targets, room, accepted):
     kernel = crafted_kernel()
@@ -370,7 +463,7 @@ def test_rekeyed_stream_is_a_new_philox(seed):
     uni.rng.gamma(3.0)                  # leave the generator mid-buffer
     uni.rekey(seed)
     got = np.concatenate([uni.chunk() for _ in range(3)])
-    clock = uni.block_end().gamma(shape=1234.0, scale=0.5)
+    clock = uni.block_end(len(got)).gamma(shape=1234.0, scale=0.5)
     ref = np.random.Generator(np.random.Philox(key=seed & ((1 << 128) - 1)))
     assert got.tolist() == (1.0 - ref.random(BLOCK))[:len(got)].tolist()
     assert clock == ref.gamma(shape=1234.0, scale=0.5)
