@@ -13,16 +13,18 @@ JSON output lists, per instance, the states, the orbits of the lumped
 voltage solve and of the E[T] solve, per timed call its seconds
 (``<call>_s``), minor page faults (``<call>_minflt``, the ``ru_minflt``
 delta) and system seconds (``<call>_sys_s``, the ``ru_stime`` delta), each
-process's peak RSS right after the build (``build_peak_rss_mb``) and at its
-end, E_u[T_v] in steps by both routes (each with its exact ``float.hex``),
-the gap between the two E[T] routes, Psi(u, v) (with its ``float.hex``)
-with its bottleneck edge, the no-trap status and count of checked states,
-and the first 16 hex digits of the SHA-256 of the tree's escape levels as
-int64 bytes.  Under ``gates`` it lists ``build_gate`` on each of
-``GATE_INSTANCES``, once, in a fresh process: its seconds, faults and
-system seconds, the process's peak RSS, and the gate count.  With SPECs
-(graph specs such as ``path:19``), only their solve rows run, one fresh
-process each, and no gate.
+process's peak RSS right after the build of the network or of the tree
+(``build_peak_rss_mb``) and at its end, E_u[T_v] in steps by both routes
+(each with its exact ``float.hex``), the gap between the two E[T] routes,
+Psi(u, v) (with its ``float.hex``) with its bottleneck edge, the no-trap
+status and count of checked states, and the first 16 hex digits of the
+SHA-256 of the tree's escape levels and of the ``psi_symbolic`` witness
+path, each as int64 bytes: equal digests from two checkouts mean equal
+escape levels and an equal witness.  Under ``gates`` it lists
+``build_gate`` on each of ``GATE_INSTANCES``, once, in a fresh process: its
+seconds, faults and system seconds, the process's peak RSS, and the gate
+count.  With SPECs (graph specs such as ``path:19``), only their solve rows
+run, one fresh process each, and no gate.
 
     python3 scripts/solve_memory.py --imports [--output BENCH_imports.json]
 
@@ -174,17 +176,20 @@ def measure_tree(spec: str) -> dict:
     u0 = _usage()
     tree = BottleneckTree(spc, alpha)
     u1 = _usage()
+    build_rss = _peak_rss_mb()
     sym = psi_symbolic(spc, {u}, j_u, alpha)
     u2 = _usage()
     rep = no_trap_certificate(spc, alpha)
     u3 = _usage()
     escape = np.array(tree.escape_levels(), dtype=np.int64)
-    return {**_spent("tree", u0, u1), **_spent("psi_symbolic", u1, u2),
-            **_spent("no_trap", u2, u3),
+    witness = np.array(sym.witness_path, dtype=np.int64)
+    return {**_spent("tree", u0, u1), "build_peak_rss_mb": build_rss,
+            **_spent("psi_symbolic", u1, u2), **_spent("no_trap", u2, u3),
             "no_trap_status": rep.status, "no_trap_checked": rep.checked,
             "psi_weight": str(sym.bottleneck_weight.value(alpha)),
             "peak_rss_mb": _peak_rss_mb(),
-            "escape_sha256": hashlib.sha256(escape.tobytes()).hexdigest()[:16]}
+            "escape_sha256": hashlib.sha256(escape.tobytes()).hexdigest()[:16],
+            "witness_sha256": hashlib.sha256(witness.tobytes()).hexdigest()[:16]}
 
 
 def measure_gate(spec: str) -> dict:

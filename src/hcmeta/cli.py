@@ -19,7 +19,7 @@ import time
 
 # each command imports the layers it runs; main() catches these modules' errors
 from .asymptotics import parse_fraction
-from .configspace import CapExceeded, ModelParams, enumerate_space
+from .configspace import DEFAULT_CAP, CapExceeded, ModelParams, enumerate_space
 from .graph import GraphValidationError, parse_graph_spec, validate
 
 EXIT_OK = 0
@@ -287,7 +287,7 @@ def _add_common(p, lam: bool = True):
                        help="activity on U (lambda_bar = lambda^(1+alpha))")
         p.add_argument("--lambda-bar", dest="lambda_bar", type=float,
                        help="explicit activity on V (overrides alpha scaling)")
-    p.add_argument("--cap", type=int, default=5_000_000,
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="state-count cap for enumeration")
     p.add_argument("-o", "--output", help="artifact path (stdout if omitted)")
 
@@ -386,6 +386,13 @@ def main(argv=None) -> int:
         if cmd in needs_rates and getattr(args, "alpha", None) is None \
                 and getattr(args, "lambda_bar", None) is None:
             raise ValueError(f"{cmd} needs --alpha or --lambda-bar")
+        if getattr(args, "cap", 0) < 0:
+            raise ValueError(f"--cap must be nonnegative, got {args.cap}")
+        if cmd == "isoperimetry" and args.budget < 0:
+            raise ValueError(f"--budget must be nonnegative, got {args.budget}")
+        if cmd == "simulate" and not 0 < args.ks_threshold < 1:
+            raise ValueError(f"--ks-threshold must lie in (0, 1), "
+                             f"got {args.ks_threshold}")
         if cmd == "simulate" and args.gate_watch and args.alpha is None:
             raise ValueError("--gate-watch needs --alpha")
         if cmd == "simulate" and args.ks_exponential:

@@ -3,8 +3,9 @@ lattice order.
 
 Configurations are occupied-site bitmasks over all sites (bit i = site i).
 Independence (no edge with both endpoints occupied) is checked whenever a
-configuration enters through a public constructor.  The network's edges
-and the kernel's rows both come from one move table per space.
+configuration enters through a public constructor.  The network's edges,
+the kernel's rows and the bottleneck tree's edges all come from one move
+table per space, :attr:`ConfigurationSpace.moves`.
 """
 from __future__ import annotations
 
@@ -126,37 +127,34 @@ class ConfigurationSpace:
             raise ValueError(f"configuration {mask:#x} is not a valid independent set")
         return i
 
-    def removals(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per site, ``(occ, emp)``: the states with the site occupied and,
-        entry for entry, the states left when it is emptied.  Read in
-        reverse, the same pairs are every addition of a particle there.
+    @cached_property
+    def moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The chain's moves, one per addition of a particle: read-only
+        ``(emptied, occupied, site)`` (site uint8), ordered by emptied state,
+        then site.  ``occupied[e]``, the larger index, is ``emptied[e]`` plus
+        the site; read in reverse, the row is the removal of that particle.
 
         Setting a clear bit keeps the masks in order, so the k-th state with
         the site and its neighbours empty becomes the k-th state with the
-        site occupied: two scans per site, no search.
-        """
+        site occupied: two scans per site, no search.  A counting sort
+        places the rows: each state's moves fill its block, site by site."""
         masks = self.masks
-        return [((masks & (1 << site)).nonzero()[0],
-                 ((masks & (nbr | 1 << site)) == 0).nonzero()[0])
+        free = [((masks & (nbr | 1 << site)) == 0).nonzero()[0]
                 for site, nbr in enumerate(self.neighbor_masks)]
-
-    @cached_property
-    def moves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The chain's moves, one per removal pair: read-only ``(emptied,
-        occupied, site)`` (site uint8), ordered by emptied state, then site.
-        ``occupied[e]``, the larger index, is ``emptied[e]`` plus the site."""
-        pairs = self.removals()
+        count = np.zeros(len(masks), dtype=np.int64)
+        for emp in free:
+            count[emp] += 1
+        fill = np.cumsum(count) - count     # each state's next free row
+        emptied = np.repeat(np.arange(len(masks)), count)
+        occupied = np.empty(len(emptied), dtype=np.int64)
         # at most 62 sites fit a mask
-        site = np.repeat(np.arange(len(pairs), dtype=np.uint8),
-                         [len(emp) for _, emp in pairs])
-        emp = np.concatenate([emp for _, emp in pairs])
-        # each site's states ascend, so a stable sort keeps sites in order
-        order = np.argsort(emp, kind="stable")
-        emptied = emp[order]
-        del emp
-        occupied = np.concatenate([occ for occ, _ in pairs])[order]
-        del pairs
-        table = emptied, occupied, site[order]
+        site = np.empty(len(emptied), dtype=np.uint8)
+        for s, emp in enumerate(free):
+            at = fill[emp]
+            fill[emp] += 1
+            occupied[at] = (masks & (1 << s)).nonzero()[0]
+            site[at] = s
+        table = emptied, occupied, site
         for a in table:
             a.flags.writeable = False
         return table

@@ -937,10 +937,12 @@ class BottleneckTree:
     highest key down: level k has key ``level_keys[k]`` and sorted distinct
     (p, q) labels ``level_pq[k]`` (more than one label is an alpha-genericity
     tie); and the edges ``edge_i[e], edge_j[e]`` (int64, occupied side
-    first) of level k for ``level_start[k] <= e < level_start[k+1]``.
-    Building costs one stable sort of the edges by level (a radix sort on
-    int16 levels); a query joins whole levels, each a contiguous slice of
-    the edge arrays, with :func:`_components`.
+    first) with their sites ``edge_site[e]`` (uint8) of level k for
+    ``level_start[k] <= e < level_start[k+1]``.  The edges are the rows of
+    :attr:`ConfigurationSpace.moves`, stably sorted by the level of their
+    occupied state (a radix sort on int16 levels, gathered from one level
+    per state); a query joins whole levels, each a contiguous slice of the
+    edge arrays, with :func:`_components`.
     """
 
     def __init__(self, space: ConfigurationSpace, alpha: Fraction):
@@ -963,17 +965,16 @@ class BottleneckTree:
         self.level_pq = [sorted(labels[k]) for k in self.level_keys]
         ascending = np.array(self.level_keys[::-1], dtype=np.int64)
         top = len(ascending) - 1
-        # Removal edges, recorded once from the occupied side i: w_i > w_j,
-        # so the edge's level is i's.
-        heads, tails = zip(*space.removals())
-        ei, ej = np.concatenate(heads), np.concatenate(tails)
-        del heads, tails
-        # at most (|U| + 1)(|V| + 1) levels: int16 lets the stable sort be a
-        # radix sort
-        lvl = (top - np.searchsorted(ascending, self.keys[ei])).astype(np.int16)
+        # The move table's rows, each read from its occupied side i: w_i >
+        # w_j, so the edge's level is i's.  At most (|U| + 1)(|V| + 1)
+        # levels: int16 lets the stable sort be a radix sort.
+        emptied, occupied, site = space.moves
+        lvl = (top - np.searchsorted(ascending, self.keys)).astype(np.int16)[occupied]
+        self.level_start = [0, *np.cumsum(np.bincount(lvl, minlength=top + 1)).tolist()]
         order = np.argsort(lvl, kind="stable")
-        self.edge_i, self.edge_j = ei[order], ej[order]
-        self.level_start = np.searchsorted(lvl[order], np.arange(top + 2)).tolist()
+        del lvl
+        self.edge_i, self.edge_j = occupied[order], emptied[order]
+        self.edge_site = site[order]
 
     def bottleneck_weight(self, level: int) -> AsymptoticExponent:
         """Level's weight exponent: its smallest (p, q) label."""
@@ -1026,14 +1027,11 @@ class BottleneckTree:
         """Shortest path from A to B using only edges whose heavier endpoint
         has key at least ``level_keys[level]``: the edges of levels up to
         ``level``, breadth-first from A with each state's moves in site order
-        (see :func:`_shortest_path`).  An edge's site is the one bit in which
-        its endpoints' masks differ."""
+        (see :func:`_shortest_path`)."""
         stop = self.level_start[level + 1]
         ei, ej = self.edge_i[:stop], self.edge_j[:stop]
-        masks = self.space.masks
-        site = np.frexp((masks[ei] ^ masks[ej]).astype(np.float64))[1] - 1
         tail = np.concatenate([ej, ei])
-        key = tail * self.space.graph.n_sites + np.tile(site, 2)
+        key = tail * self.space.graph.n_sites + np.tile(self.edge_site[:stop], 2)
         return _shortest_path(len(self.keys), tail, np.concatenate([ei, ej]), A, B,
                               key=key)
 

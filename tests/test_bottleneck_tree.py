@@ -133,8 +133,8 @@ class Reference:
     @cached_property
     def tree(self) -> SimpleNamespace:
         """The tree's fields from Python-int keys, one state at a time: the
-        removal edges site by site, each in state order, then stably sorted
-        by the level of the occupied endpoint."""
+        moves by (emptied state, site), as the move table lists them, then
+        stably sorted by the level of the occupied endpoint."""
         space, alpha = self.space, Fraction(self.alpha)
         a, b = alpha.numerator, alpha.denominator
         keys = [b * (m & space.u_mask).bit_count() + (a + b) * (m & space.v_mask).bit_count()
@@ -146,16 +146,18 @@ class Reference:
                 labels.setdefault(key, set()).add((nu + nv, nv))
         level_keys = sorted(labels, reverse=True)
         level_of = {k: lvl for lvl, k in enumerate(level_keys)}
-        edges = [(i, space.index[m ^ (1 << site)])
+        edges = [(space.index[m | 1 << site], j, site)
+                 for j, m in enumerate(space.configs)
                  for site in range(space.graph.n_sites)
-                 for i, m in enumerate(space.configs) if m >> site & 1]
+                 if not m & (space.neighbor_masks[site] | 1 << site)]
         edges.sort(key=lambda e: level_of[keys[e[0]]])
         return SimpleNamespace(
             keys=keys, level_keys=level_keys,
             level_pq=[sorted((Fraction(p), Fraction(q)) for p, q in labels[k])
                       for k in level_keys],
-            edge_i=[i for i, _ in edges], edge_j=[j for _, j in edges],
-            level_start=[sum(level_of[keys[i]] < k for i, _ in edges)
+            edge_i=[i for i, _, _ in edges], edge_j=[j for _, j, _ in edges],
+            edge_site=[site for _, _, site in edges],
+            level_start=[sum(level_of[keys[i]] < k for i, _, _ in edges)
                          for k in range(len(level_keys) + 1)])
 
     def connecting_level(self, A, B) -> int:
@@ -364,7 +366,8 @@ def test_tree_matches_python_reference(spec, relabelled):
         assert all(a.dtype == np.int64 for a in (tree.keys, tree.edge_i, tree.edge_j))
         assert tree.keys.tolist() == want.keys and tree.level_keys == want.level_keys
         assert tree.level_pq == want.level_pq
-        assert (tree.edge_i.tolist(), tree.edge_j.tolist()) == (want.edge_i, want.edge_j)
+        assert (tree.edge_i.tolist(), tree.edge_j.tolist(), tree.edge_site.tolist()) == \
+            (want.edge_i, want.edge_j, want.edge_site)
         assert tree.level_start == want.level_start
         assert all(type(k) is int for k in tree.level_keys + tree.level_start)
         assert tree.escape_levels() == ref.escape_levels()
@@ -394,8 +397,9 @@ def test_tree_keeps_each_datum_once():
     psi_symbolic(spc, {u}, {v}, alpha)
     fields = vars(tree)
     assert set(fields) == {"space", "keys", "level_keys", "level_pq",
-                           "edge_i", "edge_j", "level_start"}
-    assert (tree.edge_i.dtype, tree.edge_j.dtype) == (np.int64, np.int64)
+                           "edge_i", "edge_j", "edge_site", "level_start"}
+    assert (tree.edge_i.dtype, tree.edge_j.dtype, tree.edge_site.dtype) == \
+        (np.int64, np.int64, np.uint8)
     long = {len(spc), len(tree.edge_i)}
     assert not [name for name, value in fields.items()
                 if isinstance(value, list) and len(value) in long]

@@ -248,9 +248,22 @@ _SPEC_FORMS = {"cycle": "cycle:L", "complete": "complete:MxN",
      "--samples", "3", "--step-cap", "-5"],
     ["simulate", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "10",
      "--samples", "3", "--step-cap", "0"],
+    ["simulate", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "1e3",
+     "--samples", "100", "--ks-exponential", "--ks-threshold", "nan",
+     "-o", "ks.jsonl", "--summary", "ks.json"],
+    ["simulate", "--graph", "cycle:6", "--alpha", "1/2", "--lambda", "1e3",
+     "--samples", "100", "--ks-exponential", "--ks-threshold", "2",
+     "-o", "ks.jsonl", "--summary", "ks.json"],
+    ["enumerate", "--graph", "cycle:6", "--cap", "-1", "-o", "out.json"],
+    ["notrap", "--graph", "cycle:6", "--alpha", "2/5", "--cap", "-1",
+     "-o", "out.json"],
+    ["isoperimetry", "--graph", "cycle:6", "--s-max", "2", "--brute-force",
+     "--budget", "-5", "-o", "out.csv"],
 ])
-def test_malformed_input_exit_2_in_one_line(capsys, argv):
+def test_malformed_input_exit_2_in_one_line(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
+    assert not list(tmp_path.iterdir())
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid configuration:")

@@ -556,12 +556,12 @@ def exact_references(spc, par, a: int, b: int, orbit=None
     for x, wx in enumerate(w):
         pi[orbit[x]] += wx / z
     c = {}                                  # c(x, y) = pi(x) K(x, y)
-    for occ, emp in spc.removals():
-        for x, y in zip(occ.tolist(), emp.tolist()):
-            ox, oy = orbit[x], orbit[y]
-            if ox != oy:
-                cx = c.setdefault(ox, {})
-                cx[oy] = c.setdefault(oy, {})[ox] = cx.get(oy, 0) + w[x] / z / gamma
+    emptied, occupied, _ = spc.moves
+    for y, x in zip(emptied.tolist(), occupied.tolist()):
+        ox, oy = orbit[x], orbit[y]
+        if ox != oy:
+            cx = c.setdefault(ox, {})
+            cx[oy] = c.setdefault(oy, {})[ox] = cx.get(oy, 0) + w[x] / z / gamma
 
     def laplacian(keep):
         return {x: {**{y: -cv for y, cv in c[x].items() if y in keep},

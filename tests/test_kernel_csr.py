@@ -11,7 +11,7 @@ import pytest
 from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.dynamics import build_kernel, simulate_hit
 from hcmeta.graph import BipartiteGraph, build_family
-from hcmeta.potential import (_components, _lump, build_network,
+from hcmeta.potential import (BottleneckTree, _components, _lump, build_network,
                               critical_resistance, effective_resistance,
                               escape_probability, expected_hitting_time,
                               green_by_visits, psi_symbolic)
@@ -153,7 +153,10 @@ def test_array_build_matches_loops(label, g):
     assert kernel.cum.tolist() == [c for r in ref for c in r[2]]
     assert kernel.p_move.tolist() == [r[3] for r in ref]
     assert kernel.row(space.u_state) == tuple(ref[space.u_state][:2])
-    for site, (occ, emp) in enumerate(space.removals()):
+    # a site's rows of the move table, in state order, are its removals
+    emptied, occupied, sites = space.moves
+    for site in range(g.n_sites):
+        occ, emp = occupied[sites == site], emptied[sites == site]
         want = np.flatnonzero((space.masks >> site) & 1)
         assert occ.dtype == want.dtype and occ.tobytes() == want.tobytes()
         want = np.searchsorted(space.masks, space.masks[want] ^ (1 << site))
@@ -231,9 +234,19 @@ def test_move_table_is_the_network_edges_and_the_kernel_csr(label, g):
     # the removal pairs, each once: occupied = emptied plus the site
     assert (space.masks[occupied] == space.masks[emptied] | 1 << site.astype(np.int64)).all()
     assert (space.masks[emptied] >> site.astype(np.int64) & 1 == 0).all()
-    assert len(site) == sum(len(occ) for occ, _ in space.removals())
-
     params = ModelParams.for_graph(g, 50.0, Fraction(1, 2))
+    assert len(site) == sum(t > i for i, r in enumerate(ref_kernel(space, params))
+                            for t in r[0])
+
+    # the bottleneck tree's edges are the table's rows, stably sorted by the
+    # level of their occupied state
+    tree = BottleneckTree(space, Fraction(1, 2))
+    level_of = {k: level for level, k in enumerate(tree.level_keys)}
+    lvl = [level_of[k] for k in tree.keys[occupied].tolist()]
+    order = sorted(range(len(lvl)), key=lvl.__getitem__)
+    assert (tree.edge_j.tolist(), tree.edge_i.tolist(), tree.edge_site.tolist()) == \
+        (emptied[order].tolist(), occupied[order].tolist(), site[order].tolist())
+
     kernel = build_kernel(space, params)
     net = build_network(space, params, kernel)
     assert net.edge_i is emptied and net.edge_j is occupied
