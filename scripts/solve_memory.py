@@ -23,8 +23,16 @@ path, each as int64 bytes: equal digests from two checkouts mean equal
 escape levels and an equal witness.  Under ``gates`` it lists
 ``build_gate`` on each of ``GATE_INSTANCES``, once, in a fresh process: its
 seconds, faults and system seconds, the process's peak RSS, and the gate
-count.  With SPECs (graph specs such as ``path:19``), only their solve rows
-run, one fresh process each, and no gate.
+count.  Under ``profiles`` it lists ``brute_force_profile`` over the whole
+V part of each of ``PROFILE_INSTANCES``, once, in a fresh process: its
+seconds, the byte estimate it checks against the available memory
+(``estimate_bytes``, with ``available_bytes``), the process's peak RSS
+before and after the call, and the estimate over the peak's growth
+(``estimate_over_growth``).  A refused profile (hypercube:6's 15.4 GB
+estimate on a smaller machine) records the refusal instead, and its peak
+shows that nothing was allocated.  With SPECs (graph specs such as
+``path:19``), only their solve rows run, one fresh process each, and no gate
+or profile.
 
     python3 scripts/solve_memory.py --imports [--output BENCH_imports.json]
 
@@ -70,6 +78,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 INSTANCES = ("ladder:12", "torus:4x6", "path:19", "torus:4x8")
 # the paper's example, and a doubled torus whose gate walk runs at kappa = 3
 GATE_INSTANCES = {"torus:6x6": "7/10", "doubled(torus:10x10)": "3/10"}
+# whole-V profiles: two lattices past the lattice formula's window, a graph
+# whose every set is optimal (the witness tuples dominate), and one refused
+PROFILE_INSTANCES = ("torus:6x8", "doubled(torus:5x5)", "complete:3x22", "hypercube:6")
 LAMBDA = 100.0
 # entry point -> the code a fresh process times
 IMPORT_PATHS = {
@@ -207,6 +218,30 @@ def measure_gate(spec: str) -> dict:
             "gate_count": gate.count}
 
 
+def measure_profile(spec: str) -> dict:
+    """``brute_force_profile`` over the whole V part of one of
+    ``PROFILE_INSTANCES``, in this process."""
+    from hcmeta import CapExceeded, brute_force_profile, parse_graph_spec
+    from hcmeta.configspace import _available_memory
+    from hcmeta.isoperimetry import WITNESS_CAP, _profile_bytes
+
+    g = parse_graph_spec(spec)
+    nv = len(g.v_sites)
+    row = {"graph": spec, "v_sites": nv, "u_sites": len(g.u_sites),
+           "estimate_bytes": _profile_bytes(g, nv, WITNESS_CAP),
+           "available_bytes": _available_memory(),
+           "peak_rss_mb_before": _peak_rss_mb()}
+    u0 = _usage()
+    try:
+        brute_force_profile(g, nv)
+    except CapExceeded as exc:
+        return {**row, "refused": str(exc), "peak_rss_mb": _peak_rss_mb()}
+    u1 = _usage()
+    growth = _peak_rss_mb() - row["peak_rss_mb_before"]
+    return {**row, **_spent("profile", u0, u1), "peak_rss_mb": _peak_rss_mb(),
+            "estimate_over_growth": row["estimate_bytes"] / (growth * 2 ** 20)}
+
+
 def measure_imports(path: str) -> dict:
     """One entry point of ``IMPORT_PATHS``, in this process."""
     before = set(sys.modules)
@@ -309,13 +344,15 @@ def main(argv=None) -> int:
     ap.add_argument("--psi", help=argparse.SUPPRESS)    # worker: numeric Psi
     ap.add_argument("--tree", help=argparse.SUPPRESS)   # worker: exact exponents
     ap.add_argument("--gate", help=argparse.SUPPRESS)   # worker: build_gate
+    ap.add_argument("--profile", help=argparse.SUPPRESS)    # worker: whole-V profile
     args = ap.parse_args(argv)
-    if args.one or args.psi or args.tree or args.gate or args.import_path \
-            or args.sampler_one:
+    if args.one or args.psi or args.tree or args.gate or args.profile \
+            or args.import_path or args.sampler_one:
         print(json.dumps(measure(args.one) if args.one else
                          measure_psi(args.psi) if args.psi else
                          measure_tree(args.tree) if args.tree else
                          measure_gate(args.gate) if args.gate else
+                         measure_profile(args.profile) if args.profile else
                          measure_sampler(args.sampler_one) if args.sampler_one else
                          measure_imports(args.import_path)))
         return 0
@@ -360,8 +397,12 @@ def main(argv=None) -> int:
     for spec in () if args.specs else GATE_INSTANCES:
         gates.append(worker("--gate", spec))
         print(json.dumps(gates[-1]))
+    profiles = []
+    for spec in () if args.specs else PROFILE_INSTANCES:
+        profiles.append(worker("--profile", spec))
+        print(json.dumps(profiles[-1]))
     with open(args.output or "BENCH_solve_memory.json", "w") as f:
-        json.dump({"instances": rows, "gates": gates}, f, indent=2)
+        json.dump({"instances": rows, "gates": gates, "profiles": profiles}, f, indent=2)
         f.write("\n")
     return 0
 

@@ -1,7 +1,7 @@
 """Reproducible experiment driver.
 
-Exit codes: 0 success, 2 invalid configuration, 3 cap/budget refusal,
-4 verification or comparison failure.
+Exit codes: 0 success, 2 invalid configuration, 3 refusal (a state cap, a
+search's node budget or a byte estimate), 4 verification or comparison failure.
 
 Artifacts: single JSON for analyses (a ``generated_at`` timestamp field is
 the only run-dependent content), JSON-lines for samples, CSV for profiles.
@@ -30,10 +30,8 @@ EXIT_VERIFY = 4
 ROUTE_GAP_TOL = 1e-6            # E[T] routes must agree to this relative gap
 
 
-def _emit(obj: dict, path: str | None, timestamp: bool = True) -> None:
-    if timestamp:
-        obj = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-               **obj}
+def _emit(obj: dict, path: str | None) -> None:
+    obj = {"generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), **obj}
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w") as f:
@@ -123,7 +121,7 @@ def cmd_isoperimetry(args) -> int:
     if s_max < 0:
         raise ValueError(f"--s-max must be nonnegative, got {s_max}")
     if args.brute_force:
-        prof = brute_force_profile(g, s_max, budget=args.budget)
+        prof = brute_force_profile(g, s_max)
         s_max = prof.s_max                  # clamped to |V|
     for s in range(s_max + 1):
         brute = prof.delta(s) if prof else None
@@ -278,17 +276,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_VERIFY
 
 
-def _add_common(p, lam: bool = True):
+def _add_common(p, *groups: str):
+    """--graph, -o and the named groups: alpha, rates (--lambda[-bar]), cap."""
     p.add_argument("--graph", required=True,
                    help="e.g. torus:6x6, cycle:8, doubled(torus:5x5), hypercube:4")
-    p.add_argument("--alpha", help="imbalance exponent as a fraction, e.g. 7/10")
-    if lam:
+    if "alpha" in groups:
+        p.add_argument("--alpha", help="imbalance exponent as a fraction, e.g. 7/10")
+    if "rates" in groups:
         p.add_argument("--lambda", dest="lam", type=float,
                        help="activity on U (lambda_bar = lambda^(1+alpha))")
         p.add_argument("--lambda-bar", dest="lambda_bar", type=float,
                        help="explicit activity on V (overrides alpha scaling)")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="state-count cap for enumeration")
+    if "cap" in groups:
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="state-count cap for enumeration")
     p.add_argument("-o", "--output", help="artifact path (stdout if omitted)")
 
 
@@ -310,36 +311,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate the configuration space")
-    _add_common(p, lam=False)
+    _add_common(p, "cap")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("resistance", help="effective + critical resistance u->v")
-    _add_common(p)
+    _add_common(p, "alpha", "rates", "cap")
     p.set_defaults(fn=cmd_resistance)
 
     p = sub.add_parser("hitting", help="exact expected hitting time u->v")
-    _add_common(p)
+    _add_common(p, "alpha", "rates", "cap")
     p.set_defaults(fn=cmd_hitting)
 
     p = sub.add_parser("isoperimetry", help="isoperimetric profile (CSV)")
-    _add_common(p, lam=False)
+    _add_common(p)
     p.add_argument("--s-max", type=int, required=True)
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--compare", choices=["closed-form"])
-    p.add_argument("--budget", type=int, default=10_000_000)
     p.set_defaults(fn=cmd_isoperimetry)
 
     p = sub.add_parser("critical", help="critical size analysis + hypotheses")
-    _add_common(p, lam=False)
+    _add_common(p, "alpha")
     p.set_defaults(fn=cmd_critical)
 
     p = sub.add_parser("gate", help="critical gate families and count")
-    _add_common(p)
+    _add_common(p, "alpha", "rates")
     p.add_argument("--kappa", type=int)
     p.set_defaults(fn=cmd_gate)
 
     p = sub.add_parser("simulate", help="Monte Carlo crossover sampling")
-    _add_common(p)
+    _add_common(p, "alpha", "rates", "cap")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-cap", type=int, default=10_000_000_000)
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("notrap", help="no-trap certificate")
-    _add_common(p, lam=False)
+    _add_common(p, "alpha", "cap")
     p.set_defaults(fn=cmd_notrap)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
@@ -388,8 +388,6 @@ def main(argv=None) -> int:
             raise ValueError(f"{cmd} needs --alpha or --lambda-bar")
         if getattr(args, "cap", 0) < 0:
             raise ValueError(f"--cap must be nonnegative, got {args.cap}")
-        if cmd == "isoperimetry" and args.budget < 0:
-            raise ValueError(f"--budget must be nonnegative, got {args.budget}")
         if cmd == "simulate" and not 0 < args.ks_threshold < 1:
             raise ValueError(f"--ks-threshold must lie in (0, 1), "
                              f"got {args.ks_threshold}")

@@ -10,6 +10,7 @@ table per space, :attr:`ConfigurationSpace.moves`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,7 +44,19 @@ INT64_MAX = 2 ** 63 - 1
 
 
 class CapExceeded(RuntimeError):
-    """Enumeration or subset budget exceeded; message names the count."""
+    """Refused before the work: a count past its cap, bytes past the memory
+    available, a spent search or a truncated witness list; names the figures."""
+
+
+def _available_memory() -> int:
+    """Bytes the OS reports available, for the byte estimates: MemAvailable,
+    or the free physical pages where /proc/meminfo is missing."""
+    try:
+        with open("/proc/meminfo") as f:
+            return next(int(line.split()[1]) * 1024 for line in f
+                        if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)

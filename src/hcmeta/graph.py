@@ -317,13 +317,12 @@ def _hypercube(d: int) -> BipartiteGraph:
                                            "site_of_word": sid})
 
 
-def _random_bipartite(n_u: int, n_v: int, edge_prob: float, seed: int,
-                      retries: int = 100) -> BipartiteGraph:
+def _random_bipartite(n_u: int, n_v: int, edge_prob: float, seed: int) -> BipartiteGraph:
     if n_u < 1 or n_v < 1:
         raise GraphValidationError("random_bipartite needs positive sizes")
     if not (0.0 < edge_prob <= 1.0):
         raise GraphValidationError("edge_prob must be in (0, 1]")
-    for attempt in range(retries):
+    for attempt in range(100):          # Philox keys seed .. seed + 99
         rng = np.random.Generator(np.random.Philox(key=seed + attempt))
         edges = [(i, n_u + j) for i in range(n_u) for j in range(n_v)
                  if rng.random() < edge_prob]
@@ -334,7 +333,7 @@ def _random_bipartite(n_u: int, n_v: int, edge_prob: float, seed: int,
             continue
     raise GraphValidationError(
         f"random_bipartite({n_u},{n_v},{edge_prob},{seed}): "
-        f"no connected sample within {retries} retries")
+        "no connected sample within 100 retries")
 
 
 def double_graph(g: GeneralGraph, label: str = "doubled") -> BipartiteGraph:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .configspace import CapExceeded
+from .configspace import CapExceeded, _available_memory
 from .graph import BipartiteGraph, GraphValidationError
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "hypercube_vertex_boundary",
 ]
 
-DEFAULT_SUBSET_BUDGET = 10_000_000
 WITNESS_CAP = 10_000
 _POPCOUNT_ROWS = 1 << 16        # rows per popcount chunk, bounding temporaries
 _WORD = (1 << 64) - 1
@@ -92,7 +91,6 @@ class IsoperimetricProfile:
 
 
 def brute_force_profile(g: BipartiteGraph, s_max: int,
-                        budget: int = DEFAULT_SUBSET_BUDGET,
                         witness_cap: int = WITNESS_CAP) -> IsoperimetricProfile:
     """Exact Delta(s) for s <= s_max by exhaustive subset enumeration.
 
@@ -104,9 +102,9 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
     entry r with largest member j has parent r - C(j, s) at level s-1.
     Neighbourhoods are rows of ceil(|U|/64) uint64 words over U positions.
 
-    Only levels s-1 and s are live.  Level s holds 8 * ceil(|U|/64) bytes of
-    words plus a bit count (one byte while |U| <= 192) per subset; the
-    popcount runs in chunks of ``_POPCOUNT_ROWS`` rows.  The first
+    Only levels s-1 and s are live, and the popcount runs in chunks of
+    ``_POPCOUNT_ROWS`` rows.  Where :func:`_profile_bytes` passes the
+    available memory, the profile refuses at once.  The first
     ``witness_cap`` optimal sets per size are kept, in colex order, with a
     truncation flag so completeness-dependent consumers can refuse.
     """
@@ -115,10 +113,10 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
     v = list(g.v_sites)
     nv = len(v)
     s_max = min(s_max, nv)
-    total = sum(math.comb(nv, s) for s in range(1, s_max + 1))
-    if total > budget:
-        raise CapExceeded(
-            f"brute force needs {total} subset evaluations > budget {budget}")
+    need, available = _profile_bytes(g, s_max, witness_cap), _available_memory()
+    if need > available:
+        raise CapExceeded(f"the brute-force profile of {nv} V sites up to s = {s_max} "
+                          f"needs {need:,} bytes; {available:,} bytes are available")
     n_words = max(1, -(-len(g.u_sites) // 64))
     # U sites are 0..|U|-1, so a neighbour mask is a mask over U positions
     nbr = np.array([[g.neighbor_mask(a) >> (64 * k) & _WORD for k in range(n_words)]
@@ -146,6 +144,19 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
                         for row in _colex_members(hits[:witness_cap], s, nv).tolist()]
         truncated[s] = len(hits) > witness_cap
     return IsoperimetricProfile(deltas, witnesses, truncated)
+
+
+def _profile_bytes(g: BipartiteGraph, s_max: int, witness_cap: int) -> int:
+    """Bytes of the profile's largest level up to s_max <= |V|: level s-1's
+    words (8 per 64 U sites); level s's words, bit counts, optimality flags
+    and int64 hit indices, every row optimal at worst (as on complete:MxN);
+    and every kept witness tuple of t members, 40 + 8 t bytes and a slot."""
+    nv, word = len(g.v_sites), 8 * max(1, -(-len(g.u_sites) // 64))
+    count = next(b for b in (1, 2, 4, 8) if 8 * word < 1 << 8 * b)
+    sizes = range(1, s_max + 1)
+    return (max((math.comb(nv, s - 1) * word
+                 + math.comb(nv, s) * (word + count + 1 + 8) for s in sizes), default=0)
+            + sum(min(math.comb(nv, s), witness_cap) * (48 + 8 * s) for s in sizes))
 
 
 def _popcount64(x: np.ndarray) -> np.ndarray:
@@ -274,8 +285,7 @@ def _doubled_window_ok(s: int, dims: tuple[int, int]) -> bool:
 
 
 def closed_form_profile(family: str, s: int, *, dims: tuple[int, int] | None = None,
-                        degree: int | None = None, girth: int | None = None,
-                        d_plus_1: int | None = None) -> int:
+                        degree: int | None = None, girth: int | None = None) -> int:
     """Closed-form Delta(s) with an explicit validity-window range error."""
     if family == "torus":
         if dims is not None and not _torus_window_ok(s, dims):
@@ -289,10 +299,6 @@ def closed_form_profile(family: str, s: int, *, dims: tuple[int, int] | None = N
         if degree is None or girth is None:
             raise ValueError("tree-like forms need degree and girth")
         return tree_like_delta(s, degree, girth, doubled=family.startswith("doubled"))
-    if family == "hypercube":
-        if d_plus_1 is None:
-            raise ValueError("hypercube form needs d_plus_1")
-        return hypercube_delta(d_plus_1, s)
     raise ValueError(f"unknown closed-form family {family!r}")
 
 

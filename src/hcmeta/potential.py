@@ -57,7 +57,7 @@ from itertools import chain
 import numpy as np
 
 from .asymptotics import AsymptoticExponent
-from .configspace import CapExceeded, ConfigurationSpace, ModelParams
+from .configspace import CapExceeded, ConfigurationSpace, ModelParams, _available_memory
 from .dynamics import TransitionKernel, build_kernel
 from .graph import automorphism_generators
 
@@ -569,19 +569,6 @@ def _eliminate_panel(W: np.ndarray, c: np.ndarray, a: int, b: int) -> None:
     _eliminate_panel(W, c, a, m)
     W[m:b, m:] += (W[a:m, m:b] / c[a:m, None]).T @ W[a:m, m:]
     _eliminate_panel(W, c, m, b)
-
-
-def _available_memory() -> int:
-    """Bytes the OS reports available: MemAvailable, or the free physical
-    pages where /proc/meminfo is missing."""
-    import os
-
-    try:
-        with open("/proc/meminfo") as f:
-            return next(int(line.split()[1]) * 1024 for line in f
-                        if line.startswith("MemAvailable:"))
-    except (OSError, StopIteration):
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _inflow(net: ElectricNetwork, w: np.ndarray, B: frozenset) -> float:

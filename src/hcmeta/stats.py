@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["StatReport", "chi_square_sf", "kolmogorov_sf", "ks_exponential_test"]
 
-KS_MIN_SAMPLES = 100            # fewest samples ks_exponential_test takes by default
+KS_MIN_SAMPLES = 100            # fewest samples ks_exponential_test takes
 
 
 @dataclass
@@ -27,8 +27,7 @@ class StatReport:
                 "threshold": self.threshold, "passed": self.passed}
 
 
-def ks_exponential_test(samples, threshold: float = 0.01,
-                        min_samples: int = KS_MIN_SAMPLES) -> StatReport:
+def ks_exponential_test(samples, threshold: float = 0.01) -> StatReport:
     """One-sample Kolmogorov-Smirnov test of samples/mean against 1 - e^-t.
 
     Samples are scaled by their empirical mean, then compared with the unit
@@ -39,8 +38,8 @@ def ks_exponential_test(samples, threshold: float = 0.01,
     """
     x = np.asarray(list(samples), dtype=float)
     n = len(x)
-    if n < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {n}")
+    if n < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
     mean = float(x.mean())
     if not (mean > 0 and math.isfinite(mean)):
         raise ValueError("samples must have a positive finite mean")

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .configspace import ModelParams, enumerate_space
+from .configspace import CapExceeded, ModelParams, enumerate_space
 from .dynamics import build_kernel, coupled_simulate, sample_crossover
-from .graph import build_family
+from .graph import GraphValidationError, build_family
 from .isoperimetry import (brute_force_profile, doubled_torus_delta,
                            hypercube_delta, torus_delta, tree_like_delta)
 from .metastability import (build_gate, critical_analysis,
@@ -183,7 +183,7 @@ def criterion_7() -> CriterionResult:
             fails.append(("doubled", s, prof.delta(s), doubled_torus_delta(s)))
     for d1 in (2, 3, 4, 5):
         g = build_family(f"hypercube:{d1}")
-        prof = brute_force_profile(g, len(g.v_sites), budget=10 ** 8)
+        prof = brute_force_profile(g, len(g.v_sites))
         for s in range(prof.s_max + 1):
             if prof.delta(s) != hypercube_delta(d1, s):
                 fails.append((f"H{d1}", s, prof.delta(s), hypercube_delta(d1, s)))
@@ -236,20 +236,17 @@ def criterion_9() -> CriterionResult:
                            not fails, {"failures": fails})
 
 
-def _random_instances(count: int = 20, max_states: int = 200):
-    """Deterministic list of (graph, space) with small state counts."""
-    from .configspace import CapExceeded
-    from .graph import GraphValidationError
-
+def _random_instances():
+    """Deterministic list of 20 (graph, space) pairs of at most 200 states."""
     out = []
     seed = 0
     dims = [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)]
-    while len(out) < count:
+    while len(out) < 20:
         nu, nv = dims[len(out) % len(dims)]
         try:
             g = build_family(f"random:{nu}x{nv}:0.5:{seed}")
             spc = enumerate_space(g, cap=5000)
-            if len(spc) <= max_states:
+            if len(spc) <= 200:
                 out.append((g, spc))
         except (GraphValidationError, CapExceeded):
             pass

@@ -257,8 +257,6 @@ _SPEC_FORMS = {"cycle": "cycle:L", "complete": "complete:MxN",
     ["enumerate", "--graph", "cycle:6", "--cap", "-1", "-o", "out.json"],
     ["notrap", "--graph", "cycle:6", "--alpha", "2/5", "--cap", "-1",
      "-o", "out.json"],
-    ["isoperimetry", "--graph", "cycle:6", "--s-max", "2", "--brute-force",
-     "--budget", "-5", "-o", "out.csv"],
 ])
 def test_malformed_input_exit_2_in_one_line(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
@@ -272,6 +270,20 @@ def test_malformed_input_exit_2_in_one_line(capsys, monkeypatch, tmp_path, argv)
     if form:
         assert captured.err == (f"invalid configuration: graph spec {argv[2]!r}: "
                                 f"expected the form {form}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "--graph", "cycle:8", "--alpha", "1/2", "--cap", "1"],
+    ["gate", "--graph", "cycle:6", "--alpha", "1/2", "--cap", "1"],
+    ["isoperimetry", "--graph", "cycle:6", "--s-max", "2", "--cap", "1"],
+    ["isoperimetry", "--graph", "cycle:6", "--s-max", "2", "--alpha", "1/2"],
+    ["enumerate", "--graph", "cycle:6", "--alpha", "1/2"],
+])
+def test_option_the_handler_does_not_read_exit_2(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert not list(tmp_path.iterdir())
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _reject_constant(name):
@@ -317,6 +329,20 @@ def test_simulate_ks_with_too_few_finished_samples_exit_4(capsys, tmp_path):
 
 def test_budget_exit_3(capsys):
     assert main(["enumerate", "--graph", "torus:6x6", "--cap", "100"]) == 3
+
+
+def test_whole_hypercube_6_profile_refused_before_numpy_exit_3(capsys, monkeypatch):
+    from hcmeta import isoperimetry
+
+    monkeypatch.setattr(isoperimetry, "_available_memory", lambda: 8 << 30)
+    monkeypatch.setattr(isoperimetry, "np", None)     # any numpy call raises
+    assert main(["isoperimetry", "--graph", "hypercube:6", "--s-max", "32",
+                 "--brute-force"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("refused: the brute-force profile of 32 V sites up to "
+                            "s = 32 needs 15,391,160,860 bytes; 8,589,934,592 bytes "
+                            "are available\n")
 
 
 def test_dense_tail_beyond_available_memory_exit_3(capsys, monkeypatch):

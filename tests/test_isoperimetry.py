@@ -34,23 +34,44 @@ def test_brute_force_torus_profile_and_witnesses():
         assert not prof.witnesses_truncated[s]
 
 
-def test_brute_force_budget_refusal():
+# torus:6x6 to s = 9, one word per row: level 8's words and level 9's words,
+# bit counts, flags and hit indices, then the witness tuples of sizes 1..9
+TORUS_6X6_TO_9_BYTES = (8 * math.comb(18, 8) + (8 + 1 + 1 + 8) * math.comb(18, 9)
+                        + sum(min(math.comb(18, s), iso.WITNESS_CAP) * (48 + 8 * s)
+                              for s in range(1, 10)))
+
+
+def test_brute_force_refused_past_available_memory(monkeypatch):
     g = build_family("torus:6x6")
+    need = TORUS_6X6_TO_9_BYTES
+    monkeypatch.setattr(iso, "_available_memory", lambda: need - 1)
     with pytest.raises(CapExceeded):
-        brute_force_profile(g, 9, budget=10_000)
+        brute_force_profile(g, 9)
+    monkeypatch.setattr(iso, "_available_memory", lambda: need)
+    assert brute_force_profile(g, 9).deltas == [0, 3, 4, 5, 5, 6, 6, 6, 6, 5]
 
 
 class _NoNumpy:
     def __getattr__(self, name):
-        raise AssertionError(f"np.{name} reached before the budget check")
+        raise AssertionError(f"np.{name} reached before the memory check")
 
 
-def test_budget_refusal_before_any_allocation(monkeypatch):
+def test_memory_refusal_before_any_allocation(monkeypatch):
+    need = TORUS_6X6_TO_9_BYTES
     monkeypatch.setattr(iso, "np", _NoNumpy())
+    monkeypatch.setattr(iso, "_available_memory", lambda: need - 1)
     g = build_family("torus:6x6")
-    with pytest.raises(CapExceeded,
-                       match="brute force needs 155381 subset evaluations > budget 10000"):
-        brute_force_profile(g, 9, budget=10_000)
+    with pytest.raises(CapExceeded, match=f"needs {need:,} bytes; "
+                                          f"{need - 1:,} bytes are available"):
+        brute_force_profile(g, 9)
+
+
+def test_whole_torus_6x8_profile_runs_below_the_lattice():
+    # 24 V sites: the whole V fits in memory; at s = 7 the finite torus
+    # beats the lattice formula
+    prof = brute_force_profile(build_family("torus:6x8"), 24)
+    assert prof.s_max == 24
+    assert (prof.delta(7), torus_delta(7)) == (6, 7)
 
 
 def test_negative_size_rejected():
@@ -126,7 +147,7 @@ def test_colex_levels_equal_gosper_loop(spec, s_max, cap, relabelled):
     g = build_family(spec)
     if relabelled:
         g = _relabel(g, 7)
-    prof = brute_force_profile(g, s_max, budget=10 ** 8, witness_cap=cap)
+    prof = brute_force_profile(g, s_max, witness_cap=cap)
     deltas, witnesses, truncated = _gosper_profile(g, s_max, cap)
     assert prof.deltas == deltas
     assert prof.witnesses == witnesses
@@ -224,7 +245,7 @@ def test_closed_form_equals_brute_force(spec, family, kwargs):
 def test_hypercube_closed_equals_brute_force():
     for d1 in (2, 3, 4, 5):
         g = build_family(f"hypercube:{d1}")
-        prof = brute_force_profile(g, len(g.v_sites), budget=10 ** 8)
+        prof = brute_force_profile(g, len(g.v_sites))
         for s in range(prof.s_max + 1):
             assert prof.delta(s) == hypercube_delta(d1, s)
 

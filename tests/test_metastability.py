@@ -218,7 +218,7 @@ def test_doubled_gate_characterization_matches_brute_force():
     # complete brute-force witness enumeration at sizes s*-1, s*, s*+kappa.
     g = build_family("doubled(torus:6x6)")
     gate = build_gate(g, Fraction(7, 10))
-    prof = brute_force_profile(g, 5, budget=10 ** 6)
+    prof = brute_force_profile(g, 5)
     fam_a = [frozenset(w) for w in prof.complete_witnesses(3)]
     fam_c = {frozenset(w) for w in prof.complete_witnesses(5)}
     v_all = set(g.v_sites)
