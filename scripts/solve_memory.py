@@ -28,11 +28,14 @@ V part of each of ``PROFILE_INSTANCES``, once, in a fresh process: its
 seconds, the byte estimate it checks against the available memory
 (``estimate_bytes``, with ``available_bytes``), the process's peak RSS
 before and after the call, and the estimate over the peak's growth
-(``estimate_over_growth``).  A refused profile (hypercube:6's 15.4 GB
+(``estimate_over_growth``).  A refused profile (hypercube:6's 11.2 GB
 estimate on a smaller machine) records the refusal instead, and its peak
-shows that nothing was allocated.  With SPECs (graph specs such as
-``path:19``), only their solve rows run, one fresh process each, and no gate
-or profile.
+shows that nothing was allocated.  Under ``profile_calls`` it lists, from
+one fresh process, the median and minimum seconds of repeated
+``brute_force_profile`` calls on the graph of ``PROFILE_CALLS``, per s_max
+and per witness cap (``WITNESS_CAP``, and 0: no witness tuples).  With
+SPECs (graph specs such as ``path:19``), only their solve rows run, one
+fresh process each, and no gate or profile.
 
     python3 scripts/solve_memory.py --imports [--output BENCH_imports.json]
 
@@ -81,6 +84,9 @@ GATE_INSTANCES = {"torus:6x6": "7/10", "doubled(torus:10x10)": "3/10"}
 # whole-V profiles: two lattices past the lattice formula's window, a graph
 # whose every set is optimal (the witness tuples dominate), and one refused
 PROFILE_INSTANCES = ("torus:6x8", "doubled(torus:5x5)", "complete:3x22", "hypercube:6")
+# repeated profiles of the paper's example: up to the benchmark's s = 6 and
+# up to s-tilde = 9 at alpha = 1/2, with witness tuples and without
+PROFILE_CALLS = {"graph": "torus:6x6", "s_max": (6, 9), "calls": 60}
 LAMBDA = 100.0
 # entry point -> the code a fresh process times
 IMPORT_PATHS = {
@@ -242,6 +248,27 @@ def measure_profile(spec: str) -> dict:
             "estimate_over_growth": row["estimate_bytes"] / (growth * 2 ** 20)}
 
 
+def measure_profile_calls(spec: str) -> list:
+    """``PROFILE_CALLS["calls"]`` calls of ``brute_force_profile`` per s_max
+    and witness cap, in this process, the four cases taken in turn."""
+    from statistics import median
+
+    from hcmeta import brute_force_profile, parse_graph_spec
+    from hcmeta.isoperimetry import WITNESS_CAP
+
+    g = parse_graph_spec(spec)
+    cases = [(s, cap) for s in PROFILE_CALLS["s_max"] for cap in (WITNESS_CAP, 0)]
+    seconds = {case: [] for case in cases}
+    for _ in range(PROFILE_CALLS["calls"]):
+        for s, cap in cases:
+            t0 = time.perf_counter()
+            brute_force_profile(g, s, witness_cap=cap)
+            seconds[s, cap].append(time.perf_counter() - t0)
+    return [{"graph": spec, "s_max": s, "witness_cap": cap, "calls": len(got),
+             "median_s": median(got), "min_s": min(got)}
+            for (s, cap), got in seconds.items()]
+
+
 def measure_imports(path: str) -> dict:
     """One entry point of ``IMPORT_PATHS``, in this process."""
     before = set(sys.modules)
@@ -345,14 +372,16 @@ def main(argv=None) -> int:
     ap.add_argument("--tree", help=argparse.SUPPRESS)   # worker: exact exponents
     ap.add_argument("--gate", help=argparse.SUPPRESS)   # worker: build_gate
     ap.add_argument("--profile", help=argparse.SUPPRESS)    # worker: whole-V profile
+    ap.add_argument("--profile-calls", help=argparse.SUPPRESS)  # worker: repeated profiles
     args = ap.parse_args(argv)
     if args.one or args.psi or args.tree or args.gate or args.profile \
-            or args.import_path or args.sampler_one:
+            or args.profile_calls or args.import_path or args.sampler_one:
         print(json.dumps(measure(args.one) if args.one else
                          measure_psi(args.psi) if args.psi else
                          measure_tree(args.tree) if args.tree else
                          measure_gate(args.gate) if args.gate else
                          measure_profile(args.profile) if args.profile else
+                         measure_profile_calls(args.profile_calls) if args.profile_calls else
                          measure_sampler(args.sampler_one) if args.sampler_one else
                          measure_imports(args.import_path)))
         return 0
@@ -401,8 +430,12 @@ def main(argv=None) -> int:
     for spec in () if args.specs else PROFILE_INSTANCES:
         profiles.append(worker("--profile", spec))
         print(json.dumps(profiles[-1]))
+    profile_calls = [] if args.specs else worker("--profile-calls", PROFILE_CALLS["graph"])
+    for row in profile_calls:
+        print(json.dumps(row))
     with open(args.output or "BENCH_solve_memory.json", "w") as f:
-        json.dump({"instances": rows, "gates": gates, "profiles": profiles}, f, indent=2)
+        json.dump({"instances": rows, "gates": gates, "profiles": profiles,
+                   "profile_calls": profile_calls}, f, indent=2)
         f.write("\n")
     return 0
 

@@ -49,13 +49,13 @@ class CapExceeded(RuntimeError):
 
 
 def _available_memory() -> int:
-    """Bytes the OS reports available, for the byte estimates: MemAvailable,
-    or the free physical pages where /proc/meminfo is missing."""
+    """Bytes the OS reports available, for the byte estimates: MemAvailable
+    from one binary read of /proc/meminfo, or the free physical pages where
+    the file or the field is missing."""
     try:
-        with open("/proc/meminfo") as f:
-            return next(int(line.split()[1]) * 1024 for line in f
-                        if line.startswith("MemAvailable:"))
-    except (OSError, StopIteration):
+        with open("/proc/meminfo", "rb", buffering=0) as f:
+            return int(f.read().split(b"MemAvailable:")[1].split(maxsplit=1)[0]) * 1024
+    except (OSError, IndexError):
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 

@@ -9,6 +9,7 @@ with its neighborhood ring must embed without wrapping).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -37,12 +38,7 @@ __all__ = [
 ]
 
 WITNESS_CAP = 10_000
-_POPCOUNT_ROWS = 1 << 16        # rows per popcount chunk, bounding temporaries
 _WORD = (1 << 64) - 1
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
 
 
 # ----------------------------------------------------------------------------
@@ -100,13 +96,14 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
     entries of level s-1.  So level s is the concatenation over j of
     ``level[:C(j, s-1)] | nbr[j]``, one numpy pass per j with no sort, and
     entry r with largest member j has parent r - C(j, s) at level s-1.
-    Neighbourhoods are rows of ceil(|U|/64) uint64 words over U positions.
+    Neighbourhoods are rows of ceil(|U|/64) uint64 words over U positions,
+    and ``np.bitwise_count`` counts them one word column at a time.
 
-    Only levels s-1 and s are live, and the popcount runs in chunks of
-    ``_POPCOUNT_ROWS`` rows.  Where :func:`_profile_bytes` passes the
+    Only levels s-1 and s are live.  Where :func:`_profile_bytes` passes the
     available memory, the profile refuses at once.  The first
     ``witness_cap`` optimal sets per size are kept, in colex order, with a
-    truncation flag so completeness-dependent consumers can refuse.
+    truncation flag so completeness-dependent consumers can refuse; their
+    members come from the parent pointers, walked against one Pascal table.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be nonnegative, got {s_max}")
@@ -122,6 +119,12 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
     nbr = np.array([[g.neighbor_mask(a) >> (64 * k) & _WORD for k in range(n_words)]
                     for a in v], dtype=np.uint64)
     count_type = np.min_scalar_type(64 * n_words)
+    # pascal[t, j] = C(j, t) = sum of C(i, t-1) over i < j
+    pascal = np.zeros((s_max + 1, nv), dtype=np.int64)
+    pascal[0] = 1
+    for t in range(1, s_max + 1):
+        np.cumsum(pascal[t - 1, :-1], out=pascal[t, 1:])
+    sites = np.array(v, dtype=np.int64)
 
     deltas = [0]
     witnesses: dict[int, list[tuple[int, ...]]] = {0: [()]}
@@ -133,51 +136,41 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
             lo, n = math.comb(j, s), math.comb(j, s - 1)
             np.bitwise_or(level[:n], nbr[j], out=nxt[lo:lo + n])
         level = nxt
-        counts = np.empty(len(level), dtype=count_type)
-        for lo in range(0, len(level), _POPCOUNT_ROWS):
-            rows = level[lo:lo + _POPCOUNT_ROWS]
-            counts[lo:lo + len(rows)] = _popcount64(rows).sum(axis=1)
+        counts = np.zeros(len(level), dtype=count_type)
+        for k in range(n_words):
+            counts += np.bitwise_count(level[:, k])
         best = counts.min()
-        hits = np.flatnonzero(counts == best)
+        optimal = counts == best
+        hits = int(np.count_nonzero(optimal))
+        end = len(optimal)
+        if hits > witness_cap:      # the shortest prefix holding witness_cap hits
+            end = bisect_left(range(end), witness_cap, lo=witness_cap,
+                              key=lambda e: np.count_nonzero(optimal[:e]))
+        ranks = np.flatnonzero(optimal[:end])
+        members = np.empty((len(ranks), s), dtype=np.int64)
+        for t in range(s, 0, -1):
+            j = np.searchsorted(pascal[t], ranks, side="right") - 1
+            members[:, t - 1] = sites[j]
+            ranks -= pascal[t, j]
         deltas.append(int(best) - s)
-        witnesses[s] = [tuple(v[i] for i in row)
-                        for row in _colex_members(hits[:witness_cap], s, nv).tolist()]
-        truncated[s] = len(hits) > witness_cap
+        witnesses[s] = list(map(tuple, members.tolist()))
+        truncated[s] = hits > witness_cap
     return IsoperimetricProfile(deltas, witnesses, truncated)
 
 
 def _profile_bytes(g: BipartiteGraph, s_max: int, witness_cap: int) -> int:
     """Bytes of the profile's largest level up to s_max <= |V|: level s-1's
-    words (8 per 64 U sites); level s's words, bit counts, optimality flags
-    and int64 hit indices, every row optimal at worst (as on complete:MxN);
-    and every kept witness tuple of t members, 40 + 8 t bytes and a slot."""
+    words (8 per 64 U sites); level s's words, bit counts, one word column's
+    ``np.bitwise_count`` and optimality flags; and every kept witness tuple
+    of t members, 40 + 8 t bytes and a slot, plus 32 bytes per member whose
+    site id is past CPython's small-int cache (256)."""
     nv, word = len(g.v_sites), 8 * max(1, -(-len(g.u_sites) // 64))
     count = next(b for b in (1, 2, 4, 8) if 8 * word < 1 << 8 * b)
+    member = 8 + 32 * (max(g.v_sites, default=0) > 256)
     sizes = range(1, s_max + 1)
     return (max((math.comb(nv, s - 1) * word
-                 + math.comb(nv, s) * (word + count + 1 + 8) for s in sizes), default=0)
-            + sum(min(math.comb(nv, s), witness_cap) * (48 + 8 * s) for s in sizes))
-
-
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """Bits set in each uint64 word (SWAR; numpy 1.24 has no bitwise_count)."""
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return (x * _H01) >> np.uint64(56)
-
-
-def _colex_members(ranks: np.ndarray, s: int, nv: int) -> np.ndarray:
-    """Ascending member positions of the s-subsets of range(nv) at the given
-    colex ranks: follow parent pointers r -> r - C(j, t) down the levels."""
-    r = ranks.astype(np.int64)
-    out = np.empty((len(r), s), dtype=np.int64)
-    for t in range(s, 0, -1):
-        below = np.array([math.comb(j, t) for j in range(nv)], dtype=np.int64)
-        j = np.searchsorted(below, r, side="right") - 1
-        out[:, t - 1] = j
-        r = r - below[j]
-    return out
+                 + math.comb(nv, s) * (word + count + 1 + 1) for s in sizes), default=0)
+            + sum(min(math.comb(nv, s), witness_cap) * (48 + member * s) for s in sizes))
 
 
 # ----------------------------------------------------------------------------

@@ -341,7 +341,7 @@ def test_whole_hypercube_6_profile_refused_before_numpy_exit_3(capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("refused: the brute-force profile of 32 V sites up to "
-                            "s = 32 needs 15,391,160,860 bytes; 8,589,934,592 bytes "
+                            "s = 32 needs 11,183,598,130 bytes; 8,589,934,592 bytes "
                             "are available\n")
 
 

@@ -1,10 +1,13 @@
+import io
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hcmeta.configspace as configspace
 from hcmeta.configspace import (CapExceeded, ModelParams, config_cost,
                                 count_independent_sets, enumerate_space,
                                 height, join, leq, meet)
@@ -193,3 +196,28 @@ def test_serialize_config():
     spc = enumerate_space(build_family("complete:1x1"))
     obj = spc.serialize_config(spc.u_mask)
     assert obj == {"mask": "1", "occupied": [0]}
+
+
+def _fake_meminfo(text):
+    def fake_open(path, mode="r", buffering=-1):
+        assert (path, mode) == ("/proc/meminfo", "rb")
+        if text is None:
+            raise FileNotFoundError(path)
+        return io.BytesIO(text)
+    return fake_open
+
+
+def test_available_memory_reads_mem_available(monkeypatch):
+    monkeypatch.setattr(configspace, "open", _fake_meminfo(
+        b"MemTotal:        8000000 kB\nMemFree:         1000000 kB\n"
+        b"MemAvailable:    6543210 kB\nBuffers:           12345 kB\n"), raising=False)
+    assert configspace._available_memory() == 6543210 * 1024
+
+
+@pytest.mark.parametrize("text", [None, b"MemTotal:        8000000 kB\n"])
+def test_available_memory_falls_back_to_free_pages(monkeypatch, text):
+    # no /proc/meminfo, or one without the MemAvailable field
+    monkeypatch.setattr(configspace, "open", _fake_meminfo(text), raising=False)
+    pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert configspace._available_memory() == 1000 * 4096

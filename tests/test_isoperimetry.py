@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 import hcmeta.isoperimetry as iso
@@ -35,8 +34,9 @@ def test_brute_force_torus_profile_and_witnesses():
 
 
 # torus:6x6 to s = 9, one word per row: level 8's words and level 9's words,
-# bit counts, flags and hit indices, then the witness tuples of sizes 1..9
-TORUS_6X6_TO_9_BYTES = (8 * math.comb(18, 8) + (8 + 1 + 1 + 8) * math.comb(18, 9)
+# bit counts, one np.bitwise_count column and flags, then the witness tuples
+# of sizes 1..9 (site ids below 257: no int object per member)
+TORUS_6X6_TO_9_BYTES = (8 * math.comb(18, 8) + (8 + 1 + 1 + 1) * math.comb(18, 9)
                         + sum(min(math.comb(18, s), iso.WITNESS_CAP) * (48 + 8 * s)
                               for s in range(1, 10)))
 
@@ -157,20 +157,15 @@ def test_colex_levels_equal_gosper_loop(spec, s_max, cap, relabelled):
         assert prof.witnesses_truncated[5] == (cap < 396)
 
 
-def test_profile_without_bitwise_count(monkeypatch):
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    g = build_family("torus:6x6")
-    prof = brute_force_profile(g, 4)
-    deltas, witnesses, _ = _gosper_profile(g, 4)
-    assert prof.deltas == deltas and prof.witnesses == witnesses
-
-
-def test_popcount_matches_bit_count():
-    rng = random.Random(3)
-    words = [0, 1, (1 << 64) - 1, 1 << 63, (1 << 63) | 1, 0x8000_0000_FFFF_0000]
-    words += [rng.getrandbits(64) | 1 << 63 for _ in range(200)]
-    got = iso._popcount64(np.array(words, dtype=np.uint64))
-    assert got.tolist() == [w.bit_count() for w in words]
+def test_bit_count_across_a_word_edge():
+    # |U| = 65: U site 63 is the top bit of word 0 and U site 64 is bit 0 of
+    # word 1, so V site 65's two neighbours count in both words; V site 66
+    # joins U sites 0..63 and keeps the graph connected
+    g = BipartiteGraph.from_parts(65, 2, [(63, 65), (64, 65)]
+                                  + [(a, 66) for a in range(64)])
+    prof = brute_force_profile(g, 1)
+    assert prof.deltas == [0, 1]
+    assert prof.witnesses[1] == [(65,)]
 
 
 def test_torus_closed_form_values():
