@@ -33,9 +33,16 @@ estimate on a smaller machine) records the refusal instead, and its peak
 shows that nothing was allocated.  Under ``profile_calls`` it lists, from
 one fresh process, the median and minimum seconds of repeated
 ``brute_force_profile`` calls on the graph of ``PROFILE_CALLS``, per s_max
-and per witness cap (``WITNESS_CAP``, and 0: no witness tuples).  With
-SPECs (graph specs such as ``path:19``), only their solve rows run, one
-fresh process each, and no gate or profile.
+and per witness cap (``WITNESS_CAP``, and 0: no witness tuples).  Under
+``wells`` it lists the bounce-window tables of the kernel of each of
+``WELL_INSTANCES`` at lambda = 100, once, in a fresh process: the kernel's
+CSR arrays, running sums and walker lists are built first, then
+``TransitionKernel._wells`` alone runs under ``tracemalloc``, which records
+its seconds, its peak bytes (``tracemalloc_peak_bytes``) and the bytes it
+still holds once it returns (``held_bytes``), beside the kernel's entries
+and the wells found.  With SPECs (graph specs such as ``path:19``), only
+their solve rows run, one fresh process each, and no gate, profile or
+well row.
 
     python3 scripts/solve_memory.py --imports [--output BENCH_imports.json]
 
@@ -87,6 +94,8 @@ PROFILE_INSTANCES = ("torus:6x8", "doubled(torus:5x5)", "complete:3x22", "hyperc
 # repeated profiles of the paper's example: up to the benchmark's s = 6 and
 # up to s-tilde = 9 at alpha = 1/2, with witness tuples and without
 PROFILE_CALLS = {"graph": "torus:6x6", "s_max": (6, 9), "calls": 60}
+# kernels whose bounce-window tables are measured, with their alpha
+WELL_INSTANCES = {"ladder:12": "7/10", "torus:4x8": "7/10"}
 LAMBDA = 100.0
 # entry point -> the code a fresh process times
 IMPORT_PATHS = {
@@ -269,6 +278,31 @@ def measure_profile_calls(spec: str) -> list:
             for (s, cap), got in seconds.items()]
 
 
+def measure_wells(spec: str) -> dict:
+    """``TransitionKernel._wells`` on one of ``WELL_INSTANCES``, in this
+    process."""
+    import tracemalloc
+    from fractions import Fraction
+
+    from hcmeta import ModelParams, build_kernel, enumerate_space, parse_graph_spec
+
+    g = parse_graph_spec(spec)
+    spc = enumerate_space(g)
+    alpha = WELL_INSTANCES[spec]
+    kern = build_kernel(spc, ModelParams.for_graph(g, LAMBDA, alpha=Fraction(alpha)))
+    kern._rows              # builds the CSR arrays, their sums and the walker lists
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    wells = kern._wells
+    seconds = time.perf_counter() - t0
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return {"graph": spec, "lambda": LAMBDA, "alpha": alpha, "states": len(spc),
+            "entries": len(kern.indices), "wells": len(wells), "wells_s": seconds,
+            "tracemalloc_peak_bytes": peak, "held_bytes": held,
+            "peak_rss_mb": _peak_rss_mb()}
+
+
 def measure_imports(path: str) -> dict:
     """One entry point of ``IMPORT_PATHS``, in this process."""
     before = set(sys.modules)
@@ -373,15 +407,17 @@ def main(argv=None) -> int:
     ap.add_argument("--gate", help=argparse.SUPPRESS)   # worker: build_gate
     ap.add_argument("--profile", help=argparse.SUPPRESS)    # worker: whole-V profile
     ap.add_argument("--profile-calls", help=argparse.SUPPRESS)  # worker: repeated profiles
+    ap.add_argument("--wells", help=argparse.SUPPRESS)  # worker: bounce-window tables
     args = ap.parse_args(argv)
     if args.one or args.psi or args.tree or args.gate or args.profile \
-            or args.profile_calls or args.import_path or args.sampler_one:
+            or args.profile_calls or args.wells or args.import_path or args.sampler_one:
         print(json.dumps(measure(args.one) if args.one else
                          measure_psi(args.psi) if args.psi else
                          measure_tree(args.tree) if args.tree else
                          measure_gate(args.gate) if args.gate else
                          measure_profile(args.profile) if args.profile else
                          measure_profile_calls(args.profile_calls) if args.profile_calls else
+                         measure_wells(args.wells) if args.wells else
                          measure_sampler(args.sampler_one) if args.sampler_one else
                          measure_imports(args.import_path)))
         return 0
@@ -433,9 +469,13 @@ def main(argv=None) -> int:
     profile_calls = [] if args.specs else worker("--profile-calls", PROFILE_CALLS["graph"])
     for row in profile_calls:
         print(json.dumps(row))
+    wells = []
+    for spec in () if args.specs else WELL_INSTANCES:
+        wells.append(worker("--wells", spec))
+        print(json.dumps(wells[-1]))
     with open(args.output or "BENCH_solve_memory.json", "w") as f:
         json.dump({"instances": rows, "gates": gates, "profiles": profiles,
-                   "profile_calls": profile_calls}, f, indent=2)
+                   "profile_calls": profile_calls, "wells": wells}, f, indent=2)
         f.write("\n")
     return 0
 

@@ -111,7 +111,7 @@ def cmd_hitting(args) -> int:
 
 
 def cmd_isoperimetry(args) -> int:
-    from .isoperimetry import brute_force_profile
+    from .isoperimetry import brute_force_profile, closed_form_profile
     g = parse_graph_spec(args.graph)
     fam = g.meta.get("family")
     rows = []
@@ -129,7 +129,7 @@ def cmd_isoperimetry(args) -> int:
         prov = "brute-force" if brute is not None else f"closed-form:{fam}"
         if args.compare == "closed-form" or not args.brute_force:
             try:
-                closed = _closed_delta(g, fam, s)
+                closed = closed_form_profile(g, s)
             except GraphValidationError:
                 raise                       # the family has no closed form
             except ValueError:
@@ -147,21 +147,6 @@ def cmd_isoperimetry(args) -> int:
         print(f"comparison failed on {mismatches} sizes", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _closed_delta(g, fam: str | None, s: int) -> int:
-    from .isoperimetry import closed_form_profile, hypercube_delta
-    if fam == "torus":
-        return closed_form_profile("torus", s, dims=g.meta["dims"])
-    if fam == "doubled-torus":
-        return closed_form_profile("doubled_torus", s, dims=g.meta["dims"])
-    if fam == "hypercube":
-        return hypercube_delta(g.meta["d"], s)
-    if fam == "cycle":
-        return closed_form_profile("tree_like", s, degree=2,
-                                   girth=g.meta["length"]) if s else 0
-    raise GraphValidationError(
-        f"no closed form for family {fam!r}; use --brute-force")
 
 
 def cmd_critical(args) -> int:

@@ -91,8 +91,8 @@ class ConfigurationSpace:
     """Complete enumeration of the valid configurations of a bipartite graph.
 
     ``masks`` is the sorted ``int64`` array of configuration bitmasks (the
-    canonical order); ``configs`` is the same as a list of ints and
-    ``index[mask]`` maps a configuration back to its ordinal.  ``u_state``
+    canonical order); ``configs`` is the same as a list of ints, and
+    :meth:`require` maps a configuration back to its ordinal.  ``u_state``
     packs all of U, ``v_state`` all of V; ``empty_index`` is the ordinal of
     the empty configuration.
     """
@@ -110,10 +110,6 @@ class ConfigurationSpace:
     @cached_property
     def configs(self) -> list[int]:
         return self.masks.tolist()
-
-    @cached_property
-    def index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.configs)}
 
     def __len__(self) -> int:
         return len(self.masks)

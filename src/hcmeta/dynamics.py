@@ -236,20 +236,15 @@ class TransitionKernel:
         row; per entry b -> y of the row, the columns (p_move of y, the lower
         and upper ``bisect_left`` bounds of y's move uniform times p_move that
         select the entry y -> b, b's and y's log1p(-p_move)); the targets y;
-        and the pairs of its windows, from r(b)."""
+        and the pairs of its windows, from r(b).  The tables are copies made
+        for the wells' rows alone: no array the size of the kernel outlives
+        the call."""
         rows, cols, probs = self.offdiag_coo()
         indptr, cum, p_move = self.indptr, self.cum, self.p_move
         rev = self._csr[3]
         q = probs / p_move[rows]                # P(b -> y | move)
         ret = np.bincount(rows, q * q[rev], minlength=len(self))
         log_stay = np.array([r[1] for r in self._rows[0]])
-        # bisect_left over [lo_y, last_y) returns rev iff (rev == lo_y or
-        # cum[rev - 1] < x) and (rev == last_y or x <= cum[rev]).  The move
-        # uniform is at most 1, so x <= p_move(y) = cum[last_y]: the upper
-        # test holds at rev == last_y as it stands.
-        lower = np.where(rev == indptr[cols], -np.inf, cum[rev - 1])
-        table = np.column_stack([p_move[cols], lower, cum[rev], log_stay[rows],
-                                 log_stay[cols]])
         # |log u| <= 53 ln 2 < 37, so where log_stay < -37 / 2^48 no hold
         # passes 2^48 steps, and a window's int64 sums of at most _MAX_WINDOW
         # pairs stay exact.  Only a well whose holds and whose neighbours' all fit
@@ -257,9 +252,21 @@ class TransitionKernel:
         fits = log_stay < -37.0 / 2.0 ** 48
         wells = np.flatnonzero((ret >= _WELL_RETURN) & fits
                                & (np.bincount(rows, ~fits[cols], minlength=len(self)) == 0))
-        return {b: (cum[lo:hi - 1], table[lo:hi], cols[lo:hi].tolist(), _window(r))
-                for b, lo, hi, r in zip(wells.tolist(), indptr[wells].tolist(),
-                                        indptr[wells + 1].tolist(), ret[wells].tolist())}
+        lo, n = indptr[wells], np.diff(indptr)[wells]
+        first = np.cumsum(n) - n                # each well's first row in the table
+        at = np.arange(n.sum()) + np.repeat(lo - first, n)
+        ys, back = cols[at], rev[at]
+        # bisect_left over [lo_y, last_y) returns back iff (back == lo_y or
+        # cum[back - 1] < x) and (back == last_y or x <= cum[back]).  The move
+        # uniform is at most 1, so x <= p_move(y) = cum[last_y]: the upper
+        # test holds at back == last_y as it stands.
+        lower = np.where(back == indptr[ys], -np.inf, cum[back - 1])
+        table = np.column_stack([p_move[ys], lower, cum[back],
+                                 np.repeat(log_stay[wells], n), log_stay[ys]])
+        return {b: (cum[l:l + k - 1].copy(), table[f:f + k], ys[f:f + k].tolist(),
+                    _window(r))
+                for b, l, k, f, r in zip(wells.tolist(), lo.tolist(), n.tolist(),
+                                         first.tolist(), ret[wells].tolist())}
 
     def __len__(self) -> int:
         return len(self.space)

@@ -161,16 +161,22 @@ def brute_force_profile(g: BipartiteGraph, s_max: int,
 def _profile_bytes(g: BipartiteGraph, s_max: int, witness_cap: int) -> int:
     """Bytes of the profile's largest level up to s_max <= |V|: level s-1's
     words (8 per 64 U sites); level s's words, bit counts, one word column's
-    ``np.bitwise_count`` and optimality flags; and every kept witness tuple
-    of t members, 40 + 8 t bytes and a slot, plus 32 bytes per member whose
-    site id is past CPython's small-int cache (256)."""
+    ``np.bitwise_count`` and optimality flags; and the lists ``tolist``
+    makes of level s's kept witnesses, per witness a slot, a 64-byte list
+    and its 8 s member bytes.  Then every kept witness tuple of t members:
+    a slot and 40 + 8 t bytes, plus 32 bytes per member whose site id is
+    past CPython's small-int cache (256).  pymalloc rounds each block up to
+    a multiple of 16 bytes."""
+    def block(n: int) -> int:
+        return -(-n // 16) * 16
+
     nv, word = len(g.v_sites), 8 * max(1, -(-len(g.u_sites) // 64))
     count = next(b for b in (1, 2, 4, 8) if 8 * word < 1 << 8 * b)
-    member = 8 + 32 * (max(g.v_sites, default=0) > 256)
-    sizes = range(1, s_max + 1)
-    return (max((math.comb(nv, s - 1) * word
-                 + math.comb(nv, s) * (word + count + 1 + 1) for s in sizes), default=0)
-            + sum(min(math.comb(nv, s), witness_cap) * (48 + member * s) for s in sizes))
+    member = 32 * (max(g.v_sites, default=0) > 256)
+    kept = {s: min(math.comb(nv, s), witness_cap) for s in range(1, s_max + 1)}
+    return (max((math.comb(nv, s - 1) * word + math.comb(nv, s) * (word + count + 1 + 1)
+                 + n * (8 + 64 + block(8 * s)) for s, n in kept.items()), default=0)
+            + sum(n * (8 + block(40 + 8 * s) + member * s) for s, n in kept.items()))
 
 
 # ----------------------------------------------------------------------------
@@ -277,22 +283,26 @@ def _doubled_window_ok(s: int, dims: tuple[int, int]) -> bool:
     return span_i + 2 <= min(dims) + 1 and span_j + 2 <= min(dims) + 1
 
 
-def closed_form_profile(family: str, s: int, *, dims: tuple[int, int] | None = None,
-                        degree: int | None = None, girth: int | None = None) -> int:
-    """Closed-form Delta(s) with an explicit validity-window range error."""
-    if family == "torus":
-        if dims is not None and not _torus_window_ok(s, dims):
+def closed_form_profile(g: BipartiteGraph, s: int) -> int:
+    """Closed-form Delta(s) of the graph's family: the torus and
+    doubled-torus lattice formulas inside their footprint windows, the
+    hypercube recursion, and the tree-like form of a cycle.  A size outside
+    the validity window raises ``ValueError``, a family with no closed form
+    ``GraphValidationError``."""
+    fam, dims = g.meta.get("family"), g.meta.get("dims")
+    if fam == "torus":
+        if not _torus_window_ok(s, dims):
             raise ValueError(f"s={s} outside torus validity window for dims {dims}")
         return torus_delta(s)
-    if family == "doubled_torus":
-        if dims is not None and not _doubled_window_ok(s, dims):
+    if fam == "doubled-torus":
+        if not _doubled_window_ok(s, dims):
             raise ValueError(f"s={s} outside doubled-torus window for dims {dims}")
         return doubled_torus_delta(s)
-    if family in ("tree_like", "doubled_tree_like"):
-        if degree is None or girth is None:
-            raise ValueError("tree-like forms need degree and girth")
-        return tree_like_delta(s, degree, girth, doubled=family.startswith("doubled"))
-    raise ValueError(f"unknown closed-form family {family!r}")
+    if fam == "hypercube":
+        return hypercube_delta(g.meta["d"], s)
+    if fam == "cycle":
+        return tree_like_delta(s, 2, g.meta["length"])
+    raise GraphValidationError(f"no closed form for family {fam!r}; use --brute-force")
 
 
 # ----------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .configspace import (CapExceeded, ConfigurationSpace, ModelParams,
                           enumerate_space)
 from .graph import BipartiteGraph
 from .isoperimetry import (
-    IsoperimetricProfile,
     _Budget,
     _grow,
     _orient,
@@ -91,33 +90,32 @@ def critical_analysis(delta_fn, alpha: Fraction, bound: int,
 
     s* is the smallest maximizer of g(s) = Delta(s) - alpha(s-1) over
     {1..s~}; s~ is the smallest integer above s* with Delta(s~) <= alpha s~.
+    So s~ is the first resettling size above the smallest maximizer of g
+    over 1..s~, and one upward scan finds both: it stops at the first
+    resettling s above the maximizer so far, and reads Delta no further.
     All tied maximizers over {0..s~} are reported; the uniqueness hypothesis
     check consumes them.
     """
     alpha = Fraction(alpha)
-    deltas = [Fraction(delta_fn(s)) for s in range(bound + 1)]
-    resettles = [s for s in range(1, bound + 1) if deltas[s] <= alpha * s]
-    if not resettles:
-        raise ValueError(
-            f"no resettling size within bound {bound}: Delta(s) > alpha*s throughout")
-
-    def g(s: int) -> Fraction:
-        return deltas[s] - alpha * (s - 1)
-
-    # Fixpoint of the two interlocking definitions: maximizing over a larger
-    # {1..s~} can move s*, which can in turn push s~ to a later resettle.
-    s_tilde = resettles[0]
-    while True:
-        g_star = max(g(s) for s in range(1, s_tilde + 1))
-        s_star = min(s for s in range(1, s_tilde + 1) if g(s) == g_star)
-        later = [s for s in resettles if s > s_star]
-        if not later:
-            raise ValueError(
-                f"no resettling size above s*={s_star} within bound {bound}")
-        if later[0] == s_tilde:
-            break
-        s_tilde = later[0]
-    tied = [s for s in range(0, s_tilde + 1) if g(s) == g_star]
+    deltas = [Fraction(delta_fn(0))]
+    s_star, g_star, last = 0, None, None    # maximizer so far; last resettle
+    for s in range(1, bound + 1):
+        deltas.append(Fraction(delta_fn(s)))
+        g_s = deltas[s] - alpha * (s - 1)
+        if g_star is None or g_s > g_star:
+            s_star, g_star = s, g_s
+        if deltas[s] <= alpha * s:
+            if s > s_star:
+                break
+            last = s
+    else:
+        if last is None:
+            raise ValueError(f"no resettling size within bound {bound}: "
+                             "Delta(s) > alpha*s throughout")
+        # every resettle so far was the maximizer up to itself
+        raise ValueError(f"no resettling size above s*={last} within bound {bound}")
+    s_tilde = s
+    tied = [t for t in range(s_tilde + 1) if deltas[t] - alpha * (t - 1) == g_star]
     t_star = (n_u - s_star - int(deltas[s_star])) if n_u is not None else None
     return CriticalAnalysis(alpha=alpha, s_star=s_star, g_star=g_star,
                             s_tilde=s_tilde, delta_s_star=int(deltas[s_star]),
@@ -170,20 +168,21 @@ def default_s_tilde_bound(alpha: Fraction, family: str | None = None) -> int:
 
 
 def profile_function(g: BipartiteGraph, alpha: Fraction):
-    """(delta_fn, bound, family) for a graph: closed form when the family has
-    one, else a brute-force profile over the whole V part."""
+    """(delta_fn, bound, profile) for a graph: the closed form and no
+    profile when the family has one, else the brute-force profile over the
+    whole V part, which the hypothesis checks and the gate read too."""
     fam = g.meta.get("family")
     if fam == "torus":
-        return torus_delta, default_s_tilde_bound(alpha), fam
+        return torus_delta, default_s_tilde_bound(alpha), None
     if fam == "doubled-torus":
-        return doubled_torus_delta, default_s_tilde_bound(alpha, fam), fam
+        return doubled_torus_delta, default_s_tilde_bound(alpha, fam), None
     if fam == "hypercube":
         d = g.meta["d"]
-        return (lambda s: hypercube_delta(d, s)), len(g.v_sites), fam
+        return (lambda s: hypercube_delta(d, s)), len(g.v_sites), None
     # cycles: the tree-like closed form covers s < girth/2 only, and the
     # resettling size can sit past that window; V is small, so exhaust it.
     prof = brute_force_profile(g, len(g.v_sites))
-    return prof.delta, prof.s_max, fam
+    return prof.delta, prof.s_max, prof
 
 
 # ----------------------------------------------------------------------------
@@ -264,16 +263,13 @@ def find_isoperimetric_numbering(g: BipartiteGraph, delta_fn, length: int,
     return [next(iter(y - x)) for x, y in zip(sets, sets[1:])], False
 
 
-def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None,
-                    profile: IsoperimetricProfile | None = None):
-    """(delta_fn, analysis, kappa): the profile of :func:`profile_function`,
-    replaced by ``profile`` on a graph with no closed form; its critical
-    analysis; and kappa, ceil(1/alpha) - 1 by default, checked to lie in
-    [0, 1/alpha).  s*+kappa above |V| is refused with ``ValueError``:
-    family C would not exist."""
-    delta_fn, bound, fam = profile_function(g, alpha)
-    if profile is not None and fam not in ("torus", "doubled-torus", "hypercube"):
-        delta_fn, bound = profile.delta, profile.s_max
+def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None):
+    """(delta_fn, profile, analysis, kappa): the profile of
+    :func:`profile_function` (None where a closed form is used); its
+    critical analysis; and kappa, ceil(1/alpha) - 1 by default, checked to
+    lie in [0, 1/alpha).  s*+kappa above |V| is refused with
+    ``ValueError``: family C would not exist."""
+    delta_fn, bound, prof = profile_function(g, alpha)
     analysis = critical_analysis(delta_fn, alpha, bound, n_u=len(g.u_sites))
     if kappa is None:
         kappa = math.ceil(1 / alpha) - 1
@@ -282,7 +278,7 @@ def _critical_setup(g: BipartiteGraph, alpha: Fraction, kappa: int | None,
     if analysis.s_star + kappa > len(g.v_sites):
         raise ValueError(f"s*+kappa = {analysis.s_star + kappa} exceeds "
                          f"|V| = {len(g.v_sites)}: no family C at alpha={alpha}")
-    return delta_fn, analysis, kappa
+    return delta_fn, prof, analysis, kappa
 
 
 def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
@@ -319,12 +315,14 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
     (:func:`_grow`), else a walk (:func:`_walk`) from the empty set to it on
     the same budget; a progression on from an (s*+kappa)-set is a walk over
     sizes s* .. s~ that stops at the first set of size s~, and an
-    (s*+kappa)-set of size s~ (or |V|) is one already.  s*+kappa above |V|
-    is refused with ``ValueError``.
+    (s*+kappa)-set of size s~ is one already.  Both families are the
+    complete witness lists of the profile that decided s*; a truncated list
+    makes the status exhausted-budget.  s*+kappa above |V| is refused with
+    ``ValueError``.
     """
     alpha = Fraction(alpha)
     fam = g.meta.get("family")
-    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa)
+    delta_fn, prof, analysis, kappa = _critical_setup(g, alpha, kappa)
     s_star, s_tilde = analysis.s_star, analysis.s_tilde
     st: dict[str, HypothesisStatus] = {}
 
@@ -341,15 +339,14 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
         st["numbering"] = HypothesisStatus("closed-form", ev)
         st["numbering_all_starts"] = HypothesisStatus("closed-form", ev)
     else:
-        num, exhausted = find_isoperimetric_numbering(
-            g, delta_fn, min(s_tilde, len(g.v_sites)))
+        # no closed form: the profile covers the whole V part, so s~ <= |V|
+        num, exhausted = find_isoperimetric_numbering(g, delta_fn, s_tilde)
         st["numbering"] = HypothesisStatus(
             "verified" if num else ("exhausted-budget" if exhausted else "refuted"),
             evidence=num)
         all_ok, any_exhausted, failures = True, False, []
         for a in g.v_sites:
-            numa, exh = find_isoperimetric_numbering(
-                g, delta_fn, min(s_tilde, len(g.v_sites)), start=a)
+            numa, exh = find_isoperimetric_numbering(g, delta_fn, s_tilde, start=a)
             if numa is None:
                 all_ok = False
                 failures.append(a)
@@ -374,10 +371,9 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
                                     "numbering prefixes realize both progressions")
     else:
         try:
-            prof = brute_force_profile(g, min(s_tilde, len(g.v_sites)))
             fam_a = [frozenset(w) for w in prof.complete_witnesses(s_star - 1)]
             fam_c = [frozenset(w) for w in prof.complete_witnesses(
-                min(s_star + kappa, prof.s_max))]
+                min(s_star + kappa, s_tilde))]
         except CapExceeded as exc:
             st["progressions"] = HypothesisStatus("exhausted-budget", str(exc))
             fam_a = fam_c = None
@@ -394,13 +390,12 @@ def check_hypotheses(g: BipartiteGraph, alpha: Fraction,
                                           stop=_site_mask(a_set).__eq__)
                     ok &= found is not None
                     exhausted |= exh
-            top = prof.s_max
             for c_set in fam_c:
-                if len(c_set) == top:
+                if len(c_set) == s_tilde:
                     continue            # already at the resettling size
-                _, found, exh = _walk(g, delta_fn, [_site_mask(c_set)], s_star, top,
+                _, found, exh = _walk(g, delta_fn, [_site_mask(c_set)], s_star, s_tilde,
                                       _Budget(PROGRESSION_NODES),
-                                      stop=lambda x: x.bit_count() == top)
+                                      stop=lambda x: x.bit_count() == s_tilde)
                 ok &= found is not None
                 exhausted |= exh
             st["progressions"] = HypothesisStatus(
@@ -606,8 +601,8 @@ def _family_b(g: BipartiteGraph, delta_fn, fam_a, fam_c, s_star: int,
             and any((b ^ (1 << site)) in a_masks for site in _sites(b))}
 
 
-def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
-               profile: IsoperimetricProfile | None = None) -> CriticalGate:
+def build_gate(g: BipartiteGraph, alpha: Fraction,
+               kappa: int | None = None) -> CriticalGate:
     """Families A (optimal, size s*-1), C (optimal, size s*+kappa), B (size-s*
     optimal sets extending members of A by one site, with an isoperimetric
     progression to C through sizes strictly between s*-1 and s*+kappa), and
@@ -615,23 +610,25 @@ def build_gate(g: BipartiteGraph, alpha: Fraction, kappa: int | None = None,
 
     B comes from one breadth-first walk back from C (:func:`_family_b`) on
     a budget of ``GATE_SEARCH_NODES`` nodes; a walk that runs out is refused
-    with ``CapExceeded``.  Generic graphs take A and C from a complete
-    brute-force witness enumeration, ``profile`` (by default a fresh one up
-    to s*+kappa), refusing on truncation with ``CapExceeded``, and list B in
-    the witnesses' colex order.  The doubled torus uses the Pareto-seed
-    characterization and labels results conditional on the
+    with ``CapExceeded``.  Generic graphs take A and C from the complete
+    witness lists of the profile that decided s*, refusing on truncation
+    with ``CapExceeded``, and list B in the witnesses' colex order; the
+    torus and the hypercube, whose s* comes from a closed form, brute-force
+    their own profile up to s*+kappa for them.  The doubled torus uses the
+    Pareto-seed characterization and labels results conditional on the
     connecting-progressions conjecture (:func:`_doubled_gate`).  s*+kappa
     above |V| is refused with ``ValueError``: family C would not exist.
     """
     alpha = Fraction(alpha)
     fam = g.meta.get("family")
-    delta_fn, analysis, kappa = _critical_setup(g, alpha, kappa, profile)
+    delta_fn, prof, analysis, kappa = _critical_setup(g, alpha, kappa)
     s_star = analysis.s_star
 
     if fam == "doubled-torus":
         return _doubled_gate(g, alpha, kappa, analysis)
 
-    prof = profile or brute_force_profile(g, s_star + kappa)
+    if prof is None:
+        prof = brute_force_profile(g, s_star + kappa)
     if fam == "torus":
         # a torus too small for the critical sizes has wrap-assisted optima
         # below s*+kappa; the lattice analysis does not apply there

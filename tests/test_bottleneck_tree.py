@@ -41,7 +41,7 @@ class Reference:
             for site in range(space.graph.n_sites):
                 bit = 1 << site
                 if not m & bit and space.is_valid(m | bit):
-                    self.edges.append((i, space.index[m | bit]))
+                    self.edges.append((i, space.require(m | bit)))
         self.levels = sorted({self.val[j] for _, j in self.edges}, reverse=True)
         self.adj, self.labels = [], []
         for level in self.levels:
@@ -146,7 +146,7 @@ class Reference:
                 labels.setdefault(key, set()).add((nu + nv, nv))
         level_keys = sorted(labels, reverse=True)
         level_of = {k: lvl for lvl, k in enumerate(level_keys)}
-        edges = [(space.index[m | 1 << site], j, site)
+        edges = [(space.require(m | 1 << site), j, site)
                  for j, m in enumerate(space.configs)
                  for site in range(space.graph.n_sites)
                  if not m & (space.neighbor_masks[site] | 1 << site)]
@@ -194,7 +194,7 @@ class Reference:
                         my = mx | bit
                     else:
                         continue
-                    y = space.index[my]
+                    y = space.require(my)
                     if max(keys[x], keys[y]) < floor or y in prev:
                         continue
                     prev[y] = x

@@ -49,11 +49,11 @@ def test_isoperimetry_compare_outside_window_keeps_rows(capsys, spec, s_max, out
 
 
 def test_isoperimetry_compare_mismatch_inside_window_exit_4(capsys, monkeypatch):
-    import hcmeta.cli as cli
+    import hcmeta.isoperimetry as iso
 
-    closed = cli._closed_delta
-    monkeypatch.setattr(cli, "_closed_delta",
-                        lambda g, fam, s: closed(g, fam, s) + (s == 2))
+    closed = iso.closed_form_profile
+    monkeypatch.setattr(iso, "closed_form_profile",
+                        lambda g, s: closed(g, s) + (s == 2))
     assert main(["isoperimetry", "--graph", "cycle:6", "--s-max", "5",
                  "--brute-force", "--compare", "closed-form"]) == 4
     captured = capsys.readouterr()
@@ -204,6 +204,22 @@ def test_critical_command(capsys):
     assert obj["exponent"] == ["5", "-2"]
 
 
+@pytest.mark.parametrize("spec", ["ladder:8", "random:6x6:0.5:1", "doubled(cycle:10)"])
+def test_one_profile_per_critical_analysis(capsys, monkeypatch, spec):
+    # without a closed form, the profile that decides s* is the one the
+    # hypothesis checks and the gate read: one per analysis
+    calls = []
+    profile = metastability.brute_force_profile
+    monkeypatch.setattr(metastability, "brute_force_profile",
+                        lambda *args, **kwargs: calls.append(args[1])
+                        or profile(*args, **kwargs))
+    for command, runs in (("critical", 1), ("gate", 2)):
+        calls.clear()
+        assert main([command, "--graph", spec, "--alpha", "7/10"]) == 0
+        capsys.readouterr()
+        assert len(calls) == runs
+
+
 def test_notrap_exit_codes(capsys):
     assert main(["notrap", "--graph", "cycle:6", "--alpha", "2/5"]) == 0
     capsys.readouterr()
@@ -341,7 +357,7 @@ def test_whole_hypercube_6_profile_refused_before_numpy_exit_3(capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("refused: the brute-force profile of 32 V sites up to "
-                            "s = 32 needs 11,183,598,130 bytes; 8,589,934,592 bytes "
+                            "s = 32 needs 11,186,646,074 bytes; 8,589,934,592 bytes "
                             "are available\n")
 
 

@@ -24,8 +24,8 @@ def test_k11_kernel_entries(k11):
     spc, par, kern = k11
     assert par.gamma == 32.0
     empty = spc.empty_index
-    assert kern.prob(empty, spc.index[0b01]) == 10.0 / 32.0
-    assert kern.prob(empty, spc.index[0b10]) == 20.0 / 32.0
+    assert kern.prob(empty, spc.require(0b01)) == 10.0 / 32.0
+    assert kern.prob(empty, spc.require(0b10)) == 20.0 / 32.0
     assert kern.prob(empty, empty) == pytest.approx(2.0 / 32.0, abs=1e-15)
 
 

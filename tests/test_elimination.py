@@ -504,7 +504,7 @@ def test_green_by_visits_refused_before_its_matrix(monkeypatch):
 def test_disconnected_pair_raises():
     g = build_family("complete:1x1")
     spc, net = _net(g, 10.0)
-    empty, u0, v0 = spc.empty_index, spc.index[0b01], spc.index[0b10]
+    empty, u0, v0 = spc.empty_index, spc.require(0b01), spc.require(0b10)
     cut = net.with_scaled_edge(empty, u0, 0.0)
     with pytest.raises(ValueError, match="A and B are disconnected"):
         effective_resistance(cut, {u0}, {v0})
@@ -636,7 +636,7 @@ def test_torus_4x4_against_exact_lumped_chain():
     for p in gens:
         for x, mask in enumerate(spc.configs):
             image = sum(1 << p[site] for site in range(g.n_sites) if mask >> site & 1)
-            root[find(x)] = find(spc.index[image])
+            root[find(x)] = find(spc.require(image))
     heads = sorted({find(x) for x in range(len(spc))})
     node = {h: k for k, h in enumerate(heads)}
     orbit = [node[find(x)] for x in range(len(spc))]

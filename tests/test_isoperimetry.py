@@ -5,7 +5,7 @@ import pytest
 
 import hcmeta.isoperimetry as iso
 from hcmeta.configspace import CapExceeded
-from hcmeta.graph import BipartiteGraph, build_family
+from hcmeta.graph import BipartiteGraph, GraphValidationError, build_family
 from hcmeta.isoperimetry import (brute_force_profile, closed_form_profile,
                                  connecting_progression, doubled_torus_delta,
                                  doubled_torus_numbering, harper_numbering,
@@ -34,11 +34,15 @@ def test_brute_force_torus_profile_and_witnesses():
 
 
 # torus:6x6 to s = 9, one word per row: level 8's words and level 9's words,
-# bit counts, one np.bitwise_count column and flags, then the witness tuples
-# of sizes 1..9 (site ids below 257: no int object per member)
+# bit counts, one np.bitwise_count column and flags, and the lists tolist
+# makes of level 9's kept witnesses (a slot, a 64-byte list, 72 member bytes
+# rounded up to 80); then the witness tuples of sizes 1..9, a slot and
+# 40 + 8 s bytes rounded up to 16 (site ids below 257: no int object per
+# member)
 TORUS_6X6_TO_9_BYTES = (8 * math.comb(18, 8) + (8 + 1 + 1 + 1) * math.comb(18, 9)
-                        + sum(min(math.comb(18, s), iso.WITNESS_CAP) * (48 + 8 * s)
-                              for s in range(1, 10)))
+                        + iso.WITNESS_CAP * (8 + 64 + 80)
+                        + sum(min(math.comb(18, s), iso.WITNESS_CAP)
+                              * (8 + -(-(40 + 8 * s) // 16) * 16) for s in range(1, 10)))
 
 
 def test_brute_force_refused_past_available_memory(monkeypatch):
@@ -203,15 +207,22 @@ def test_hypercube_recursion_matches_harper_boundary(d1):
 
 
 def test_closed_form_windows():
-    assert closed_form_profile("torus", 6, dims=(6, 6)) == 6
-    with pytest.raises(ValueError):
-        closed_form_profile("torus", 7, dims=(6, 6))
-    assert closed_form_profile("doubled_torus", 6, dims=(5, 5)) == 9
-    with pytest.raises(ValueError):
-        closed_form_profile("doubled_torus", 30, dims=(5, 5))
-    assert closed_form_profile("tree_like", 3, degree=2, girth=12) == 1
-    with pytest.raises(ValueError):
-        closed_form_profile("tree_like", 6, degree=2, girth=12)
+    torus, doubled, cycle = (build_family(spec) for spec in
+                             ("torus:6x6", "doubled(torus:5x5)", "cycle:12"))
+    assert closed_form_profile(torus, 6) == 6
+    with pytest.raises(ValueError, match=r"s=7 outside torus validity window for "
+                                         r"dims \(6, 6\)"):
+        closed_form_profile(torus, 7)
+    assert closed_form_profile(doubled, 6) == 9
+    with pytest.raises(ValueError, match="s=30 outside doubled-torus window"):
+        closed_form_profile(doubled, 30)
+    assert closed_form_profile(cycle, 0) == 0
+    assert closed_form_profile(cycle, 3) == 1
+    with pytest.raises(ValueError, match="outside tree-like validity window"):
+        closed_form_profile(cycle, 6)
+    assert closed_form_profile(build_family("hypercube:4"), 3) == hypercube_delta(4, 3)
+    with pytest.raises(GraphValidationError, match="no closed form for family 'ladder'"):
+        closed_form_profile(build_family("ladder:4"), 1)
 
 
 @pytest.mark.parametrize("spec,family,kwargs", [

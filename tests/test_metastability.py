@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -7,7 +8,7 @@ from hcmeta.asymptotics import AsymptoticExponent
 from hcmeta.configspace import CapExceeded, ModelParams, enumerate_space
 from hcmeta.graph import build_family
 from hcmeta.isoperimetry import (_Budget, _walk, brute_force_profile,
-                                 doubled_torus_delta, torus_delta)
+                                 doubled_torus_delta, hypercube_delta, torus_delta)
 from hcmeta.metastability import (CriticalGate, _gate_from_families, _site_mask,
                                   build_gate, check_hypotheses,
                                   critical_analysis, crossover_prediction,
@@ -44,6 +45,88 @@ def test_critical_analysis_fixpoint_past_first_resettle():
     assert ca.s_star == 2
     assert ca.s_tilde == 3
     assert ca.g_star == Fraction(9, 2)
+
+
+def _fixpoint_analysis(delta_fn, alpha, bound, n_u=None):
+    """The earlier critical_analysis, kept as a reference: Delta read on
+    0..bound, then the fixpoint of s* over {1..s~} and s~ after s*."""
+    alpha = Fraction(alpha)
+    deltas = [Fraction(delta_fn(s)) for s in range(bound + 1)]
+    resettles = [s for s in range(1, bound + 1) if deltas[s] <= alpha * s]
+    if not resettles:
+        raise ValueError(
+            f"no resettling size within bound {bound}: Delta(s) > alpha*s throughout")
+
+    def g(s):
+        return deltas[s] - alpha * (s - 1)
+
+    s_tilde = resettles[0]
+    while True:
+        g_star = max(g(s) for s in range(1, s_tilde + 1))
+        s_star = min(s for s in range(1, s_tilde + 1) if g(s) == g_star)
+        later = [s for s in resettles if s > s_star]
+        if not later:
+            raise ValueError(
+                f"no resettling size above s*={s_star} within bound {bound}")
+        if later[0] == s_tilde:
+            break
+        s_tilde = later[0]
+    tied = [s for s in range(0, s_tilde + 1) if g(s) == g_star]
+    t_star = (n_u - s_star - int(deltas[s_star])) if n_u is not None else None
+    return metastability.CriticalAnalysis(
+        alpha=alpha, s_star=s_star, g_star=g_star, s_tilde=s_tilde,
+        delta_s_star=int(deltas[s_star]), unique_max=len(tied) == 1,
+        tied_maximizers=tied, t_star=t_star)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# name -> (delta_fn, bounds): the lattice forms to generous bounds, a
+# hypercube to |V|, a profile with one resettling size, at s* = 1, and one
+# with none; the brute-force profiles below run to every bound up to |V|
+SCAN_CASES = {
+    "torus": (torus_delta, (3, 100)),
+    "doubled": (doubled_torus_delta, (4, 200)),
+    "hypercube:5": (lambda s: hypercube_delta(5, s), (5, 16)),
+    "rises": ([0, 0, 3, 5].__getitem__, (3,)),
+    "never": (lambda s: 2 * s + 1, (50,)),
+}
+
+
+@pytest.mark.parametrize("name", [*SCAN_CASES, "ladder:8", "path:10", "random:6x6:0.5:1"])
+def test_critical_analysis_scan_equals_fixpoint(name):
+    if name in SCAN_CASES:
+        delta_fn, bounds = SCAN_CASES[name]
+    else:
+        prof = brute_force_profile(build_family(name), 36)
+        delta_fn, bounds = prof.delta, range(prof.s_max + 1)
+    for alpha in [Fraction(k, 20) for k in range(1, 20)] + [Fraction(1, 3),
+                                                           Fraction(2, 3)]:
+        for bound in bounds:
+            want = _outcome(_fixpoint_analysis, delta_fn, alpha, bound, 7)
+            assert _outcome(critical_analysis, delta_fn, alpha, bound, 7) == want
+
+
+@pytest.mark.parametrize("spec", ["torus", "ladder:8", "path:10"])
+def test_critical_analysis_reads_delta_no_further_than_s_tilde(spec):
+    if spec == "torus":
+        full, bound = torus_delta, 100
+    else:
+        prof = brute_force_profile(build_family(spec), 20)
+        full, bound = prof.delta, prof.s_max
+    for alpha in (Fraction(7, 10), HALF, Fraction(2, 5), Fraction(3, 10)):
+        s_tilde = _fixpoint_analysis(full, alpha, bound).s_tilde
+
+        def delta_fn(s):
+            assert s <= s_tilde, f"Delta({s}) read past s~ = {s_tilde}"
+            return full(s)
+
+        assert critical_analysis(delta_fn, alpha, bound).s_tilde == s_tilde
 
 
 @pytest.mark.parametrize("a,ell,s", [
@@ -265,11 +348,15 @@ def test_complete_bipartite_gate_collapses_and_sharp_law():
     assert exact == pytest.approx(sharp, rel=0.01)
 
 
-def test_gate_refuses_truncated_witnesses():
-    g = build_family("torus:6x6")
-    prof = brute_force_profile(g, 4, witness_cap=5)
-    with pytest.raises(CapExceeded):
-        build_gate(g, Fraction(7, 10), profile=prof)
+def test_gate_refuses_truncated_witnesses(monkeypatch):
+    # profiles that keep 5 witnesses per size: the torus gate reads its own
+    # profile to s*+kappa, ladder:8's the one that decided s*; both lists of
+    # family C are truncated
+    monkeypatch.setattr(metastability, "brute_force_profile",
+                        partial(brute_force_profile, witness_cap=5))
+    for spec in ("torus:6x6", "ladder:8"):
+        with pytest.raises(CapExceeded, match="truncated"):
+            build_gate(build_family(spec), Fraction(7, 10))
 
 
 def test_gate_walk_ends_at_the_top_size():
@@ -360,8 +447,9 @@ _LATTICE_PROFILE_ON_SMALL_TORUS = pytest.mark.xfail(
     "on torus:4x4 and torus:4x6 the true Delta(3) is 4, the lattice value 5")
 _LATTICE_PROFILE_ON_SMALL_DOUBLED_TORUS = pytest.mark.xfail(
     strict=True, reason="profile_function gives every doubled torus the lattice "
-    "doubled_torus_delta; on doubled(torus:3x3) the exact exponent is 43/10 at 7/10 "
-    "and 9/2 at 1/2, the lattice one 59/10 and 7")
+    "doubled_torus_delta; the exact exponents at 7/10 and 1/2 are 43/10 and 9/2 on "
+    "doubled(torus:3x3) and 28/5 and 6 on doubled(torus:4x4), the lattice ones "
+    "59/10 and 7")
 
 
 @pytest.mark.parametrize("alpha", [Fraction(7, 10), HALF], ids=str)
@@ -371,6 +459,7 @@ _LATTICE_PROFILE_ON_SMALL_DOUBLED_TORUS = pytest.mark.xfail(
     pytest.param("torus:4x4", marks=_LATTICE_PROFILE_ON_SMALL_TORUS),
     pytest.param("torus:4x6", marks=_LATTICE_PROFILE_ON_SMALL_TORUS),
     pytest.param("doubled(torus:3x3)", marks=_LATTICE_PROFILE_ON_SMALL_DOUBLED_TORUS),
+    pytest.param("doubled(torus:4x4)", marks=_LATTICE_PROFILE_ON_SMALL_DOUBLED_TORUS),
 ])
 def test_critical_exponent_equals_bottleneck_psi(spec, alpha):
     # The closed-form order Delta(s*) - alpha(s*-1) against the exact order
@@ -493,7 +582,6 @@ def test_hypercube_hypotheses_and_numeric_critical_size():
     # the critical size is computed numerically from the recursion profile;
     # no closed form is claimed
     assert rep.analysis.s_star >= 1
-    from hcmeta.isoperimetry import hypercube_delta
     ca = critical_analysis(lambda s: hypercube_delta(4, s), a, len(g.v_sites))
     assert ca.s_star == rep.analysis.s_star
 
